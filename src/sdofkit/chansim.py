@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matcore
 from . import precoder as pc
 from . import region, verifier
 from .errors import ConstructionDeficit, DegenerateDraw, TargetInfeasible
@@ -35,7 +36,6 @@ __all__ = [
     "gaussian_channels",
     "los_channel",
     "uncertain_eve_channel",
-    "draw_channels",
     "draw_trial",
     "run_point",
     "monte_carlo",
@@ -275,14 +275,15 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
                                g1=g1_design, g2=g2_design)
         actual = pc.ChannelSet(h11=h11, h12=h12, h21=h21, h22=h22,
                                g1=g1_true, g2=g2_true)
-        if design.full_rank() and actual.full_rank():
+        # ``actual`` shares h11..h22 with ``design`` and, without uncertainty,
+        # its eavesdropper channels are bitwise those of ``design``: only the
+        # true eavesdropper channels of an uncertain draw need their own check
+        true_eve_ok = alpha == 0 or all(
+            matcore.rank_tol(g) == min(g.shape) for g in (actual.g1, actual.g2)
+        )
+        if design.full_rank() and true_eve_ok:
             return TrialChannels(design=design, actual=actual)
     raise DegenerateDraw(f"trial {trial_index}: full-rank check failed repeatedly")
-
-
-def draw_channels(scenario: Scenario, trial_index: int) -> pc.ChannelSet:
-    """The true channel set of one trial (see :func:`draw_trial`)."""
-    return draw_trial(scenario, trial_index).actual
 
 
 def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointStats:

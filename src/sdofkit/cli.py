@@ -17,7 +17,8 @@ as ``[re, im]`` pairs; see the schemas shipped under ``sdofkit/schemas``.
 Exit codes: 0 success; 2 malformed arguments, files, or dimension
 mismatches; 3 infeasible target; 4 construction or numerical failure on a
 degenerate draw.  The environment variable ``SDOF_RANK_TOL`` overrides
-the relative rank tolerance used in all subspace decisions.
+the relative rank tolerance used in all subspace decisions; a value that
+is not a non-negative finite number exits 2.
 """
 
 from __future__ import annotations
@@ -253,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
+        _fail(str(exc), "construction_failed")
+        return _EXIT_CONSTRUCTION
     except (SchemaViolation, ValueError, OSError) as exc:
         _fail(str(exc), "bad_input")
         return _EXIT_BAD_INPUT

@@ -12,11 +12,14 @@ inputs everywhere and represent zero-dimensional subspaces.
 The numerical-rank tolerance defaults to ``max(m, n) * eps * sigma_max``
 and can be overridden globally, either through :func:`set_rank_tolerance`
 or the ``SDOF_RANK_TOL`` environment variable.  The override is a relative
-factor: the effective cutoff is ``factor * sigma_max``.
+factor: the effective cutoff is ``factor * sigma_max``.  The variable is
+read at the first rank decision; a value that is not a non-negative finite
+number raises ``ValueError`` there.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -35,16 +38,37 @@ __all__ = [
     "dim_intersection",
     "product_cutoff",
     "set_rank_tolerance",
-    "get_rank_tolerance",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Relative rank-tolerance factor; None selects max(m,n)*eps. Set once at
-# startup (env var or set_rank_tolerance); read-only during computation.
-_rank_tol_factor: float | None = None
-if os.environ.get("SDOF_RANK_TOL"):
-    _rank_tol_factor = float(os.environ["SDOF_RANK_TOL"])
+_FROM_ENV = object()  # the factor is still to be read from SDOF_RANK_TOL
+
+# Relative rank-tolerance factor; None selects max(m,n)*eps. Set once, by
+# set_rank_tolerance or else from the env var at the first rank decision;
+# read-only during computation.
+_rank_tol_factor: float | None | object = _FROM_ENV
+
+
+def _check_factor(factor: float, what: str) -> None:
+    if not (math.isfinite(factor) and factor >= 0):
+        raise ValueError(f"{what} must be a non-negative finite number, got {factor!r}")
+
+
+def _tol_factor() -> float | None:
+    """The global factor, parsing ``SDOF_RANK_TOL`` on first use."""
+    global _rank_tol_factor
+    if _rank_tol_factor is _FROM_ENV:
+        text = os.environ.get("SDOF_RANK_TOL")
+        factor = None
+        if text:
+            try:
+                factor = float(text)
+            except ValueError:
+                raise ValueError(f"SDOF_RANK_TOL={text!r} is not a number") from None
+            _check_factor(factor, "SDOF_RANK_TOL")
+        _rank_tol_factor = factor
+    return _rank_tol_factor
 
 
 def set_rank_tolerance(factor: float | None) -> None:
@@ -52,16 +76,12 @@ def set_rank_tolerance(factor: float | None) -> None:
 
     ``factor`` multiplies the largest singular value of each matrix to give
     the rank cutoff; ``None`` restores the default ``max(m, n) * eps``.
+    Either replaces any ``SDOF_RANK_TOL`` setting.
     """
     global _rank_tol_factor
-    if factor is not None and factor < 0:
-        raise ValueError("rank tolerance factor must be non-negative")
+    if factor is not None:
+        _check_factor(factor, "rank tolerance factor")
     _rank_tol_factor = factor
-
-
-def get_rank_tolerance() -> float | None:
-    """Return the current global relative rank-tolerance factor."""
-    return _rank_tol_factor
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -71,7 +91,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -88,8 +108,9 @@ def _cutoff(a: np.ndarray, sv: np.ndarray, tol: float | None) -> float:
             raise ValueError("tolerance must be non-negative")
         return tol
     smax = float(sv[0]) if sv.size else 0.0
-    if _rank_tol_factor is not None:
-        return _rank_tol_factor * smax
+    factor = _tol_factor()
+    if factor is not None:
+        return factor * smax
     return max(a.shape) * _EPS * smax if a.size else 0.0
 
 
@@ -170,8 +191,9 @@ def product_cutoff(*pairs, margin: float = 1e4) -> float:
             continue
         scale = max(scale, float(np.linalg.norm(ma)) * float(np.linalg.norm(mb)))
         dim = max(dim, ma.shape[0], ma.shape[1], mb.shape[1])
-    if _rank_tol_factor is not None:
-        return _rank_tol_factor * scale
+    factor = _tol_factor()
+    if factor is not None:
+        return factor * scale
     return margin * dim * _EPS * scale
 
 
@@ -250,22 +272,6 @@ class GsvdResult:
     def x3(self) -> np.ndarray:
         return self.x[:, self.r + self.s :]
 
-    def d1(self) -> np.ndarray:
-        """Assemble the dense M x k diagonal-block factor for A."""
-        m = self.psi1.shape[0]
-        d = np.zeros((m, self.k))
-        d[: self.r, : self.r] = np.eye(self.r)
-        d[self.r : self.r + self.s, self.r : self.r + self.s] = np.diag(self.lam1)
-        return d
-
-    def d2(self) -> np.ndarray:
-        """Assemble the dense K x k diagonal-block factor for B."""
-        kk = self.psi2.shape[0]
-        d = np.zeros((kk, self.k))
-        d[kk - self.s - self.p : kk - self.p, self.r : self.r + self.s] = np.diag(self.lam2)
-        d[kk - self.p :, self.r + self.s :] = np.eye(self.p)
-        return d
-
 
 def _quadruple(n: int, m: int, kc: int) -> tuple[int, int, int, int]:
     """(k, r, s, p) for generic full-rank inputs of the given shape."""
@@ -306,12 +312,16 @@ def gsvd(a, b, tol: float | None = None) -> GsvdResult:
             "rank-deficient input: (k, r, s, p) inconsistent with full-rank formulas"
         )
     z = np.vstack([ma.conj().T, mb.conj().T])
-    if rank_tol(z, tol) != k:
-        raise DegenerateInput("stacked pair is rank deficient")
-
     if s == 0:
+        if rank_tol(z, tol) != k:
+            raise DegenerateInput("stacked pair is rank deficient")
         return _gsvd_disjoint(ma, mb, n, m, kc, k, r, p)
-    return _gsvd_cs(ma, mb, z, n, m, kc, k, r, s, p)
+    # one full SVD of the stacked pair serves both the rank check and the
+    # orthonormal factor the cosine-sine step starts from
+    uz, sz, vzh = np.linalg.svd(z, full_matrices=True)
+    if np.count_nonzero(sz > _cutoff(z, sz, tol)) != k:
+        raise DegenerateInput("stacked pair is rank deficient")
+    return _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p)
 
 
 def _gsvd_disjoint(ma, mb, n, m, kc, k, r, p) -> GsvdResult:
@@ -339,20 +349,35 @@ def _gsvd_disjoint(ma, mb, n, m, kc, k, r, p) -> GsvdResult:
                       k=k, r=r, s=0, p=p)
 
 
-def _gsvd_cs(ma, mb, z, n, m, kc, k, r, s, p) -> GsvdResult:
-    uz, sz, vzh = np.linalg.svd(z, full_matrices=True)
+def _cs_columns(theta: np.ndarray, m: int, kc: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``k`` columns of the cosine-sine factor of an
+    (m+kc)-square unitary split at row m and column k, split at row m into
+    D1 (m x k) and D2 (kc x k), in SciPy's ``cossin`` block layout."""
+    nc = theta.size
+    n11 = min(m, k) - nc
+    n21 = min(kc, k) - nc
+    n22 = min(kc, m + kc - k) - nc
+    d1 = np.zeros((m, k))
+    d1[:n11, :n11] = np.eye(n11)
+    d1[n11 : n11 + nc, n11 : n11 + nc] = np.diag(np.cos(theta))
+    d2 = np.zeros((kc, k))
+    d2[n22 : n22 + nc, n11 : n11 + nc] = np.diag(np.sin(theta))
+    d2[n22 + nc : n22 + nc + n21, n11 + nc : n11 + nc + n21] = np.eye(n21)
+    return d1, d2
+
+
+def _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p) -> GsvdResult:
     rfac = sz[:k, None] * vzh[:k, :]
     # uz's trailing columns complete the orthonormal factor to a square
     # unitary, as the CS decomposition requires; s > 0 guarantees k < M+K.
-    u, cs, vdh = cossin(uz, p=m, q=k)
-    psi1 = u[:m, :m]
-    psi2 = u[m:, m:]
-    d1 = cs[:m, :k]
-    d2 = cs[m:, :k]
+    # Only the diagonal blocks of the unitary factors and the first k
+    # columns of the CS factor are used, so they are taken unassembled.
+    (psi1, psi2), theta, (v1h, _) = cossin(uz, p=m, q=k, separate=True)
+    d1, d2 = _cs_columns(theta, m, kc, k)
 
     lam1 = np.real(np.diag(d1[r : r + s, r : r + s])).copy()
     lam2 = np.real(np.diag(d2[kc - p - s : kc - p, r : r + s])).copy()
-    x = rfac.conj().T @ vdh[:k, :k].conj().T
+    x = rfac.conj().T @ v1h.conj().T
 
     # The identity/zero blocks are structurally exact for full-rank input;
     # a large deviation means the rank tolerance mis-sliced the blocks.

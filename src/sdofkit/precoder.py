@@ -69,7 +69,7 @@ class ChannelSet:
         mats = {}
         for name in ("h11", "h12", "h21", "h22", "g1", "g2"):
             m = np.asarray(getattr(self, name), dtype=np.complex128)
-            if m.ndim != 2 or not np.all(np.isfinite(m)):
+            if m.ndim != 2 or not np.isfinite(m).all():
                 raise ValueError(f"{name} must be a finite 2-D complex matrix")
             mats[name] = m
             object.__setattr__(self, name, m)

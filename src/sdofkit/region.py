@@ -9,6 +9,7 @@ exhaustive sweeps over antenna configurations are bit-exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,18 +93,6 @@ class SubsetDims:
         return (self.d1, self.d2, self.d3, self.d4, self.d5, self.d6)
 
     @property
-    def dhat3(self) -> int:
-        return self.s_hat + self.d1
-
-    @property
-    def dhat4(self) -> int:
-        return self.s_bar + self.d1 + self.d2
-
-    @property
-    def dhat5(self) -> int:
-        return self.s_breve + self.d1
-
-    @property
     def total(self) -> int:
         """Count of all independent pairs with aligned eavesdropper images."""
         return self.s_tilde + self.d1 + self.d2
@@ -134,6 +123,15 @@ def subset_dims(cfg: AntennaConfig) -> SubsetDims:
     usable subspaces at the eavesdropper, after removing directions already
     claimed by higher-priority subsets.
     """
+    return _subset_dims(cfg)
+
+
+# Memoized on the frozen, hashable config.  The repeats come from the
+# several region queries one construct or boundary call makes on a single
+# config, so a small cache catches them.  The public names stay plain
+# functions that delegate here, so callers and wrappers see a function.
+@functools.lru_cache(maxsize=64)
+def _subset_dims(cfg: AntennaConfig) -> SubsetDims:
     ns1h = _pos(cfg.ns1 - cfg.nd2)  # null(S1 -> D2 channel) dimension
     ns2h = _pos(cfg.ns2 - cfg.nd1)  # null(S2 -> D1 channel) dimension
     ne = cfg.ne
@@ -158,7 +156,12 @@ def subset_dims(cfg: AntennaConfig) -> SubsetDims:
 def su1(cfg: AntennaConfig) -> int:
     """Maximum confidential-link S.D.o.F. with the public pair silent
     (its source still transmits, acting as a cooperative jammer)."""
-    d = subset_dims(cfg)
+    return _su1(cfg)
+
+
+@functools.lru_cache(maxsize=64)
+def _su1(cfg: AntennaConfig) -> int:
+    d = _subset_dims(cfg)
     d_a1 = d.d1 + d.d2 + d.d3 + d.d4
     d_a2 = min(d.d5 + d.d6, _pos(cfg.nd1 - d_a1) // 2)
     return min(d_a1 + d_a2, cfg.nd1)

@@ -29,7 +29,6 @@ __all__ = [
     "precoder_to_json",
     "precoder_from_json",
     "scenario_from_json",
-    "scenario_to_json",
     "validate_document",
     "load_json",
 ]
@@ -91,32 +90,6 @@ def _antennas_to_json(cfg: AntennaConfig) -> dict:
 
 def _antennas_from_json(obj: dict) -> AntennaConfig:
     return AntennaConfig(**{k: int(obj[k]) for k in ("ns1", "ns2", "nd1", "nd2", "ne")})
-
-
-def scenario_to_json(scenario: Scenario, target: SdofPoint | None = None) -> dict:
-    geo = scenario.geometry
-    doc = {
-        "antennas": _antennas_to_json(scenario.config),
-        "geometry": None if geo is None else {
-            "s1": list(geo.s1),
-            "s2": list(geo.s2),
-            "ring_radius": geo.ring_radius,
-            "resample_rings": geo.resample_rings,
-        },
-        "pathloss_exponent": scenario.pathloss_exponent,
-        "noise_power_dbm": scenario.noise_power_dbm,
-        "power_dbm": scenario.power_dbm,
-        "uncertainty_alpha": scenario.uncertainty_alpha,
-        "trials": scenario.trials,
-        "seed": scenario.seed,
-        "sweep": None if scenario.sweep is None else {
-            "variable": scenario.sweep.variable,
-            "values": list(scenario.sweep.values),
-        },
-    }
-    if target is not None:
-        doc["target"] = [int(target[0]), int(target[1])]
-    return doc
 
 
 def scenario_from_json(obj: dict) -> tuple[Scenario, SdofPoint]:

@@ -56,9 +56,9 @@ class Membership:
 def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     """Achieved S.D.o.F. pair by exact subspace-rank arithmetic.
 
-    The confidential link scores the rank its signal occupies at its
-    receiver, minus the eavesdropper leakage outside the jamming span and
-    minus the overlap with the public interference (clipped at zero).
+    The confidential link scores the dimension its signal occupies at its
+    receiver outside the public interference, minus the eavesdropper
+    leakage outside the jamming span (clipped at zero).
     The public link scores the part of its signal span outside the
     confidential interference at its receiver.
     """
@@ -68,8 +68,8 @@ def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     tol_d1 = matcore.product_cutoff((ch.h11, pair.v), (ch.h12, pair.w))
     tol_d2 = matcore.product_cutoff((ch.h22, pair.w), (ch.h21, pair.v))
     leak = matcore.dim_quotient(ch.g1 @ pair.v, ch.g2 @ pair.w, tol=tol_e)
-    overlap = matcore.dim_intersection(h12w, h11v, tol=tol_d1)
-    d1 = max(matcore.rank_tol(h11v, tol=tol_d1) - leak - overlap, 0)
+    # rank(H11 V) less its overlap with span(H12 W) is the quotient dimension
+    d1 = max(matcore.dim_quotient(h11v, h12w, tol=tol_d1) - leak, 0)
     d2 = matcore.dim_quotient(ch.h22 @ pair.w, ch.h21 @ pair.v, tol=tol_d2)
     return SdofPoint(d1, d2)
 

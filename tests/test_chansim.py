@@ -4,7 +4,7 @@ from scipy import stats
 
 from sdofkit import chansim
 from sdofkit.chansim import Geometry, Scenario, Sweep
-from sdofkit.errors import TargetInfeasible
+from sdofkit.errors import DegenerateDraw, TargetInfeasible
 from sdofkit.region import AntennaConfig
 
 CFG_SMALL = AntennaConfig(4, 2, 4, 2, 4)
@@ -98,6 +98,22 @@ class TestDrawTrial:
         chans = chansim.draw_trial(sc, 0)
         assert not np.allclose(chans.design.g1, chans.actual.g1)
         assert np.array_equal(chans.design.h11, chans.actual.h11)
+
+    def test_rank_deficient_true_eve_channel_is_redrawn(self, monkeypatch):
+        # the design channels stay full rank; only the true eavesdropper
+        # channels, scored but never designed on, are rank one
+        calls = []
+
+        def rank_one(gbar, alpha, distance, c, rng):
+            calls.append(alpha)
+            return np.full(gbar.shape, distance ** (-c / 2.0), dtype=np.complex128)
+
+        monkeypatch.setattr(chansim, "uncertain_eve_channel", rank_one)
+        sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=1, seed=4,
+                      uncertainty_alpha=0.3)
+        with pytest.raises(DegenerateDraw):
+            chansim.draw_trial(sc, 0)
+        assert len(calls) == 2 * chansim._MAX_RESAMPLES
 
 
 class TestRunPoint:

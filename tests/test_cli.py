@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from sdofkit import cli, serialize
+from sdofkit import cli, matcore, serialize
 from sdofkit.chansim import gaussian_channels
 from sdofkit.precoder import PrecoderPair
 from sdofkit.region import AntennaConfig
@@ -102,6 +103,29 @@ class TestConstructCommand:
             outs.append(json.loads(path.read_text()))
         assert outs[0]["channels"] == outs[1]["channels"]
         assert outs[0]["precoder"] == outs[1]["precoder"]
+
+    def test_lapack_failure_exits_4(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        code, doc = run_json(capsys, "construct", "--antennas", "6,6,5,4,5",
+                             "--target", "2,4", "--seed", "7")
+        assert code == 4
+        assert doc["error"] == "construction_failed"
+
+
+class TestRankToleranceSetting:
+    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan"])
+    def test_malformed_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SDOF_RANK_TOL", value)
+        # the variable is read at the first rank decision of the process
+        monkeypatch.setattr(matcore, "_rank_tol_factor", matcore._FROM_ENV)
+        code, doc = run_json(capsys, "construct", "--antennas", "6,6,5,4,5",
+                             "--target", "2,4", "--seed", "7")
+        assert code == 2
+        assert doc["error"] == "bad_input"
+        assert "SDOF_RANK_TOL" in doc["message"]
 
 
 class TestVerifyCommand:

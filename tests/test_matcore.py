@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import cossin
+
 from sdofkit import matcore
 from sdofkit.errors import DegenerateInput
 
@@ -64,6 +66,16 @@ class TestRank:
             if np.linalg.cond(f) < 1e6:
                 break
         assert matcore.rank_tol(a @ f) == matcore.rank_tol(a)
+
+    @pytest.mark.parametrize("factor", [-1.0, float("inf"), float("nan")])
+    def test_override_rejects_invalid(self, factor):
+        with pytest.raises(ValueError):
+            matcore.set_rank_tolerance(factor)
+
+    def test_env_override_read_at_first_use(self, monkeypatch):
+        monkeypatch.setenv("SDOF_RANK_TOL", "0.5")
+        monkeypatch.setattr(matcore, "_rank_tol_factor", matcore._FROM_ENV)
+        assert matcore.rank_tol(np.diag([1.0, 0.1])) == 1
 
     def test_global_override(self):
         a = np.diag([1.0, 1e-5, 1e-16])
@@ -206,3 +218,59 @@ class TestGsvd:
         g = matcore.gsvd(a, b)
         check_gsvd_invariants(a, b, g)
         assert matcore.dim_intersection(a, b) == g.s
+
+
+def assembled_cs_reference(a, b):
+    """(lam1, lam2, psi12, psi22, x2) of the GSVD of a full-rank pair with
+    s > 0, sliced from the assembled ``cossin`` output: the unitary factors
+    as block-diagonal matrices and the full (M+K)-square CS factor."""
+    n, m = a.shape
+    kc = b.shape[1]
+    k = min(m + kc, n)
+    p = k - min(m, n)
+    r = k - min(kc, n)
+    s = k - p - r
+    z = np.vstack([a.conj().T, b.conj().T])
+    uz, sz, vzh = np.linalg.svd(z, full_matrices=True)
+    u, cs, vdh = cossin(uz, p=m, q=k)
+    lam1 = np.real(np.diag(cs[:m, :k][r : r + s, r : r + s]))
+    lam2 = np.real(np.diag(cs[m:, :k][kc - p - s : kc - p, r : r + s]))
+    x = (sz[:k, None] * vzh[:k, :]).conj().T @ vdh[:k, :k].conj().T
+    order = np.argsort(-lam1, kind="stable")
+    return (lam1[order], lam2[order], u[:m, :m][:, r : r + s][:, order],
+            u[m:, m:][:, kc - s - p : kc - p][:, order], x[:, r : r + s][:, order])
+
+
+def assert_equal_up_to_column_phase(got, ref, atol):
+    phase = np.sum(ref.conj() * got, axis=0)
+    phase = phase / np.abs(phase)
+    assert np.max(np.abs(got - ref * phase), initial=0.0) <= atol
+
+
+def gsvd_shapes_with_shared_block():
+    """Acceptance criterion 3's random shapes that have s > 0, plus shapes
+    with both identity blocks present (r > 0 and p > 0)."""
+    rng = np.random.default_rng(300)
+    shapes = [tuple(int(d) for d in rng.integers(1, 13, size=3)) for _ in range(200)]
+    # (k, r, s, p) = (5, 1, 2, 2), (6, 1, 3, 2), (9, 2, 3, 4), (4, 1, 2, 1)
+    shapes += [(5, 3, 4), (6, 4, 5), (9, 5, 7), (4, 3, 3)]
+    return [sh for sh in dict.fromkeys(shapes) if matcore._quadruple(*sh)[2] > 0]
+
+
+class TestGsvdMatchesAssembledCosineSine:
+    """The GSVD takes the CS factors unassembled; its blocks must equal the
+    ones sliced from SciPy's assembled decomposition."""
+
+    @pytest.mark.parametrize("shape", gsvd_shapes_with_shared_block())
+    def test_blocks_match(self, shape):
+        n, m, kc = shape
+        rng = np.random.default_rng(list(shape))
+        a, b = cstd(rng, n, m), cstd(rng, n, kc)
+        g = matcore.gsvd(a, b)
+        lam1, lam2, psi12, psi22, x2 = assembled_cs_reference(a, b)
+        assert g.s == lam1.size > 0
+        assert np.max(np.abs(g.lam1 - lam1)) <= 1e-14
+        assert np.max(np.abs(g.lam2 - lam2)) <= 1e-14
+        assert_equal_up_to_column_phase(g.psi12, psi12, 1e-14)
+        assert_equal_up_to_column_phase(g.psi22, psi22, 1e-14)
+        assert_equal_up_to_column_phase(g.x2, x2, 1e-14 * max(1.0, np.linalg.norm(x2)))
