@@ -35,7 +35,6 @@ from .errors import (
     ConstructionDeficit,
     DegenerateDraw,
     DegenerateInput,
-    NumericalBreakdown,
     OutOfRange,
     SchemaViolation,
     TargetInfeasible,
@@ -263,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TargetInfeasible, OutOfRange) as exc:
         _fail(str(exc), "target_infeasible")
         return _EXIT_INFEASIBLE
-    except (ConstructionDeficit, DegenerateDraw, DegenerateInput, NumericalBreakdown) as exc:
+    except (ConstructionDeficit, DegenerateDraw, DegenerateInput) as exc:
         _fail(str(exc), "construction_failed")
         return _EXIT_CONSTRUCTION
 

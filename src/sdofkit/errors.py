@@ -28,10 +28,6 @@ class ConstructionDeficit(SdofError):
     signalling a degenerate channel draw."""
 
 
-class NumericalBreakdown(SdofError):
-    """A log-det argument was not positive definite within tolerance."""
-
-
 class DegenerateDraw(SdofError):
     """Channel sampling failed full-rank checks repeatedly."""
 

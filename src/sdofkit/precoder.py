@@ -158,21 +158,39 @@ def _empty_basis(sub: Subset, cfg: AntennaConfig) -> SubsetBasis:
     )
 
 
-def _exclusion_coords(x2: np.ndarray, claimed: np.ndarray) -> np.ndarray:
+def _exclusion_coords(x2: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
     """Coordinates, within the shared image basis ``x2``, that complete the
     directions already claimed by higher-priority subsets."""
-    if claimed.shape[1] == 0:
+    if not claimed:
         return np.eye(x2.shape[1], dtype=np.complex128)
-    coords, *_ = np.linalg.lstsq(x2, claimed, rcond=None)
+    coords, *_ = np.linalg.lstsq(x2, np.hstack(claimed), rcond=None)
     return matcore.orth_complement(coords)
+
+
+# The aligned-pair subsets taken from the GSVD of (G1 N_v, G2 N_w): the
+# subset, whether v is confined to null(H21) (N_v a null basis of H21, else
+# the identity), whether w is confined to null(H12), and the earlier
+# subsets whose eavesdropper images it must avoid.  Rows run in priority
+# order, so every subset named in an exclusion list is built first.
+_GSVD_SUBSETS = (
+    (Subset.III, True, True, ()),
+    (Subset.IV, False, True, (Subset.III,)),
+    (Subset.V, True, False, (Subset.III,)),
+    (Subset.VI, False, False, (Subset.III, Subset.IV, Subset.V)),
+)
 
 
 def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, SubsetBasis]:
     """Construct the requested subset bases, sharing intermediates.
 
-    Higher-priority subsets claim eavesdropper-image directions first;
-    lower ones parametrize only the orthogonal remainder of their shared
-    subspace, which keeps any cross-subset selection linearly independent.
+    Subsets I and II come from the null space of G1.  Subsets III..VI are
+    built from the ``_GSVD_SUBSETS`` table: a subset is built when its
+    capacity is positive and either it is requested or a requested subset
+    with positive capacity must avoid its images.  Higher-priority subsets
+    claim eavesdropper-image directions first (IV and V avoid III, VI
+    avoids III, IV and V); lower ones parametrize only the orthogonal
+    remainder of their shared subspace, which keeps any cross-subset
+    selection linearly independent.
     """
     cfg = ch.config
     dims = region.subset_dims(cfg)
@@ -181,10 +199,6 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
 
     def want(sub: Subset) -> bool:
         return needed.get(sub, 0) > 0 and counts[sub] > 0
-
-    # image bases at the eavesdropper claimed by subsets III..V, needed to
-    # carve later subsets out of their shared spaces
-    img3 = img4 = img5 = None
 
     null_g1 = matcore.null_basis(ch.g1) if (want(Subset.I) or want(Subset.II)) else None
     if want(Subset.I):
@@ -196,56 +210,26 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
         v = null_g1 @ inner
         out[Subset.II] = SubsetBasis(Subset.II, v, np.zeros((cfg.ns2, v.shape[1]), dtype=np.complex128))
 
-    need_iii = want(Subset.III)
-    need_iv = want(Subset.IV)
-    need_v = want(Subset.V)
-    need_vi = want(Subset.VI)
-    # the exclusion chain: IV and V carve out III's image, VI carves out all
-    want_img3 = counts[Subset.III] > 0 and (need_iii or need_iv or need_v or need_vi)
-    want_img4 = counts[Subset.IV] > 0 and need_vi
-    want_img5 = counts[Subset.V] > 0 and need_vi
-
-    null_h21 = None
-    null_h12 = None
-    if want_img3 or need_iii or need_v or want_img5:
-        null_h21 = matcore.null_basis(ch.h21)
-    if want_img3 or need_iii or need_iv or want_img4:
-        null_h12 = matcore.null_basis(ch.h12)
-
-    if want_img3 or need_iii:
-        g = matcore.gsvd(ch.g1 @ null_h21, ch.g2 @ null_h12)
-        v = null_h21 @ (g.psi12 / g.lam1)
-        w = null_h12 @ (g.psi22 / g.lam2)
-        out[Subset.III] = SubsetBasis(Subset.III, v, w)
-        img3 = ch.g1 @ v
-    claimed3 = img3 if img3 is not None else np.zeros((cfg.ne, 0), dtype=np.complex128)
-
-    if need_iv or want_img4:
-        g = matcore.gsvd(ch.g1, ch.g2 @ null_h12)
-        z = _exclusion_coords(g.x2, claimed3)
-        v = (g.psi12 / g.lam1) @ z
-        w = null_h12 @ (g.psi22 / g.lam2) @ z
-        out[Subset.IV] = SubsetBasis(Subset.IV, v, w)
-        img4 = ch.g1 @ v
-
-    if need_v or want_img5:
-        g = matcore.gsvd(ch.g1 @ null_h21, ch.g2)
-        z = _exclusion_coords(g.x2, claimed3)
-        v = null_h21 @ (g.psi12 / g.lam1) @ z
-        w = (g.psi22 / g.lam2) @ z
-        out[Subset.V] = SubsetBasis(Subset.V, v, w)
-        img5 = ch.g1 @ v
-
-    if need_vi:
-        g = matcore.gsvd(ch.g1, ch.g2)
-        claimed = np.hstack(
-            [m for m in (img3, img4, img5) if m is not None]
-            or [np.zeros((cfg.ne, 0), dtype=np.complex128)]
-        )
-        z = _exclusion_coords(g.x2, claimed)
-        v = (g.psi12 / g.lam1) @ z
-        w = (g.psi22 / g.lam2) @ z
-        out[Subset.VI] = SubsetBasis(Subset.VI, v, w)
+    built = [
+        row for row in _GSVD_SUBSETS
+        if counts[row[0]] > 0
+        and (want(row[0]) or any(want(o) and row[0] in avoid for o, _, _, avoid in _GSVD_SUBSETS))
+    ]
+    null_h21 = matcore.null_basis(ch.h21) if any(row[1] for row in built) else None
+    null_h12 = matcore.null_basis(ch.h12) if any(row[2] for row in built) else None
+    for sub, v_in_null, w_in_null, avoid in built:
+        g = matcore.gsvd(ch.g1 @ null_h21 if v_in_null else ch.g1,
+                         ch.g2 @ null_h12 if w_in_null else ch.g2)
+        v = g.psi12 / g.lam1
+        w = g.psi22 / g.lam2
+        if v_in_null:
+            v = null_h21 @ v
+        if w_in_null:
+            w = null_h12 @ w
+        if avoid:
+            z = _exclusion_coords(g.x2, [ch.g1 @ out[o].v_basis for o in avoid if o in out])
+            v, w = v @ z, w @ z
+        out[sub] = SubsetBasis(sub, v, w)
 
     for sub in Subset:
         if sub not in out:
@@ -258,9 +242,10 @@ def subset_basis(ch: ChannelSet, subset: Subset | int) -> SubsetBasis:
 
     The basis width equals the subset's capacity for the channel set's
     antenna configuration (zero-width when that capacity is zero).
-    Columns are ordered by descending generalized singular value of the
-    underlying decomposition; directions belonging to higher-priority
-    subsets are excluded.
+    Subsets III..VI follow the ``_GSVD_SUBSETS`` table: III's columns are
+    ordered by descending generalized singular value of its GSVD; IV and
+    V span only the part of their shared eavesdropper image outside
+    III's, and VI only the part outside the images of III, IV and V.
     """
     sub = Subset(subset)
     return _build_bases(ch, {sub: 1})[sub]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NumericalBreakdown
 from .precoder import ChannelSet, PrecoderPair, with_power
 from .region import SdofPoint
 
@@ -134,42 +133,30 @@ def _columnwise_aligned(g1v: np.ndarray, g2w: np.ndarray, rtol: float, ztol: flo
     return True
 
 
-def _logdet_hpd(m: np.ndarray) -> float:
-    """log2-determinant of a Hermitian positive-definite matrix.
-
-    Cholesky based: succeeds exactly when the (hermitized) argument is
-    numerically positive definite, and stays accurate for the extreme
-    condition numbers that high-power rate evaluations produce.
-    """
-    m = 0.5 * (m + m.conj().T)
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown("log-det argument is not positive definite") from exc
-    diag = np.real(np.diag(chol))
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-        raise NumericalBreakdown("log-det argument is not positive definite")
-    return float(2.0 * np.sum(np.log2(diag)))
+def _log2det_gram(x: np.ndarray) -> float:
+    """log2 det(I + X X^H), summed from the singular values of X."""
+    sv = np.linalg.svd(x, compute_uv=False)
+    return float(np.sum(np.log1p(sv * sv)) / math.log(2.0))
 
 
 def rates(ch: ChannelSet, pair: PrecoderPair) -> RateTriple:
     """Finite-power rate triple for a pair, with identity noise covariance.
 
-    Each rate is a difference of two log-dets of Hermitian positive
-    definite matrices (signal-plus-interference over interference), so no
-    explicit inverse is formed.
+    Each rate is log2 det(I + X X^H) for the stacked receiver images
+    X = [Hs Ps, Hi Pi] of the signal and interference precoders, less the
+    same log-det for the interference images Hi Pi alone.  Each log-det is
+    the sum of log2(1 + sigma^2) over the singular values of its X; no
+    covariance, Gram matrix or inverse is formed, so the rates stay finite
+    and accurate at any power.
     """
-    qv = pair.v @ pair.v.conj().T
-    qw = pair.w @ pair.w.conj().T
 
-    def pairwise(hs: np.ndarray, qs: np.ndarray, hi: np.ndarray, qi: np.ndarray) -> float:
-        n = hs.shape[0]
-        interf = np.eye(n) + hi @ qi @ hi.conj().T
-        return _logdet_hpd(interf + hs @ qs @ hs.conj().T) - _logdet_hpd(interf)
+    def pairwise(hs: np.ndarray, ps: np.ndarray, hi: np.ndarray, pi: np.ndarray) -> float:
+        interf = hi @ pi
+        return _log2det_gram(np.hstack([hs @ ps, interf])) - _log2det_gram(interf)
 
-    rd1 = pairwise(ch.h11, qv, ch.h12, qw)
-    rd2 = pairwise(ch.h22, qw, ch.h21, qv)
-    re = pairwise(ch.g1, qv, ch.g2, qw)
+    rd1 = pairwise(ch.h11, pair.v, ch.h12, pair.w)
+    rd2 = pairwise(ch.h22, pair.w, ch.h21, pair.v)
+    re = pairwise(ch.g1, pair.v, ch.g2, pair.w)
     return RateTriple(rd1=rd1, rd2=rd2, re=re)
 
 

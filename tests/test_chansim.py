@@ -135,6 +135,17 @@ class TestRunPoint:
         assert out.failures == 0
         assert out.trials == 30
 
+    @pytest.mark.parametrize("geometry, cfg, target", [
+        (small_geometry(), CFG_SMALL, (1, 1)),
+        (None, AntennaConfig(6, 6, 5, 4, 5), (2, 4)),
+    ])
+    def test_high_snr_point_completes(self, geometry, cfg, target):
+        # 180 dB over the noise: rates stay finite and no trial is lost
+        sc = Scenario(config=cfg, geometry=geometry, power_dbm=120.0, trials=20, seed=0)
+        out = chansim.run_point(sc, target)
+        assert out.failures == 0
+        assert np.isfinite([out.mean_rs1, out.se_rs1, out.mean_rs2, out.se_rs2]).all()
+
 
 class TestMonteCarlo:
     def test_sweep_records(self):

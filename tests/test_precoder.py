@@ -33,11 +33,24 @@ class TestChannelSet:
 
 class TestSubsetBasis:
     def test_widths_match_counts(self, rng):
-        for tup in [EX1, EX2, (4, 2, 4, 2, 4), (5, 3, 2, 2, 3)]:
+        # (3,3,1,1,3) has III, IV and V together; in (5,5,3,3,5) VI must
+        # avoid both IV and V; (8,7,3,4,6) goes past four antennas.  III and
+        # VI never coexist for antenna counts up to 10, so these cover every
+        # exclusion combination that occurs.
+        for tup in [EX1, EX2, (4, 2, 4, 2, 4), (5, 3, 2, 2, 3),
+                    (3, 3, 1, 1, 3), (5, 5, 3, 3, 5), (8, 7, 3, 4, 6)]:
             ch = channels_for(tup, rng)
             counts = region.subset_dims(ch.config).as_tuple()
+            bases = {sub: precoder.subset_basis(ch, sub) for sub in Subset}
             for sub, expected in zip(Subset, counts):
-                assert precoder.subset_basis(ch, sub).width == expected, (tup, sub)
+                assert bases[sub].width == expected, (tup, sub)
+            # the GSVD subsets' eavesdropper images are jointly independent
+            # and reproduced by their paired public columns
+            gsvd_subsets = (Subset.III, Subset.IV, Subset.V, Subset.VI)
+            g1v = ch.g1 @ np.hstack([bases[sub].v_basis for sub in gsvd_subsets])
+            g2w = ch.g2 @ np.hstack([bases[sub].w_basis for sub in gsvd_subsets])
+            assert matcore.rank_tol(g1v) == g1v.shape[1], tup
+            assert np.linalg.norm(g1v - g2w) <= 1e-9 * np.linalg.norm(g1v), tup
 
     def test_example_one_fourth_subset(self, rng):
         ch = channels_for(EX1, rng)

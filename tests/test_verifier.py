@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sdofkit import matcore, precoder, verifier
-from sdofkit.errors import NumericalBreakdown
 from sdofkit.precoder import PrecoderPair
 from sdofkit.region import AntennaConfig, boundary
 
@@ -122,9 +121,35 @@ class TestRates:
         r2 = verifier.rates(ch, precoder.with_power(pair, 2**41)).rd1
         assert r2 - r1 == pytest.approx(3.0, abs=1e-3)
 
-    def test_breakdown_on_bad_matrix(self):
-        with pytest.raises(NumericalBreakdown):
-            verifier._logdet_hpd(np.array([[-1.0 + 0j]]))
+    @pytest.mark.parametrize("power", [1e6, 1e12])
+    def test_matches_high_precision_reference(self, rng, power):
+        # 60-digit log-dets of the noise-plus-signal covariances built from
+        # the same float64 images; a Cholesky log-det of those covariances
+        # in float64 is off by about 1e-10 bits at 1e6 and 1e-4 at 1e12,
+        # the top of the slope grid
+        import mpmath
+
+        def log2det_cov(*images):
+            cov = mpmath.eye(images[0].shape[0])
+            for x in images:
+                m = mpmath.matrix([[mpmath.mpc(complex(e)) for e in row] for row in x])
+                cov += m * m.H
+            return mpmath.log(mpmath.re(mpmath.det(cov)), 2)
+
+        def pairwise(hs, ps, hi, pi):
+            return log2det_cov(hs @ ps, hi @ pi) - log2det_cov(hi @ pi)
+
+        ch = channels_for(EX2, rng)
+        pair = precoder.with_power(precoder.construct(ch, (2, 4), power=1.0), power)
+        got = verifier.rates(ch, pair)
+        with mpmath.workdps(60):
+            expected = (
+                float(pairwise(ch.h11, pair.v, ch.h12, pair.w)),
+                float(pairwise(ch.h22, pair.w, ch.h21, pair.v)),
+                float(pairwise(ch.g1, pair.v, ch.g2, pair.w)),
+            )
+        for value, ref in zip((got.rd1, got.rd2, got.re), expected):
+            assert abs(value - ref) <= 1e-11
 
 
 class TestSlopeEstimate:
