@@ -69,6 +69,20 @@ class Geometry:
             raise ValueError("ring radius must lie in [1, 10] meters")
 
 
+def _db_to_linear(level_db: float) -> float:
+    """Linear value of a level in dB (a dBm level gives milliwatts).
+
+    Raises ``ValueError`` unless the result is a positive finite number.
+    """
+    try:
+        value = 10.0 ** (level_db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"{level_db!r} dB is not a positive finite linear power")
+    return value
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One Monte-Carlo experiment definition.
@@ -95,11 +109,13 @@ class Scenario:
             raise ValueError("trials must be positive")
         if self.uncertainty_alpha < 0:
             raise ValueError("uncertainty_alpha must be non-negative")
+        # dataclasses.replace runs this too, so swept values are checked
+        _db_to_linear(self.power_dbm - self.noise_power_dbm)
 
     @property
     def effective_power(self) -> float:
         """Transmit power over noise power, in linear units."""
-        return 10.0 ** ((self.power_dbm - self.noise_power_dbm) / 10.0)
+        return _db_to_linear(self.power_dbm - self.noise_power_dbm)
 
 
 @dataclass(frozen=True)
@@ -348,15 +364,13 @@ def monte_carlo(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> list
     """Curve records over the scenario's sweep (a single record without one)."""
     if scenario.sweep is None:
         return [CurveRecord(variable="", x=0.0, stats=run_point(scenario, target))]
-    out = []
-    for value in scenario.sweep.values:
-        derived = _apply_sweep_value(scenario, scenario.sweep.variable, value)
-        out.append(CurveRecord(
-            variable=scenario.sweep.variable,
-            x=float(value),
-            stats=run_point(derived, target),
-        ))
-    return out
+    variable, values = scenario.sweep.variable, scenario.sweep.values
+    # every swept scenario is built, and so checked, before any point runs
+    derived = [_apply_sweep_value(scenario, variable, value) for value in values]
+    return [
+        CurveRecord(variable=variable, x=float(value), stats=run_point(point, target))
+        for value, point in zip(values, derived)
+    ]
 
 
 def write_curve_csv(path, records: list[CurveRecord]) -> None:

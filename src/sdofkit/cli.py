@@ -16,9 +16,10 @@ as ``[re, im]`` pairs; see the schemas shipped under ``sdofkit/schemas``.
 
 Exit codes: 0 success; 2 malformed arguments, files, or dimension
 mismatches; 3 infeasible target; 4 construction or numerical failure on a
-degenerate draw.  The environment variable ``SDOF_RANK_TOL`` overrides
-the relative rank tolerance used in all subspace decisions; a value that
-is not a non-negative finite number exits 2.
+degenerate draw.  A power setting whose linear value is not a positive
+finite number, or a ``--p-grid`` with a non-finite value or two equal
+largest powers, is malformed input (exit 2).  No environment variable
+changes a rank decision.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def cmd_region(args) -> int:
 def cmd_construct(args) -> int:
     cfg = _antennas(args.antennas)
     d1, d2 = _parse_ints(args.target, 2, "--target")
-    power = 10.0 ** (args.power_dbm / 10.0)
+    power = chansim._db_to_linear(args.power_dbm)
 
     seed = args.seed
     if args.channels is not None:

@@ -9,18 +9,14 @@ freshly allocated and never alias the arguments.  Matrices are dense
 complex ndarrays with vectors as columns; zero-column matrices are valid
 inputs everywhere and represent zero-dimensional subspaces.
 
-The numerical-rank tolerance defaults to ``max(m, n) * eps * sigma_max``
-and can be overridden globally, either through :func:`set_rank_tolerance`
-or the ``SDOF_RANK_TOL`` environment variable.  The override is a relative
-factor: the effective cutoff is ``factor * sigma_max``.  The variable is
-read at the first rank decision; a value that is not a non-negative finite
-number raises ``ValueError`` there.
+Every rank cutoff depends only on the call's arguments: it is either the
+default ``max(m, n) * eps * sigma_max`` of the matrix at hand or the
+absolute ``tol`` the caller passes, such as a :func:`product_cutoff` of the
+factors the matrix was formed from.  No process-wide setting changes it.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,51 +33,11 @@ __all__ = [
     "dim_quotient",
     "dim_intersection",
     "product_cutoff",
-    "set_rank_tolerance",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
 
-_FROM_ENV = object()  # the factor is still to be read from SDOF_RANK_TOL
-
-# Relative rank-tolerance factor; None selects max(m,n)*eps. Set once, by
-# set_rank_tolerance or else from the env var at the first rank decision;
-# read-only during computation.
-_rank_tol_factor: float | None | object = _FROM_ENV
-
-
-def _check_factor(factor: float, what: str) -> None:
-    if not (math.isfinite(factor) and factor >= 0):
-        raise ValueError(f"{what} must be a non-negative finite number, got {factor!r}")
-
-
-def _tol_factor() -> float | None:
-    """The global factor, parsing ``SDOF_RANK_TOL`` on first use."""
-    global _rank_tol_factor
-    if _rank_tol_factor is _FROM_ENV:
-        text = os.environ.get("SDOF_RANK_TOL")
-        factor = None
-        if text:
-            try:
-                factor = float(text)
-            except ValueError:
-                raise ValueError(f"SDOF_RANK_TOL={text!r} is not a number") from None
-            _check_factor(factor, "SDOF_RANK_TOL")
-        _rank_tol_factor = factor
-    return _rank_tol_factor
-
-
-def set_rank_tolerance(factor: float | None) -> None:
-    """Globally override the relative rank tolerance.
-
-    ``factor`` multiplies the largest singular value of each matrix to give
-    the rank cutoff; ``None`` restores the default ``max(m, n) * eps``.
-    Either replaces any ``SDOF_RANK_TOL`` setting.
-    """
-    global _rank_tol_factor
-    if factor is not None:
-        _check_factor(factor, "rank tolerance factor")
-    _rank_tol_factor = factor
+_PRODUCT_MARGIN = 1e4  # see product_cutoff
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -102,16 +58,12 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _cutoff(a: np.ndarray, sv: np.ndarray, tol: float | None) -> float:
+def _cutoff(a: np.ndarray, sv: np.ndarray, tol: float | None = None) -> float:
     if tol is not None:
         if tol < 0:
             raise ValueError("tolerance must be non-negative")
         return tol
-    smax = float(sv[0]) if sv.size else 0.0
-    factor = _tol_factor()
-    if factor is not None:
-        return factor * smax
-    return max(a.shape) * _EPS * smax if a.size else 0.0
+    return max(a.shape) * _EPS * float(sv[0]) if a.size else 0.0
 
 
 def rank_tol(a, tol: float | None = None) -> int:
@@ -123,7 +75,7 @@ def rank_tol(a, tol: float | None = None) -> int:
     return int(np.count_nonzero(sv > _cutoff(m, sv, tol)))
 
 
-def null_basis(a, tol: float | None = None) -> np.ndarray:
+def null_basis(a) -> np.ndarray:
     """Orthonormal basis N of the null space of ``a``: a @ N == 0.
 
     The basis has ``cols - rank`` columns; a trivial null space yields a
@@ -136,11 +88,11 @@ def null_basis(a, tol: float | None = None) -> np.ndarray:
     if m.shape[0] == 0:
         return np.eye(n, dtype=np.complex128)
     _, sv, vh = np.linalg.svd(m, full_matrices=True)
-    r = int(np.count_nonzero(sv > _cutoff(m, sv, tol)))
+    r = int(np.count_nonzero(sv > _cutoff(m, sv)))
     return vh[r:, :].conj().T.copy()
 
 
-def orth_complement(a, tol: float | None = None) -> np.ndarray:
+def orth_complement(a) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(``a``).
 
     Equivalent to the null-space basis of ``a``'s conjugate transpose;
@@ -153,7 +105,7 @@ def orth_complement(a, tol: float | None = None) -> np.ndarray:
     if m.shape[1] == 0:
         return np.eye(rows, dtype=np.complex128)
     u, sv, _ = np.linalg.svd(m, full_matrices=True)
-    r = int(np.count_nonzero(sv > _cutoff(m, sv, tol)))
+    r = int(np.count_nonzero(sv > _cutoff(m, sv)))
     return u[:, r:].copy()
 
 
@@ -169,19 +121,17 @@ def dim_quotient(a, b, tol: float | None = None) -> int:
     return rank_tol(_hstack(ma, mb), tol) - rank_tol(mb, tol)
 
 
-def product_cutoff(*pairs, margin: float = 1e4) -> float:
+def product_cutoff(*pairs) -> float:
     """Absolute rank cutoff for subspaces spanned by matrix products.
 
     A product ``A @ B`` that is zero in exact arithmetic comes out as noise
     of size ``eps * |A| * |B|``, which the self-relative default tolerance
     would mistake for full rank.  Rank decisions on channel images must
     therefore use a cutoff tied to the factor scales: this returns
-    ``margin * dim * eps * max(|A| * |B|)`` over the given (A, B) pairs
-    (Frobenius norms), honoring a global tolerance override when set.
-
-    The default margin puts the cutoff a few orders of magnitude above the
-    round-off that multi-stage assembly chains accumulate, and many orders
-    below generic signal directions.
+    ``1e4 * dim * eps * max(|A| * |B|)`` over the given (A, B) pairs
+    (Frobenius norms).  The margin of 1e4 puts the cutoff a few orders of
+    magnitude above the round-off that multi-stage assembly chains
+    accumulate, and many orders below generic signal directions.
     """
     scale = 0.0
     dim = 1
@@ -191,10 +141,7 @@ def product_cutoff(*pairs, margin: float = 1e4) -> float:
             continue
         scale = max(scale, float(np.linalg.norm(ma)) * float(np.linalg.norm(mb)))
         dim = max(dim, ma.shape[0], ma.shape[1], mb.shape[1])
-    factor = _tol_factor()
-    if factor is not None:
-        return factor * scale
-    return margin * dim * _EPS * scale
+    return _PRODUCT_MARGIN * dim * _EPS * scale
 
 
 def dim_intersection(a, b, tol: float | None = None) -> int:
@@ -282,11 +229,11 @@ def _quadruple(n: int, m: int, kc: int) -> tuple[int, int, int, int]:
     return k, r, s, p
 
 
-def gsvd(a, b, tol: float | None = None) -> GsvdResult:
+def gsvd(a, b) -> GsvdResult:
     """Generalized singular value decomposition of a full-rank pair.
 
     ``a`` (N x M) and ``b`` (N x K) must share the row count and be full
-    rank under the tolerance; rank deficiency that makes the (k, r, s, p)
+    rank under the default tolerance; rank deficiency that makes the (k, r, s, p)
     dimension quadruple inconsistent with the full-rank formulas raises
     :class:`DegenerateInput`.
 
@@ -302,19 +249,19 @@ def gsvd(a, b, tol: float | None = None) -> GsvdResult:
     m, kc = ma.shape[1], mb.shape[1]
 
     k, r, s, p = _quadruple(n, m, kc)
-    if rank_tol(ma, tol) != min(m, n) or rank_tol(mb, tol) != min(kc, n):
+    if rank_tol(ma) != min(m, n) or rank_tol(mb) != min(kc, n):
         raise DegenerateInput(
             "rank-deficient input: (k, r, s, p) inconsistent with full-rank formulas"
         )
     z = np.vstack([ma.conj().T, mb.conj().T])
     if s == 0:
-        if rank_tol(z, tol) != k:
+        if rank_tol(z) != k:
             raise DegenerateInput("stacked pair is rank deficient")
         return _gsvd_disjoint(ma, mb, n, m, kc, k, r, p)
     # one full SVD of the stacked pair serves both the rank check and the
     # orthonormal factor the cosine-sine step starts from
     uz, sz, vzh = np.linalg.svd(z, full_matrices=True)
-    if np.count_nonzero(sz > _cutoff(z, sz, tol)) != k:
+    if np.count_nonzero(sz > _cutoff(z, sz)) != k:
         raise DegenerateInput("stacked pair is rank deficient")
     return _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p)
 

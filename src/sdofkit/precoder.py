@@ -10,6 +10,7 @@ the remaining interference-free dimensions at the public receiver.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,10 @@ class ChannelSet:
             ne=self.g1.shape[0],
         )
 
-    def full_rank(self, tol: float | None = None) -> bool:
-        """True when all six matrices are full rank under the tolerance."""
+    def full_rank(self) -> bool:
+        """True when all six matrices are full rank under the default tolerance."""
         return all(
-            matcore.rank_tol(m, tol) == min(m.shape)
+            matcore.rank_tol(m) == min(m.shape)
             for m in (self.h11, self.h12, self.h21, self.h22, self.g1, self.g2)
         )
 
@@ -275,8 +276,8 @@ def _equal_power_columns(m: np.ndarray, total: float) -> np.ndarray:
 
 def with_power(pair: PrecoderPair, power: float) -> PrecoderPair:
     """Renormalize a pair to a trace budget, equally across nonzero streams."""
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError(f"power must be positive and finite, got {power!r}")
     return PrecoderPair(
         v=_equal_power_columns(pair.v, power),
         w=_equal_power_columns(pair.w, power),
@@ -287,16 +288,13 @@ def with_power(pair: PrecoderPair, power: float) -> PrecoderPair:
 def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float) -> PrecoderPair:
     """Assemble a precoder pair achieving ``target`` on or inside the boundary.
 
-    Confidential streams are drawn subset by subset: first from the
-    non-interfering subsets (I, then III, then V) up to the interference
-    budget, then from the interfering ones (II, then IV, then VI), with
-    the total from the two-dimension-cost subsets (V, VI) capped so the
-    confidential receiver can still separate everything.  The public
-    precoder starts from the paired columns and is topped up with
-    null-space beams (invisible to the confidential receiver) and then
-    leading right-singular directions of its own channel until it supports
-    the requested public D.o.F.  Finally both matrices are scaled to the
-    trace budget, equally across nonzero streams.
+    Confidential streams are drawn subset by subset in the counts
+    :func:`region.select_streams` gives.  The public precoder starts from
+    the paired columns and is topped up with null-space beams (invisible
+    to the confidential receiver) and then leading right-singular
+    directions of its own channel until it supports the requested public
+    D.o.F.  Finally both matrices are scaled to the trace budget, equally
+    across nonzero streams.
 
     Boundary targets are achieved exactly.  For a dominated interior
     target the jamming columns required by the confidential side may
@@ -307,8 +305,8 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
     :class:`ConstructionDeficit` when a numerical rank check fails after
     assembly (a degenerate channel draw).
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError(f"power must be positive and finite, got {power!r}")
     target = SdofPoint(*target)
     cfg = ch.config
     d1, d2 = target
@@ -325,26 +323,7 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
         rmat = np.linalg.svd(ch.h22)[2].conj().T
         return with_power(PrecoderPair(v=v, w=rmat[:, :d2]), power)
 
-    dims = region.subset_dims(cfg)
-    y_max = min(cfg.nd1 - d1, dims.d5 + dims.d6, d1)
-    u = min(d1, min(y_max, dims.d5) + dims.d1 + dims.d3)
-    t = d1 - u
-
-    n_i = min(u, dims.d1)
-    n_iii = min(u - n_i, dims.d3)
-    n_v = u - n_i - n_iii
-    n_ii = min(t, dims.d2)
-    n_iv = min(t - n_ii, dims.d4)
-    n_vi = t - n_ii - n_iv
-    if n_v > dims.d5 or n_vi > dims.d6 or n_v + n_vi > y_max:
-        raise ConstructionDeficit(
-            f"selection ({n_i},{n_ii},{n_iii},{n_iv},{n_v},{n_vi}) violates subset capacities"
-        )
-
-    wanted = {
-        Subset.I: n_i, Subset.II: n_ii, Subset.III: n_iii,
-        Subset.IV: n_iv, Subset.V: n_v, Subset.VI: n_vi,
-    }
+    wanted = dict(zip(Subset, region.select_streams(cfg, d1)))
     try:
         bases = _build_bases(ch, wanted)
     except DegenerateInput as exc:
@@ -372,7 +351,7 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
         # beams invisible to the confidential receiver first; the paired
         # columns from III/IV already sit in that null space, so only its
         # unused dimensions are available
-        null_used = n_iii + n_iv
+        null_used = wanted[Subset.III] + wanted[Subset.IV]
         extra = min(deficit, max(ns2 - cfg.nd1 - null_used, 0))
         blocks = [w1]
         if extra > 0:

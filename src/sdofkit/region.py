@@ -24,6 +24,7 @@ __all__ = [
     "su1",
     "su1_closed_form",
     "su2",
+    "select_streams",
     "d2_max",
     "boundary",
     "e1",
@@ -202,24 +203,33 @@ def su1_closed_form(cfg: AntennaConfig) -> int | None:
     return None
 
 
-def _y_max(cfg: AntennaConfig, d: SubsetDims, d1: int) -> int:
-    """Largest number of pairs usable from the two interference-at-D1
-    subsets while still fitting d1 confidential streams at D1."""
-    return min(cfg.nd1 - d1, d.d5 + d.d6, d1)
+def select_streams(cfg: AntennaConfig, d1: int) -> tuple[int, int, int, int, int, int]:
+    """Confidential streams taken from each aligned subset, (n_I .. n_VI),
+    for ``d1`` streams in total.
 
-
-def _z_min(cfg: AntennaConfig, d: SubsetDims, d1: int) -> int:
-    """Fewest confidential streams that must interfere at D2."""
-    y = _y_max(cfg, d, d1)
-    return _pos(d1 - (min(y, d.d5) + d.d1 + d.d3))
+    The subsets that keep the confidential signal out of the public
+    receiver (I, then III, then V) are filled first, the interfering ones
+    (II, then IV, then VI) take the rest.  V and VI cost two signal
+    dimensions at the confidential receiver, so together they supply at
+    most ``min(nd1 - d1, d5 + d6, d1)`` streams.  The interfering count
+    n_II + n_IV + n_VI is the fewest streams that must interfere at D2.
+    """
+    if d1 < 0 or d1 > su1(cfg):
+        raise OutOfRange(f"d1={d1} outside [0, {su1(cfg)}]")
+    d = subset_dims(cfg)
+    y_max = min(cfg.nd1 - d1, d.d5 + d.d6, d1)
+    quiet = min(d1, min(y_max, d.d5) + d.d1 + d.d3)
+    n_i = min(quiet, d.d1)
+    n_iii = min(quiet - n_i, d.d3)
+    loud = d1 - quiet
+    n_ii = min(loud, d.d2)
+    n_iv = min(loud - n_ii, d.d4)
+    return (n_i, n_ii, n_iii, n_iv, quiet - n_i - n_iii, loud - n_ii - n_iv)
 
 
 def d2_max(cfg: AntennaConfig, d1: int) -> int:
     """Largest public D.o.F. compatible with ``d1`` confidential streams."""
-    if d1 < 0 or d1 > su1(cfg):
-        raise OutOfRange(f"d1={d1} outside [0, {su1(cfg)}]")
-    d = subset_dims(cfg)
-    z = _z_min(cfg, d, d1)
+    z = sum(select_streams(cfg, d1)[1::2])  # streams interfering at D2
     return min(cfg.ns2, _pos(max(cfg.ns2, cfg.nd1) - d1), _pos(cfg.nd2 - z))
 
 

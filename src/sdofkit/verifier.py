@@ -170,11 +170,13 @@ def slope_estimate(ch: ChannelSet, pair: PrecoderPair, p_grid) -> tuple[float, f
     rank-based S.D.o.F.
     """
     grid = sorted(float(p) for p in p_grid)
-    if len(grid) < 2 or grid[0] <= 0:
-        raise ValueError("p_grid must contain at least two positive powers")
+    if len(grid) < 2 or not all(0 < p < math.inf for p in grid):
+        raise ValueError("p_grid must contain at least two positive finite powers")
     if grid[-1] / grid[0] < 100:
         raise ValueError("p_grid must span at least two decades")
     p_lo, p_hi = grid[-2], grid[-1]
+    if p_lo == p_hi:
+        raise ValueError("the two largest p_grid powers must differ")
     r_lo = rates(ch, with_power(pair, p_lo))
     r_hi = rates(ch, with_power(pair, p_hi))
     dlog = math.log2(p_hi) - math.log2(p_lo)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sdofkit import cli, matcore, serialize
+from sdofkit import cli, serialize
 from sdofkit.chansim import gaussian_channels
 from sdofkit.precoder import PrecoderPair
 from sdofkit.region import AntennaConfig
@@ -104,6 +104,13 @@ class TestConstructCommand:
         assert outs[0]["channels"] == outs[1]["channels"]
         assert outs[0]["precoder"] == outs[1]["precoder"]
 
+    @pytest.mark.parametrize("dbm", ["4000", "nan"])
+    def test_unusable_power_exits_2(self, capsys, dbm):
+        code, doc = run_json(capsys, "construct", "--antennas", "6,6,5,4,5",
+                             "--target", "2,4", "--seed", "7", "--power-dbm", dbm)
+        assert code == 2
+        assert doc["error"] == "bad_input"
+
     def test_lapack_failure_exits_4(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -113,19 +120,6 @@ class TestConstructCommand:
                              "--target", "2,4", "--seed", "7")
         assert code == 4
         assert doc["error"] == "construction_failed"
-
-
-class TestRankToleranceSetting:
-    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan"])
-    def test_malformed_exits_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("SDOF_RANK_TOL", value)
-        # the variable is read at the first rank decision of the process
-        monkeypatch.setattr(matcore, "_rank_tol_factor", matcore._FROM_ENV)
-        code, doc = run_json(capsys, "construct", "--antennas", "6,6,5,4,5",
-                             "--target", "2,4", "--seed", "7")
-        assert code == 2
-        assert doc["error"] == "bad_input"
-        assert "SDOF_RANK_TOL" in doc["message"]
 
 
 class TestVerifyCommand:
@@ -140,6 +134,16 @@ class TestVerifyCommand:
         prec_path.write_text(json.dumps(serialize.precoder_to_json(wrong)))
         code, doc = run_json(capsys, "verify", "--channels", str(chan_path),
                              "--precoder", str(prec_path))
+        assert code == 2
+        assert doc["error"] == "bad_input"
+
+    @pytest.mark.parametrize("grid", ["1e6,1e12,1e12", "1e6,nan,1e12", "1e6,1e12,inf"])
+    def test_bad_p_grid_exits_2(self, capsys, tmp_path, grid):
+        bundle = tmp_path / "bundle.json"
+        run_json(capsys, "construct", "--antennas", "4,2,4,2,4", "--target", "1,1",
+                 "--seed", "7", "--out", str(bundle))
+        code, doc = run_json(capsys, "verify", "--channels", str(bundle),
+                             "--precoder", str(bundle), "--p-grid", grid)
         assert code == 2
         assert doc["error"] == "bad_input"
 
@@ -178,6 +182,25 @@ class TestSimulateCommand:
         code, doc = run_json(capsys, "simulate", "--scenario", str(spath),
                              "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+
+    @pytest.mark.parametrize("setting", [
+        {"power_dbm": 4000},
+        {"sweep": {"variable": "power_dbm", "values": [0, 5000]}},
+    ], ids=["power_dbm", "sweep"])
+    def test_unusable_power_exits_2(self, capsys, tmp_path, setting):
+        scenario = {
+            "antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4},
+            "target": [1, 1],
+            "trials": 2,
+            **setting,
+        }
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(scenario))
+        code, doc = run_json(capsys, "simulate", "--scenario", str(spath),
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert doc["error"] == "bad_input"
 
 
 class TestSerialization:

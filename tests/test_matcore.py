@@ -67,25 +67,8 @@ class TestRank:
                 break
         assert matcore.rank_tol(a @ f) == matcore.rank_tol(a)
 
-    @pytest.mark.parametrize("factor", [-1.0, float("inf"), float("nan")])
-    def test_override_rejects_invalid(self, factor):
-        with pytest.raises(ValueError):
-            matcore.set_rank_tolerance(factor)
-
-    def test_env_override_read_at_first_use(self, monkeypatch):
-        monkeypatch.setenv("SDOF_RANK_TOL", "0.5")
-        monkeypatch.setattr(matcore, "_rank_tol_factor", matcore._FROM_ENV)
-        assert matcore.rank_tol(np.diag([1.0, 0.1])) == 1
-
-    def test_global_override(self):
-        a = np.diag([1.0, 1e-5, 1e-16])
-        assert matcore.rank_tol(a) == 2
-        matcore.set_rank_tolerance(1e-3)
-        try:
-            assert matcore.rank_tol(a) == 1
-        finally:
-            matcore.set_rank_tolerance(None)
-        assert matcore.rank_tol(a) == 2
+    def test_default_cutoff(self):
+        assert matcore.rank_tol(np.diag([1.0, 1e-5, 1e-16])) == 2
 
 
 class TestNullAndComplement:

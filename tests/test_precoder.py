@@ -227,3 +227,12 @@ class TestWithPower:
         pair = precoder.with_power(PrecoderPair(v=np.eye(2, dtype=complex),
                                                 w=np.zeros((2, 3), dtype=complex)), 1.0)
         assert pair.kw == 0
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_unusable_power(self, rng, power):
+        ch = channels_for(EX2, rng)
+        pair = precoder.construct(ch, (2, 4), power=1.0)
+        with pytest.raises(ValueError):
+            precoder.with_power(pair, power)
+        with pytest.raises(ValueError):
+            precoder.construct(ch, (2, 4), power=power)

@@ -86,6 +86,17 @@ class TestBoundary:
         with pytest.raises(OutOfRange):
             region.d2_max(EX2, region.su1(EX2) + 1)
 
+    def test_stream_selection_fits_capacities_exhaustively(self):
+        for tup in itertools.product(range(1, 11), repeat=5):
+            cfg = AntennaConfig(*tup)
+            d = region.subset_dims(cfg)
+            caps = d.as_tuple()
+            for d1 in range(region.su1(cfg) + 1):
+                counts = region.select_streams(cfg, d1)
+                assert sum(counts) == d1, (tup, d1)
+                assert all(0 <= n <= cap for n, cap in zip(counts, caps)), (tup, d1)
+                assert counts[4] + counts[5] <= min(cfg.nd1 - d1, d.d5 + d.d6, d1), (tup, d1)
+
     def test_strict_boundary_example(self):
         reg = region.boundary(EX2)
         assert [tuple(p) for p in reg.strict] == [(3, 3), (2, 4)]
