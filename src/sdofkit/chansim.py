@@ -307,8 +307,9 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
 
     Per trial: draw channels, build the precoder pair for the target on
     the design channels at the effective SNR, and score the rate pair on
-    the true channels.  Trials whose draw or construction degenerates are
-    counted as failures and excluded from the averages.
+    the true channels.  Trials whose draw or construction degenerates, or
+    in which a LAPACK routine does not converge, are counted as failures
+    and excluded from the averages.
     """
     target = SdofPoint(*target)
     cfg = scenario.config
@@ -324,10 +325,10 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
         try:
             chans = draw_trial(scenario, trial)
             pair = pc.construct(chans.design, target, power=power)
-        except (DegenerateDraw, ConstructionDeficit):
+            triple = verifier.rates(chans.actual, pair)
+        except (DegenerateDraw, ConstructionDeficit, np.linalg.LinAlgError):
             failures += 1
             continue
-        triple = verifier.rates(chans.actual, pair)
         rs1[used] = triple.rs1
         rs2[used] = triple.rs2
         used += 1

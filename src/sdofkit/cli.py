@@ -14,18 +14,20 @@ CSV).  ``construct`` writes a bundle file ``{"channels": ..., "precoder":
 serialized as ``{"rows": R, "data": [column, ...]}`` with complex entries
 as ``[re, im]`` pairs; see the schemas shipped under ``sdofkit/schemas``.
 
-Exit codes: 0 success; 2 malformed arguments, files, or dimension
-mismatches; 3 infeasible target; 4 construction or numerical failure on a
-degenerate draw.  A power setting whose linear value is not a positive
-finite number, or a ``--p-grid`` with a non-finite value or two equal
-largest powers, is malformed input (exit 2).  No environment variable
-changes a rank decision.
+Exit codes: 0 success; 1 stdout closed before the output was written
+(``sdof ... | head``), with nothing printed to stderr; 2 malformed
+arguments, files, or dimension mismatches; 3 infeasible target; 4
+construction or numerical failure on a degenerate draw.  A power setting
+whose linear value is not a positive finite number, or a ``--p-grid`` with
+a non-finite value or two equal largest powers, is malformed input (exit
+2).  No environment variable changes a rank decision.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 
@@ -42,6 +44,7 @@ from .errors import (
 )
 from .region import AntennaConfig, SdofPoint
 
+_EXIT_CLOSED_STDOUT = 1
 _EXIT_BAD_INPUT = 2
 _EXIT_INFEASIBLE = 3
 _EXIT_CONSTRUCTION = 4
@@ -253,7 +256,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _dispatch(args)
+        # flushed here so a closed pipe raises now, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``sdof ... | head``): nothing more can be
+        # reported.  As in Python's SIGPIPE recipe, point stdout at devnull
+        # so the flush at exit writes nowhere instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_STDOUT
+
+
+def _dispatch(args) -> int:
+    """Run the subcommand; report a failure as a JSON error and exit code."""
+    try:
         return args.func(args)
+    except BrokenPipeError:  # an OSError, but stdout is gone, not the input
+        raise
     except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
         _fail(str(exc), "construction_failed")
         return _EXIT_CONSTRUCTION

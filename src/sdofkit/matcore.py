@@ -13,6 +13,10 @@ Every rank cutoff depends only on the call's arguments: it is either the
 default ``max(m, n) * eps * sigma_max`` of the matrix at hand or the
 absolute ``tol`` the caller passes, such as a :func:`product_cutoff` of the
 factors the matrix was formed from.  No process-wide setting changes it.
+
+SciPy, used only for the cosine-sine step of a GSVD whose two spans share a
+block, is imported at the first such step, so importing this module (and
+commands that compute no such GSVD) never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cossin
 
 from .errors import DegenerateInput
 
@@ -289,6 +292,13 @@ def _gsvd_disjoint(ma, mb, n, m, kc, k, r, p) -> GsvdResult:
     x = np.hstack([x1, x3])
     return GsvdResult(psi1=psi1, psi2=psi2, lam1=lam, lam2=lam.copy(), x=x,
                       k=k, r=r, s=0, p=p)
+
+
+def cossin(x, p, q, separate):
+    """:func:`scipy.linalg.cossin`, with SciPy imported on the first call."""
+    from scipy.linalg import cossin as scipy_cossin
+
+    return scipy_cossin(x, p=p, q=q, separate=separate)
 
 
 def _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p) -> GsvdResult:

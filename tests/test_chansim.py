@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -134,6 +136,36 @@ class TestRunPoint:
         out = chansim.run_point(sc, (1, 1))
         assert out.failures == 0
         assert out.trials == 30
+
+    @pytest.mark.parametrize("failing_call", ["first", "last_of_trial_0"])
+    def test_lapack_failure_costs_one_trial(self, monkeypatch, failing_call):
+        # The first SVD is in trial 0's channel draw; the last one of trial 0
+        # scores its rates.
+        sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=6, seed=0)
+        svd = np.linalg.svd
+        calls = [0]
+
+        def counting_svd(*args, **kwargs):
+            calls[0] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        chansim.run_point(dataclasses.replace(sc, trials=1), (1, 1))
+        fail_at = 1 if failing_call == "first" else calls[0]
+
+        calls[0] = 0
+
+        def failing_svd(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == fail_at:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        out = chansim.run_point(sc, (1, 1))
+        assert out.failures == 1
+        assert out.trials == 6
+        assert np.isfinite([out.mean_rs1, out.se_rs1, out.mean_rs2, out.se_rs2]).all()
 
     @pytest.mark.parametrize("geometry, cfg, target", [
         (small_geometry(), CFG_SMALL, (1, 1)),

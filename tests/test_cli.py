@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,16 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_python(code: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    sdofkit; the pytest process has already imported SciPy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120, **kwargs)
 
 
 class TestRegionCommand:
@@ -223,3 +237,72 @@ class TestSerialization:
         back = serialize.channels_from_json(doc)
         for name in ("h11", "h12", "h21", "h22", "g1", "g2"):
             assert np.allclose(getattr(back, name), getattr(ch, name))
+
+
+class TestClosedStdout:
+    # the JSON result, and the JSON error of a malformed argument
+    @pytest.mark.parametrize("antennas", ["6,6,5,4,5", "6,6"])
+    def test_exits_1_without_traceback(self, antennas):
+        # a pipe whose read end is closed: every write fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python(
+                "import sys; from sdofkit.cli import main; "
+                f"sys.exit(main(['region', '--antennas', '{antennas}']))",
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+
+# Prints, after each step, whether SciPy's linalg module has been loaded.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+loaded = {}
+import sdofkit
+loaded["import sdofkit"] = "scipy.linalg" in sys.modules
+import sdofkit.cli
+loaded["import sdofkit.cli"] = "scipy.linalg" in sys.modules
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = sdofkit.cli.main(argv)
+    loaded[argv[0]] = "scipy.linalg" in sys.modules
+    loaded[argv[0] + " output"] = [code, json.loads(out.getvalue())]
+print(json.dumps(loaded))
+"""
+
+
+def scipy_probe(*argvs):
+    proc = run_python(_SCIPY_PROBE.replace("ARGVS", repr(list(argvs))),
+                      capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportCost:
+    """SciPy serves only the cosine-sine step of a GSVD with a shared
+    block, so commands that compute none never load it."""
+
+    def test_region_and_verify_load_no_scipy(self, capsys, tmp_path):
+        bundle = str(tmp_path / "bundle.json")
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", bundle)
+        loaded = scipy_probe(["region", "--antennas", "6,6,5,4,5"],
+                             ["verify", "--channels", bundle, "--precoder", bundle])
+        assert loaded["region output"][0] == 0
+        assert loaded["verify output"][0] == 0
+        assert loaded["verify output"][1]["sdof"] == [2, 4]
+        steps = ["import sdofkit", "import sdofkit.cli", "region", "verify"]
+        assert {step: loaded[step] for step in steps} == dict.fromkeys(steps, False)
+
+    def test_construct_loads_scipy_at_its_gsvd(self):
+        loaded = scipy_probe(["construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                              "--seed", "7"])
+        assert loaded["import sdofkit.cli"] is False
+        assert loaded["construct"] is True
+        code, doc = loaded["construct output"]
+        assert code == 0
+        assert doc["sdof"] == [2, 4]

@@ -257,3 +257,16 @@ class TestGsvdMatchesAssembledCosineSine:
         assert_equal_up_to_column_phase(g.psi12, psi12, 1e-14)
         assert_equal_up_to_column_phase(g.psi22, psi22, 1e-14)
         assert_equal_up_to_column_phase(g.x2, x2, 1e-14 * max(1.0, np.linalg.norm(x2)))
+
+
+class TestDeferredCossin:
+    @pytest.mark.parametrize("n, p, q", [(2, 1, 1), (5, 2, 3), (7, 4, 2), (9, 3, 5)])
+    def test_bitwise_equal_to_scipy(self, n, p, q):
+        rng = np.random.default_rng([n, p, q])
+        u = np.linalg.qr(cstd(rng, n, n))[0]
+        got = matcore.cossin(u, p, q, separate=True)
+        ref = cossin(u, p=p, q=q, separate=True)
+        assert np.array_equal(got[1], ref[1])
+        for got_pair, ref_pair in ((got[0], ref[0]), (got[2], ref[2])):
+            for g, r in zip(got_pair, ref_pair):
+                assert g.dtype == r.dtype and np.array_equal(g, r)
