@@ -74,17 +74,21 @@ def aligned_space(a, b) -> AlignedSpace:
     )
 
 
-def canonicalize(v, w, g1, g2, tol: float = 1e-8) -> PrecoderPair:
+# relative bound on the canonical form's eavesdropper-image residual
+_RESIDUAL_RTOL = 1e-8
+
+
+def canonicalize(v, w, g1, g2) -> PrecoderPair:
     """Rewrite a span-aligned pair into columnwise-aligned form.
 
     Requires span(g1 @ v) ⊆ span(g2 @ w); raises :class:`NotAligned`
-    otherwise.  Returns (v, w @ [B, B^perp]) where B solves
-    ``g2 @ w @ B == g1 @ v``: by least squares through the thin SVD when w
-    is at least as wide as the eavesdropper array, or through the normal
-    equations of the projector onto span(g2 @ w) when it is narrower.  The
-    first ``v.shape[1]`` columns of the new w then reproduce the
-    eavesdropper image of v exactly, and the appended orthonormal
-    complement keeps span(w) intact whenever B has full column rank.
+    otherwise.  Returns (v, w @ [B, B^perp]) where B is the minimum-norm
+    least-squares solution of ``g2 @ w @ B == g1 @ v``, whether w is wider
+    or narrower than the eavesdropper array.  The first ``v.shape[1]``
+    columns of the new w then reproduce the eavesdropper image of v
+    exactly, and the appended orthonormal complement keeps span(w) intact
+    whenever B has full column rank.  A residual above ``1e-8`` of the
+    image scale also raises :class:`NotAligned`.
     """
     v = np.asarray(v, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
@@ -94,23 +98,11 @@ def canonicalize(v, w, g1, g2, tol: float = 1e-8) -> PrecoderPair:
     if matcore.dim_quotient(g1v, g2w, tol=tol_e) != 0:
         raise NotAligned("span(g1 @ v) is not contained in span(g2 @ w)")
 
-    ne = g2w.shape[0]
-    kw = w.shape[1]
-    if kw >= ne:
-        # wide w: restrict to the leading right-singular directions, where
-        # the eavesdropper image is invertible
-        _, _, th = np.linalg.svd(g2w, full_matrices=False)
-        t1 = th[:ne, :].conj().T
-        bmat = t1 @ np.linalg.solve(g2w @ t1, g1v)
-    else:
-        # narrow w: full column rank, solve the normal equations
-        gram = g2w.conj().T @ g2w
-        bmat = np.linalg.solve(gram, g2w.conj().T @ g1v)
-
+    bmat = np.linalg.lstsq(g2w, g1v, rcond=None)[0]
     wstar = np.hstack([w @ bmat, w @ matcore.orth_complement(bmat)])
 
     resid = np.linalg.norm(g1v - (g2 @ wstar)[:, : v.shape[1]])
     scale = np.linalg.norm(g1v) + np.linalg.norm(g2w)
-    if scale > 0 and resid > tol * scale:
+    if scale > 0 and resid > _RESIDUAL_RTOL * scale:
         raise NotAligned(f"canonical form residual {resid:.2e} exceeds tolerance")
     return PrecoderPair(v=v.copy(), w=wstar, power=None)

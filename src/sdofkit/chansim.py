@@ -218,7 +218,8 @@ def _ring_position(center: tuple[float, float], radius_bound: float,
 _MAX_RESAMPLES = 10
 
 
-def _positions(geo: Geometry, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _link_distances(geo: Geometry, rng: np.random.Generator) -> dict[str, float]:
+    """Distances of the six links for one accepted receiver placement."""
     s1 = np.asarray(geo.s1, dtype=float)
     s2 = np.asarray(geo.s2, dtype=float)
     d12 = float(np.linalg.norm(s1 - s2))
@@ -226,33 +227,31 @@ def _positions(geo: Geometry, rng: np.random.Generator) -> dict[str, np.ndarray]
         d1 = _ring_position(geo.s1, geo.ring_radius, rng)
         d2 = _ring_position(geo.s2, geo.ring_radius, rng)
         ev = _ring_position(geo.s1, geo.ring_radius, rng)
-        pts = {"s1": s1, "s2": s2, "d1": d1, "d2": d2, "e": ev}
-        links = _link_distances(pts)
+        links = {
+            "h11": float(np.linalg.norm(d1 - s1)), "h12": float(np.linalg.norm(d1 - s2)),
+            "h21": float(np.linalg.norm(d2 - s1)), "h22": float(np.linalg.norm(d2 - s2)),
+            "g1": float(np.linalg.norm(ev - s1)), "g2": float(np.linalg.norm(ev - s2)),
+        }
         own_ok = (
             links["h11"] <= d12 and links["h22"] <= d12 and links["g1"] <= d12
         )
         if own_ok and min(links.values()) >= 1.0:
-            return pts
+            return links
     raise DegenerateDraw("could not place receivers within geometric constraints")
-
-
-def _link_distances(pts: dict[str, np.ndarray]) -> dict[str, float]:
-    def d(a, b):
-        return float(np.linalg.norm(pts[a] - pts[b]))
-
-    return {
-        "h11": d("d1", "s1"), "h12": d("d1", "s2"),
-        "h21": d("d2", "s1"), "h22": d("d2", "s2"),
-        "g1": d("e", "s1"), "g2": d("e", "s2"),
-    }
 
 
 def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
     """Deterministic channel draw for one trial.
 
     The same (scenario, trial index) always produces identical matrices.
-    Full-rank failures trigger a complete redraw from the same stream, up
-    to a small budget, after which :class:`DegenerateDraw` is raised.
+    Gaussian scenarios draw the design set through
+    :func:`gaussian_channels`; line-of-sight ones place the receivers, then
+    draw the four link phases and the two unit-magnitude eavesdropper
+    estimates.  Without uncertainty the true set is the design set itself;
+    with it, only the true eavesdropper channels differ, and their error
+    matrices are drawn before any rank check.  Full-rank failures trigger
+    a complete redraw from the same stream, up to a small budget, after
+    which :class:`DegenerateDraw` is raised.
     """
     cfg = scenario.config
     rng = _trial_rng(scenario.seed, trial_index)
@@ -262,17 +261,12 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
 
     for _ in range(_MAX_RESAMPLES):
         if geo is None:
-            h11 = _cgauss(rng, cfg.nd1, cfg.ns1)
-            h12 = _cgauss(rng, cfg.nd1, cfg.ns2)
-            h21 = _cgauss(rng, cfg.nd2, cfg.ns1)
-            h22 = _cgauss(rng, cfg.nd2, cfg.ns2)
-            g1_est = _cgauss(rng, cfg.ne, cfg.ns1)
-            g2_est = _cgauss(rng, cfg.ne, cfg.ns2)
+            design = gaussian_channels(cfg, rng)
+            g1_est, g2_est = design.g1, design.g2
             dist_g1 = dist_g2 = 1.0
         else:
             pos_rng = rng if geo.resample_rings else _trial_rng(scenario.seed, 0)
-            pts = _positions(geo, pos_rng)
-            links = _link_distances(pts)
+            links = _link_distances(geo, pos_rng)
             h11 = los_channel(cfg.nd1, cfg.ns1, links["h11"], cexp, rng)
             h12 = los_channel(cfg.nd1, cfg.ns2, links["h12"], cexp, rng)
             h21 = los_channel(cfg.nd2, cfg.ns1, links["h21"], cexp, rng)
@@ -281,22 +275,20 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
             # unit-magnitude random-phase estimates; path loss applied below
             g1_est = np.exp(1j * rng.uniform(0, 2 * np.pi, (cfg.ne, cfg.ns1)))
             g2_est = np.exp(1j * rng.uniform(0, 2 * np.pi, (cfg.ne, cfg.ns2)))
+            design = pc.ChannelSet(h11=h11, h12=h12, h21=h21, h22=h22,
+                                   g1=dist_g1 ** (-cexp / 2.0) * g1_est,
+                                   g2=dist_g2 ** (-cexp / 2.0) * g2_est)
 
-        g1_design = dist_g1 ** (-cexp / 2.0) * g1_est
-        g2_design = dist_g2 ** (-cexp / 2.0) * g2_est
-        g1_true = uncertain_eve_channel(g1_est, alpha, dist_g1, cexp, rng)
-        g2_true = uncertain_eve_channel(g2_est, alpha, dist_g2, cexp, rng)
-
-        design = pc.ChannelSet(h11=h11, h12=h12, h21=h21, h22=h22,
-                               g1=g1_design, g2=g2_design)
-        actual = pc.ChannelSet(h11=h11, h12=h12, h21=h21, h22=h22,
-                               g1=g1_true, g2=g2_true)
-        # ``actual`` shares h11..h22 with ``design`` and, without uncertainty,
-        # its eavesdropper channels are bitwise those of ``design``: only the
-        # true eavesdropper channels of an uncertain draw need their own check
-        true_eve_ok = alpha == 0 or all(
-            matcore.rank_tol(g) == min(g.shape) for g in (actual.g1, actual.g2)
-        )
+        if alpha == 0:
+            actual = design
+            true_eve_ok = True
+        else:
+            actual = dataclasses.replace(
+                design,
+                g1=uncertain_eve_channel(g1_est, alpha, dist_g1, cexp, rng),
+                g2=uncertain_eve_channel(g2_est, alpha, dist_g2, cexp, rng),
+            )
+            true_eve_ok = all(matcore.rank_tol(g) == min(g.shape) for g in (actual.g1, actual.g2))
         if design.full_rank() and true_eve_ok:
             return TrialChannels(design=design, actual=actual)
     raise DegenerateDraw(f"trial {trial_index}: full-rank check failed repeatedly")
@@ -352,13 +344,8 @@ def _apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scena
         s2 = scenario.geometry.s2
         geo = dataclasses.replace(scenario.geometry, s1=(s2[0] + float(value), s2[1]))
         return dataclasses.replace(scenario, geometry=geo)
-    if variable == "uncertainty_alpha":
-        return dataclasses.replace(scenario, uncertainty_alpha=float(value))
-    if variable == "power_dbm":
-        return dataclasses.replace(scenario, power_dbm=float(value))
-    if variable == "noise_power_dbm":
-        return dataclasses.replace(scenario, noise_power_dbm=float(value))
-    raise ValueError(f"unknown sweep variable {variable!r}")
+    # every other sweep variable names the Scenario field it sets
+    return dataclasses.replace(scenario, **{variable: float(value)})
 
 
 def monte_carlo(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> list[CurveRecord]:

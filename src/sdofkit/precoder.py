@@ -201,15 +201,14 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
     def want(sub: Subset) -> bool:
         return needed.get(sub, 0) > 0 and counts[sub] > 0
 
-    null_g1 = matcore.null_basis(ch.g1) if (want(Subset.I) or want(Subset.II)) else None
-    if want(Subset.I):
+    if want(Subset.I) or want(Subset.II):
+        # within null(G1), I spans null(H21) and II its orthogonal complement
+        null_g1 = matcore.null_basis(ch.g1)
         inner = matcore.null_basis(ch.h21 @ null_g1)
-        v = null_g1 @ inner
-        out[Subset.I] = SubsetBasis(Subset.I, v, np.zeros((cfg.ns2, v.shape[1]), dtype=np.complex128))
-    if want(Subset.II):
-        inner = matcore.orth_complement(matcore.null_basis(ch.h21 @ null_g1))
-        v = null_g1 @ inner
-        out[Subset.II] = SubsetBasis(Subset.II, v, np.zeros((cfg.ns2, v.shape[1]), dtype=np.complex128))
+        for sub in (Subset.I, Subset.II):
+            if want(sub):
+                v = null_g1 @ (inner if sub is Subset.I else matcore.orth_complement(inner))
+                out[sub] = SubsetBasis(sub, v, np.zeros((cfg.ns2, v.shape[1]), dtype=np.complex128))
 
     built = [
         row for row in _GSVD_SUBSETS
@@ -362,9 +361,6 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
         w = np.hstack(blocks)
     else:
         w = w1
-
-    if w.shape[1] > 0 and not np.any(np.linalg.norm(w, axis=0) > 0):
-        w = np.zeros((ns2, 0), dtype=np.complex128)
 
     if matcore.rank_tol(ch.h11 @ v, tol=matcore.product_cutoff((ch.h11, v))) != d1:
         raise ConstructionDeficit("confidential streams lost rank at the receiver")

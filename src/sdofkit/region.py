@@ -31,11 +31,6 @@ __all__ = [
     "e2",
 ]
 
-# Per-subset cost signature (a, b, c): signal dimensions needed at D1 and
-# S2, and the dimension penalty at D2, per unit secrecy D.o.F.
-TRIPLETS = ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 1, 0), (2, 1, 1))
-
-
 def _pos(x: int) -> int:
     return x if x > 0 else 0
 
@@ -69,13 +64,7 @@ class AntennaConfig:
 
 @dataclass(frozen=True)
 class SubsetDims:
-    """Maximum independent precoding-pair counts for the six aligned subsets.
-
-    ``d1`` .. ``d6`` are the per-subset capacities; the intermediate shared
-    widths (``s_hat`` .. ``s_tilde``) are the intersection dimensions of the
-    four eavesdropper-space decompositions the capacities derive from, and
-    ``total`` is the grand total of pairs with aligned eavesdropper images.
-    """
+    """Maximum independent precoding-pair counts for the six aligned subsets."""
 
     d1: int
     d2: int
@@ -83,20 +72,9 @@ class SubsetDims:
     d4: int
     d5: int
     d6: int
-    s_hat: int
-    s_bar: int
-    s_breve: int
-    s_tilde: int
-
-    triplets = TRIPLETS
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.d1, self.d2, self.d3, self.d4, self.d5, self.d6)
-
-    @property
-    def total(self) -> int:
-        """Count of all independent pairs with aligned eavesdropper images."""
-        return self.s_tilde + self.d1 + self.d2
 
 
 @dataclass(frozen=True)
@@ -140,6 +118,8 @@ def _subset_dims(cfg: AntennaConfig) -> SubsetDims:
     def cap(v: int) -> int:
         return min(v, ne)
 
+    # shared widths: the intersection dimensions of the four
+    # eavesdropper-space decompositions the capacities derive from
     s_hat = _pos(cap(ns1h) + cap(ns2h) - ne)
     s_bar = _pos(cap(cfg.ns1) + cap(ns2h) - ne)
     s_breve = _pos(cap(ns1h) + cap(cfg.ns2) - ne)
@@ -151,7 +131,7 @@ def _subset_dims(cfg: AntennaConfig) -> SubsetDims:
     d4 = s_bar - s_hat
     d5 = s_breve - s_hat
     d6 = s_tilde - (d3 + d4 + d5)
-    return SubsetDims(d1, d2, d3, d4, d5, d6, s_hat, s_bar, s_breve, s_tilde)
+    return SubsetDims(d1, d2, d3, d4, d5, d6)
 
 
 def su1(cfg: AntennaConfig) -> int:

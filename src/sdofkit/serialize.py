@@ -38,21 +38,22 @@ _CHANNEL_FIELDS = ("h11", "h12", "h21", "h22", "g1", "g2")
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
-    return {
-        "rows": int(m.shape[0]),
-        "data": [[[float(z.real), float(z.imag)] for z in m[:, j]] for j in range(m.shape[1])],
-    }
+    # (cols, rows, 2): each column a list of [re, im] entries
+    pairs = np.stack([m.real, m.imag], axis=-1).transpose(1, 0, 2)
+    return {"rows": int(m.shape[0]), "data": pairs.tolist()}
 
 
 def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
     rows = int(obj["rows"])
     cols = obj["data"]
-    out = np.zeros((rows, len(cols)), dtype=np.complex128)
     for j, col in enumerate(cols):
         if len(col) != rows:
             raise SchemaViolation(f"{name}: column {j} has {len(col)} entries, expected {rows}")
-        for i, (re, im) in enumerate(col):
-            out[i, j] = complex(re, im)
+    pairs = np.array(cols, dtype=float).reshape(len(cols), rows, 2)
+    out = np.empty((rows, len(cols)), dtype=np.complex128)
+    # filled part by part: adding a complex product would turn -0.0 into 0.0
+    out.real = pairs[:, :, 0].T
+    out.imag = pairs[:, :, 1].T
     return out
 
 
@@ -63,8 +64,17 @@ def channels_to_json(ch: ChannelSet) -> dict:
 
 
 def channels_from_json(obj: dict) -> ChannelSet:
+    """Parse a channel set; an ``antennas`` field must match the matrix shapes."""
     validate_document(obj, "channel_set")
-    return ChannelSet(**{name: matrix_from_json(obj[name], name) for name in _CHANNEL_FIELDS})
+    ch = ChannelSet(**{name: matrix_from_json(obj[name], name) for name in _CHANNEL_FIELDS})
+    if "antennas" in obj:
+        declared = _antennas_from_json(obj["antennas"])
+        if declared != ch.config:
+            raise SchemaViolation(
+                f"channel_set: antennas {declared.as_tuple()} do not match "
+                f"the matrix shapes {ch.config.as_tuple()}"
+            )
+    return ch
 
 
 def precoder_to_json(pair: PrecoderPair) -> dict:
@@ -92,8 +102,28 @@ def _antennas_from_json(obj: dict) -> AntennaConfig:
     return AntennaConfig(**{k: int(obj[k]) for k in ("ns1", "ns2", "nd1", "nd2", "ne")})
 
 
+def _present(obj: dict, coercions: dict) -> dict:
+    """The coerced values of the keys ``obj`` sets; absent keys keep the
+    defaults of the dataclass they are passed to."""
+    return {key: coerce(obj[key]) for key, coerce in coercions.items() if key in obj}
+
+
+_GEOMETRY_COERCIONS = {"ring_radius": float, "resample_rings": bool}
+_SCENARIO_COERCIONS = {
+    "pathloss_exponent": float,
+    "noise_power_dbm": float,
+    "power_dbm": float,
+    "uncertainty_alpha": float,
+    "trials": int,
+    "seed": int,
+}
+
+
 def scenario_from_json(obj: dict) -> tuple[Scenario, SdofPoint]:
-    """Parse a scenario document; the simulation target is required."""
+    """Parse a scenario document; the simulation target is required.
+
+    Absent optional fields take the ``Scenario`` and ``Geometry`` defaults.
+    """
     validate_document(obj, "scenario")
     geo = None
     if obj.get("geometry") is not None:
@@ -101,8 +131,7 @@ def scenario_from_json(obj: dict) -> tuple[Scenario, SdofPoint]:
         geo = Geometry(
             s1=(float(g["s1"][0]), float(g["s1"][1])),
             s2=(float(g["s2"][0]), float(g["s2"][1])),
-            ring_radius=float(g.get("ring_radius", 10.0)),
-            resample_rings=bool(g.get("resample_rings", True)),
+            **_present(g, _GEOMETRY_COERCIONS),
         )
     sweep = None
     if obj.get("sweep") is not None:
@@ -114,13 +143,8 @@ def scenario_from_json(obj: dict) -> tuple[Scenario, SdofPoint]:
         scenario = Scenario(
             config=_antennas_from_json(obj["antennas"]),
             geometry=geo,
-            pathloss_exponent=float(obj.get("pathloss_exponent", 3.5)),
-            noise_power_dbm=float(obj.get("noise_power_dbm", -60.0)),
-            power_dbm=float(obj.get("power_dbm", 0.0)),
-            uncertainty_alpha=float(obj.get("uncertainty_alpha", 0.0)),
-            trials=int(obj.get("trials", 1000)),
-            seed=int(obj.get("seed", 0)),
             sweep=sweep,
+            **_present(obj, _SCENARIO_COERCIONS),
         )
     except ValueError as exc:
         raise SchemaViolation(str(exc)) from exc

@@ -73,29 +73,30 @@ def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     return SdofPoint(d1, d2)
 
 
-def membership(
-    ch: ChannelSet,
-    pair: PrecoderPair,
-    rtol: float = 1e-8,
-    power_rtol: float = 1e-6,
-) -> Membership:
+# relative tolerances of membership: each trace against the power budget,
+# and each paired eavesdropper image against its positive multiple
+_POWER_RTOL = 1e-6
+_ALIGN_RTOL = 1e-8
+
+
+def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
     """Set membership flags for a precoder pair.
 
-    ``in_i``: both traces match the recorded power budget (vacuous for a
-    zero-width matrix, which carries no power).  ``in_ibar``: the
-    eavesdropper image of V lies inside the jamming span and the two
-    signals are disjoint at the confidential receiver.  ``in_ihat``:
+    ``in_i``: both traces match the recorded power budget to a relative
+    ``1e-6`` (vacuous for a zero-width matrix, which carries no power).
+    ``in_ibar``: the eavesdropper image of V lies inside the jamming span
+    and the two signals are disjoint at the confidential receiver.  ``in_ihat``:
     additionally, each confidential column's eavesdropper image is
     reproduced by its paired public column up to the positive per-stream
     gain that power normalization applies (exactly aligned pairs have
-    gain one).
+    gain one), to a relative ``1e-8``.
     """
     in_i = False
     if pair.power is not None:
         pv = float(np.sum(np.abs(pair.v) ** 2))
         pw = float(np.sum(np.abs(pair.w) ** 2))
-        ok_v = pair.kv == 0 or abs(pv - pair.power) <= power_rtol * pair.power
-        ok_w = pair.kw == 0 or abs(pw - pair.power) <= power_rtol * pair.power
+        ok_v = pair.kv == 0 or abs(pv - pair.power) <= _POWER_RTOL * pair.power
+        ok_w = pair.kw == 0 or abs(pw - pair.power) <= _POWER_RTOL * pair.power
         in_i = ok_v and ok_w
 
     g1v = ch.g1 @ pair.v
@@ -109,9 +110,9 @@ def membership(
 
     # image columns below this are zero up to round-off of the matrix products
     ztol = max(
-        rtol * max(np.linalg.norm(g1v), np.linalg.norm(g2w), 1e-300), 10 * tol_e
+        _ALIGN_RTOL * max(np.linalg.norm(g1v), np.linalg.norm(g2w), 1e-300), 10 * tol_e
     )
-    in_ihat = in_ibar and _columnwise_aligned(g1v, g2w, rtol, ztol)
+    in_ihat = in_ibar and _columnwise_aligned(g1v, g2w, _ALIGN_RTOL, ztol)
     return Membership(in_i=in_i, in_ibar=in_ibar, in_ihat=in_ihat)
 
 

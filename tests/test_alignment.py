@@ -3,7 +3,7 @@ import pytest
 
 from sdofkit import alignment, matcore, verifier
 from sdofkit.errors import NotAligned
-from sdofkit.precoder import PrecoderPair
+from sdofkit.precoder import PrecoderPair, construct
 
 from conftest import channels_for, cstd
 
@@ -99,6 +99,17 @@ class TestCanonicalize:
         before = verifier.sdof_of(ch, PrecoderPair(v=v, w=w))
         after = verifier.sdof_of(ch, alignment.canonicalize(v, w, ch.g1, ch.g2))
         assert tuple(before) == tuple(after)
+
+    def test_constructed_pair_with_zero_w_column(self, rng):
+        # subset II pairs its confidential column with a zero public one,
+        # so g2 @ w is rank deficient
+        ch = channels_for((6, 6, 5, 4, 5), rng)
+        pair = construct(ch, (3, 3), power=1.0)
+        assert np.any(np.linalg.norm(pair.w, axis=0) == 0)
+        out = alignment.canonicalize(pair.v, pair.w, ch.g1, ch.g2)
+        scale = np.linalg.norm(ch.g1 @ pair.v) + np.linalg.norm(ch.g2 @ pair.w)
+        assert np.linalg.norm(ch.g1 @ out.v - (ch.g2 @ out.w)[:, :3]) <= 1e-10 * scale
+        assert tuple(verifier.sdof_of(ch, out)) == (3, 3)
 
     def test_rejects_unaligned(self, rng):
         ch = channels_for((6, 6, 5, 4, 5), rng)

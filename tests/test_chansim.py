@@ -203,6 +203,26 @@ class TestMonteCarlo:
             assert rel_drop[n2] > 0
         assert rel_drop[6] < rel_drop[2]
 
+    @pytest.mark.parametrize("variable", chansim.SWEEP_VARIABLES)
+    def test_sweep_point_equals_scenario_built_directly(self, variable):
+        values = {
+            "s1_s2_distance": (150.0, 50.0),
+            "uncertainty_alpha": (0.0, 0.2),
+            "power_dbm": (0.0, 10.0),
+            "noise_power_dbm": (-60.0, -40.0),
+        }[variable]
+        sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=4, seed=9,
+                      sweep=Sweep(variable, values))
+        recs = chansim.monte_carlo(sc, (1, 1))
+        for rec, value in zip(recs, values):
+            if variable == "s1_s2_distance":
+                direct = Scenario(config=CFG_SMALL, geometry=small_geometry(value), trials=4, seed=9)
+            else:
+                direct = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=4, seed=9,
+                                  **{variable: value})
+            assert (rec.variable, rec.x) == (variable, value)
+            assert rec.stats == chansim.run_point(direct, (1, 1))
+
     def test_csv_output(self, tmp_path):
         sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=10, seed=5,
                       sweep=Sweep("s1_s2_distance", (150.0, 50.0)))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from sdofkit import cli, serialize
-from sdofkit.chansim import gaussian_channels
+from sdofkit.chansim import Geometry, Scenario, Sweep, gaussian_channels
+from sdofkit.errors import SchemaViolation
 from sdofkit.precoder import PrecoderPair
 from sdofkit.region import AntennaConfig
 
@@ -136,6 +137,27 @@ class TestConstructCommand:
         assert doc["error"] == "construction_failed"
 
 
+class TestChannelAntennas:
+    # a bundle whose channel set declares antennas its matrices do not have
+    @pytest.mark.parametrize("command", ["verify", "construct"])
+    def test_disagreeing_antennas_exit_2(self, capsys, tmp_path, command):
+        bundle = tmp_path / "bundle.json"
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(bundle))
+        doc = json.loads(bundle.read_text())
+        doc["channels"]["antennas"] = {"ns1": 2, "ns2": 2, "nd1": 1, "nd2": 1, "ne": 9}
+        bundle.write_text(json.dumps(doc))
+        argv = {
+            "verify": ["verify", "--channels", str(bundle), "--precoder", str(bundle)],
+            "construct": ["construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                          "--channels", str(bundle)],
+        }[command]
+        code, out = run_json(capsys, *argv)
+        assert code == 2
+        assert out["error"] == "bad_input"
+        assert "antennas (2, 2, 1, 1, 9)" in out["message"]
+
+
 class TestVerifyCommand:
     def test_dimension_mismatch_exits_2(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -229,6 +251,69 @@ class TestSerialization:
         doc = serialize.matrix_to_json(np.zeros((5, 0), dtype=complex))
         back = serialize.matrix_from_json(doc)
         assert back.shape == (5, 0)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 1), (5, 0), (0, 3), (0, 0)])
+    def test_matrix_round_trip_is_bitwise(self, rng, shape):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if m.size:
+            m.real[0, 0] = -0.0
+            m.imag[-1, -1] = -0.0
+        doc = serialize.matrix_to_json(m)
+        # the documented layout, written out entry by entry
+        assert doc == {"rows": shape[0], "data": [[[z.real, z.imag] for z in m[:, j]]
+                                                  for j in range(shape[1])]}
+        back = serialize.matrix_from_json(json.loads(json.dumps(doc)))
+        assert back.dtype == np.complex128 and back.shape == m.shape
+        assert back.tobytes() == m.tobytes()
+
+    def test_ragged_column_rejected(self):
+        doc = {"rows": 2, "data": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]]}
+        with pytest.raises(SchemaViolation, match="column 1 has 1 entries"):
+            serialize.matrix_from_json(doc, "h11")
+
+    def test_minimal_scenario_takes_dataclass_defaults(self):
+        antennas = {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4}
+        scenario, target = serialize.scenario_from_json({"antennas": antennas, "target": [1, 1]})
+        assert scenario == Scenario(config=AntennaConfig(4, 2, 4, 2, 4))
+        assert target == (1, 1)
+        scenario, _ = serialize.scenario_from_json(
+            {"antennas": antennas, "target": [1, 1], "geometry": {"s1": [9, 0], "s2": [0, 0]}}
+        )
+        assert scenario.geometry == Geometry(s1=(9.0, 0.0), s2=(0.0, 0.0))
+
+    def test_full_scenario_sets_every_field(self):
+        doc = {
+            "antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4},
+            "target": [1, 1],
+            "geometry": {"s1": [30, 1], "s2": [0, 2], "ring_radius": 5,
+                         "resample_rings": False},
+            "pathloss_exponent": 3,
+            "noise_power_dbm": -50,
+            "power_dbm": 5,
+            "uncertainty_alpha": 0.25,
+            "trials": 7,
+            "seed": 13,
+            "sweep": {"variable": "power_dbm", "values": [0, 10]},
+        }
+        scenario, _ = serialize.scenario_from_json(doc)
+        assert scenario == Scenario(
+            config=AntennaConfig(4, 2, 4, 2, 4),
+            geometry=Geometry(s1=(30.0, 1.0), s2=(0.0, 2.0), ring_radius=5.0,
+                              resample_rings=False),
+            pathloss_exponent=3.0,
+            noise_power_dbm=-50.0,
+            power_dbm=5.0,
+            uncertainty_alpha=0.25,
+            trials=7,
+            seed=13,
+            sweep=Sweep("power_dbm", (0.0, 10.0)),
+        )
+        # every field is off its default, so none was left to the dataclass
+        defaults = Scenario(config=scenario.config)
+        assert all(getattr(scenario, name) != getattr(defaults, name)
+                   for name in Scenario.__dataclass_fields__ if name != "config")
+        assert scenario.geometry.resample_rings is False
+        assert isinstance(scenario.trials, int) and isinstance(scenario.pathloss_exponent, float)
 
     def test_channel_round_trip(self, rng):
         ch = gaussian_channels(AntennaConfig(3, 2, 2, 2, 2), rng)

@@ -26,17 +26,10 @@ class TestSubsetDims:
     def test_all_ones(self):
         assert region.subset_dims(AntennaConfig(1, 1, 1, 1, 1)).as_tuple() == (0, 0, 0, 0, 0, 1)
 
-    def test_triplets(self):
-        assert region.SubsetDims.triplets == (
-            (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 1, 0), (2, 1, 1)
-        )
-
     @given(configs)
     @settings(max_examples=200, deadline=None)
-    def test_nonnegative_and_total(self, cfg):
-        d = region.subset_dims(cfg)
-        assert all(x >= 0 for x in d.as_tuple())
-        assert sum(d.as_tuple()) == d.total
+    def test_nonnegative(self, cfg):
+        assert all(x >= 0 for x in region.subset_dims(cfg).as_tuple())
 
     @given(configs, antenna_counts, antenna_counts)
     @settings(max_examples=100, deadline=None)
