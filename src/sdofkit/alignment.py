@@ -55,22 +55,19 @@ class AlignedSpace:
 def aligned_space(a, b) -> AlignedSpace:
     """Parametrize all (v, w) with ``a @ v == b @ w``.
 
-    The shared block comes from the GSVD of (a, b): the middle factor
-    columns scaled by the inverse diagonal map both sides onto the basis
-    of span(a) ∩ span(b).  The private blocks are the null-space bases.
+    The shared block is :func:`matcore.aligned_pairs` of (a, b), which maps
+    both sides onto a basis of span(a) ∩ span(b).  The private blocks are
+    the null-space bases.
     The number of linearly independent v participating in a nonzero
     alignment is ``shared_width + dim null(a)``.
     """
-    g = matcore.gsvd(a, b)
+    v, w, _ = matcore.aligned_pairs(a, b)
     null_a = matcore.null_basis(a)
-    null_b = matcore.null_basis(b)
-    phi1 = np.hstack([g.psi12 / g.lam1, null_a]) if g.s else null_a
-    phi2 = np.hstack([g.psi22 / g.lam2, null_b]) if g.s else null_b
     return AlignedSpace(
-        phi1=phi1,
-        phi2=phi2,
-        shared_width=g.s,
-        independent_count=g.s + null_a.shape[1],
+        phi1=np.hstack([v, null_a]),
+        phi2=np.hstack([w, matcore.null_basis(b)]),
+        shared_width=v.shape[1],
+        independent_count=v.shape[1] + null_a.shape[1],
     )
 
 
@@ -94,8 +91,7 @@ def canonicalize(v, w, g1, g2) -> PrecoderPair:
     w = np.asarray(w, dtype=np.complex128)
     g1v = g1 @ v
     g2w = g2 @ w
-    tol_e = matcore.product_cutoff((g1, v), (g2, w))
-    if matcore.dim_quotient(g1v, g2w, tol=tol_e) != 0:
+    if matcore.image_quotient((g1, v), (g2, w)) != 0:
         raise NotAligned("span(g1 @ v) is not contained in span(g2 @ w)")
 
     bmat = np.linalg.lstsq(g2w, g1v, rcond=None)[0]

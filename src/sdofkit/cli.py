@@ -153,9 +153,10 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _section(doc: dict, key: str) -> dict:
-    """Accept either a bare document or a construct bundle."""
-    if key in doc and isinstance(doc[key], dict):
+def _section(doc, key: str):
+    """Accept either a bare document or a construct bundle; any other JSON
+    value is returned as it is, for the schema check to reject."""
+    if isinstance(doc, dict) and isinstance(doc.get(key), dict):
         return doc[key]
     return doc
 

@@ -1,18 +1,20 @@
 """Complex dense matrix primitives.
 
-Tolerance-aware rank, null-space and orthogonal-complement bases, subspace
-dimension arithmetic, and a generalized singular value decomposition (GSVD)
-of two matrices sharing a row space.
+Tolerance-aware rank, null-space and orthogonal-complement bases, the
+dimension arithmetic of channel images, and a generalized singular value
+decomposition (GSVD) of two matrices sharing a row space together with the
+aligned pairs read from it.
 
 All operations are pure functions of their inputs; returned arrays are
 freshly allocated and never alias the arguments.  Matrices are dense
 complex ndarrays with vectors as columns; zero-column matrices are valid
 inputs everywhere and represent zero-dimensional subspaces.
 
-Every rank cutoff depends only on the call's arguments: it is either the
-default ``max(m, n) * eps * sigma_max`` of the matrix at hand or the
-absolute ``tol`` the caller passes, such as a :func:`product_cutoff` of the
-factors the matrix was formed from.  No process-wide setting changes it.
+Every rank cutoff depends only on the call's arguments.  A matrix's own
+rank uses ``max(m, n) * eps * sigma_max``; the rank of a channel image
+``A @ B`` is decided only by :func:`image_quotient`, which ties its cutoff
+to the factor norms.  Aligned precoder pairs are read from a GSVD only by
+:func:`aligned_pairs`.  No process-wide setting changes either decision.
 
 SciPy, used only for the cosine-sine step of a GSVD whose two spans share a
 block, is imported at the first such step, so importing this module (and
@@ -33,14 +35,13 @@ __all__ = [
     "null_basis",
     "orth_complement",
     "gsvd",
-    "dim_quotient",
-    "dim_intersection",
-    "product_cutoff",
+    "aligned_pairs",
+    "image_quotient",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
 
-_PRODUCT_MARGIN = 1e4  # see product_cutoff
+_PRODUCT_MARGIN = 1e4  # see image_quotient
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -55,27 +56,23 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    if a.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(a, compute_uv=False)
-
-
-def _cutoff(a: np.ndarray, sv: np.ndarray, tol: float | None = None) -> float:
-    if tol is not None:
-        if tol < 0:
-            raise ValueError("tolerance must be non-negative")
-        return tol
+def _cutoff(a: np.ndarray, sv: np.ndarray) -> float:
     return max(a.shape) * _EPS * float(sv[0]) if a.size else 0.0
 
 
-def rank_tol(a, tol: float | None = None) -> int:
-    """Numerical rank: number of singular values exceeding the tolerance."""
+def _count_above(a: np.ndarray, cutoff: float) -> int:
+    if a.size == 0:
+        return 0
+    return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > cutoff))
+
+
+def rank_tol(a) -> int:
+    """Numerical rank: number of singular values above ``max(m, n) * eps * sigma_max``."""
     m = _as_matrix(a)
     if m.size == 0:
         return 0
-    sv = _singular_values(m)
-    return int(np.count_nonzero(sv > _cutoff(m, sv, tol)))
+    sv = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(sv > _cutoff(m, sv)))
 
 
 def null_basis(a) -> np.ndarray:
@@ -112,45 +109,31 @@ def orth_complement(a) -> np.ndarray:
     return u[:, r:].copy()
 
 
-def _hstack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    return np.hstack([a, b])
+def image_quotient(x, y=None) -> int:
+    """Dimension of span(A @ B) outside span(C @ D) for the factor pairs
+    ``x = (A, B)`` and ``y = (C, D)``; rank(A @ B) when ``y`` is None.
 
-
-def dim_quotient(a, b, tol: float | None = None) -> int:
-    """Dimension of span(``a``) outside span(``b``): rank([a b]) - rank(b)."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    return rank_tol(_hstack(ma, mb), tol) - rank_tol(mb, tol)
-
-
-def product_cutoff(*pairs) -> float:
-    """Absolute rank cutoff for subspaces spanned by matrix products.
-
-    A product ``A @ B`` that is zero in exact arithmetic comes out as noise
-    of size ``eps * |A| * |B|``, which the self-relative default tolerance
-    would mistake for full rank.  Rank decisions on channel images must
-    therefore use a cutoff tied to the factor scales: this returns
-    ``1e4 * dim * eps * max(|A| * |B|)`` over the given (A, B) pairs
-    (Frobenius norms).  The margin of 1e4 puts the cutoff a few orders of
-    magnitude above the round-off that multi-stage assembly chains
-    accumulate, and many orders below generic signal directions.
+    A product that is zero in exact arithmetic comes out as noise of size
+    ``eps * |A| * |B|``, which a self-relative cutoff would mistake for
+    full rank.  Every rank here therefore counts the singular values above
+    ``1e4 * dim * eps * max(|A| * |B|, |C| * |D|)`` (Frobenius norms, dim
+    the largest factor dimension).  The margin of 1e4 puts the cutoff a few
+    orders of magnitude above the round-off that multi-stage assembly
+    chains accumulate, and many orders below generic signal directions.
     """
+    images = []
     scale = 0.0
     dim = 1
-    for a, b in pairs:
+    for a, b in (x,) if y is None else (x, y):
         ma, mb = _as_matrix(a), _as_matrix(b)
-        if ma.size == 0 or mb.size == 0:
-            continue
-        scale = max(scale, float(np.linalg.norm(ma)) * float(np.linalg.norm(mb)))
-        dim = max(dim, ma.shape[0], ma.shape[1], mb.shape[1])
-    return _PRODUCT_MARGIN * dim * _EPS * scale
-
-
-def dim_intersection(a, b, tol: float | None = None) -> int:
-    """Dimension of span(``a``) ∩ span(``b``)."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    return rank_tol(ma, tol) + rank_tol(mb, tol) - rank_tol(_hstack(ma, mb), tol)
+        if ma.size and mb.size:
+            scale = max(scale, float(np.linalg.norm(ma)) * float(np.linalg.norm(mb)))
+            dim = max(dim, ma.shape[0], ma.shape[1], mb.shape[1])
+        images.append(ma @ mb)
+    cutoff = _PRODUCT_MARGIN * dim * _EPS * scale
+    if y is None:
+        return _count_above(images[0], cutoff)
+    return _count_above(np.hstack(images), cutoff) - _count_above(images[1], cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,6 +250,19 @@ def gsvd(a, b) -> GsvdResult:
     if np.count_nonzero(sz > _cutoff(z, sz)) != k:
         raise DegenerateInput("stacked pair is rank deficient")
     return _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p)
+
+
+def aligned_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aligned pairs of a full-rank pair: (v, w, x) with ``a @ v == b @ w == x``.
+
+    The columns of ``x`` are a basis of span(a) ∩ span(b), ordered by
+    descending generalized singular value; its width is :func:`gsvd`'s
+    ``s`` and zero when the spans are disjoint.  ``v`` and ``w`` are the
+    GSVD's middle factor columns scaled by the inverse diagonals.  Raises
+    :class:`DegenerateInput` as :func:`gsvd` does.
+    """
+    g = gsvd(a, b)
+    return g.psi12 / g.lam1, g.psi22 / g.lam2, g.x2
 
 
 def _gsvd_disjoint(ma, mb, n, m, kc, k, r, p) -> GsvdResult:

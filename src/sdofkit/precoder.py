@@ -159,17 +159,17 @@ def _empty_basis(sub: Subset, cfg: AntennaConfig) -> SubsetBasis:
     )
 
 
-def _exclusion_coords(x2: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
-    """Coordinates, within the shared image basis ``x2``, that complete the
+def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
+    """Coordinates, within the shared image basis ``x``, that complete the
     directions already claimed by higher-priority subsets."""
     if not claimed:
-        return np.eye(x2.shape[1], dtype=np.complex128)
-    coords, *_ = np.linalg.lstsq(x2, np.hstack(claimed), rcond=None)
+        return np.eye(x.shape[1], dtype=np.complex128)
+    coords, *_ = np.linalg.lstsq(x, np.hstack(claimed), rcond=None)
     return matcore.orth_complement(coords)
 
 
-# The aligned-pair subsets taken from the GSVD of (G1 N_v, G2 N_w): the
-# subset, whether v is confined to null(H21) (N_v a null basis of H21, else
+# The subsets built from matcore.aligned_pairs(G1 N_v, G2 N_w): the subset,
+# whether v is confined to null(H21) (N_v a null basis of H21, else
 # the identity), whether w is confined to null(H12), and the earlier
 # subsets whose eavesdropper images it must avoid.  Rows run in priority
 # order, so every subset named in an exclusion list is built first.
@@ -218,16 +218,14 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
     null_h21 = matcore.null_basis(ch.h21) if any(row[1] for row in built) else None
     null_h12 = matcore.null_basis(ch.h12) if any(row[2] for row in built) else None
     for sub, v_in_null, w_in_null, avoid in built:
-        g = matcore.gsvd(ch.g1 @ null_h21 if v_in_null else ch.g1,
-                         ch.g2 @ null_h12 if w_in_null else ch.g2)
-        v = g.psi12 / g.lam1
-        w = g.psi22 / g.lam2
+        v, w, x = matcore.aligned_pairs(ch.g1 @ null_h21 if v_in_null else ch.g1,
+                                        ch.g2 @ null_h12 if w_in_null else ch.g2)
         if v_in_null:
             v = null_h21 @ v
         if w_in_null:
             w = null_h12 @ w
         if avoid:
-            z = _exclusion_coords(g.x2, [ch.g1 @ out[o].v_basis for o in avoid if o in out])
+            z = _exclusion_coords(x, [ch.g1 @ out[o].v_basis for o in avoid if o in out])
             v, w = v @ z, w @ z
         out[sub] = SubsetBasis(sub, v, w)
 
@@ -362,10 +360,9 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
     else:
         w = w1
 
-    if matcore.rank_tol(ch.h11 @ v, tol=matcore.product_cutoff((ch.h11, v))) != d1:
+    if matcore.image_quotient((ch.h11, v)) != d1:
         raise ConstructionDeficit("confidential streams lost rank at the receiver")
-    tol_d2 = matcore.product_cutoff((ch.h22, w), (ch.h21, v))
-    if matcore.dim_quotient(ch.h22 @ w, ch.h21 @ v, tol=tol_d2) < d2:
+    if matcore.image_quotient((ch.h22, w), (ch.h21, v)) < d2:
         raise ConstructionDeficit("public streams do not span the target dimensions")
 
     return with_power(PrecoderPair(v=v, w=w), power)

@@ -49,7 +49,10 @@ def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
     for j, col in enumerate(cols):
         if len(col) != rows:
             raise SchemaViolation(f"{name}: column {j} has {len(col)} entries, expected {rows}")
-    pairs = np.array(cols, dtype=float).reshape(len(cols), rows, 2)
+    try:
+        pairs = np.array(cols, dtype=float).reshape(len(cols), rows, 2)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise SchemaViolation(f"{name}: {exc}") from exc
     out = np.empty((rows, len(cols)), dtype=np.complex128)
     # filled part by part: adding a complex product would turn -0.0 into 0.0
     out.real = pairs[:, :, 0].T

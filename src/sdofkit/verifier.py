@@ -61,15 +61,10 @@ def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     The public link scores the part of its signal span outside the
     confidential interference at its receiver.
     """
-    h11v = ch.h11 @ pair.v
-    h12w = ch.h12 @ pair.w
-    tol_e = matcore.product_cutoff((ch.g1, pair.v), (ch.g2, pair.w))
-    tol_d1 = matcore.product_cutoff((ch.h11, pair.v), (ch.h12, pair.w))
-    tol_d2 = matcore.product_cutoff((ch.h22, pair.w), (ch.h21, pair.v))
-    leak = matcore.dim_quotient(ch.g1 @ pair.v, ch.g2 @ pair.w, tol=tol_e)
+    leak = matcore.image_quotient((ch.g1, pair.v), (ch.g2, pair.w))
     # rank(H11 V) less its overlap with span(H12 W) is the quotient dimension
-    d1 = max(matcore.dim_quotient(h11v, h12w, tol=tol_d1) - leak, 0)
-    d2 = matcore.dim_quotient(ch.h22 @ pair.w, ch.h21 @ pair.v, tol=tol_d2)
+    d1 = max(matcore.image_quotient((ch.h11, pair.v), (ch.h12, pair.w)) - leak, 0)
+    d2 = matcore.image_quotient((ch.h22, pair.w), (ch.h21, pair.v))
     return SdofPoint(d1, d2)
 
 
@@ -99,20 +94,21 @@ def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
         ok_w = pair.kw == 0 or abs(pw - pair.power) <= _POWER_RTOL * pair.power
         in_i = ok_v and ok_w
 
-    g1v = ch.g1 @ pair.v
-    g2w = ch.g2 @ pair.w
-    tol_e = matcore.product_cutoff((ch.g1, pair.v), (ch.g2, pair.w))
-    tol_d1 = matcore.product_cutoff((ch.h11, pair.v), (ch.h12, pair.w))
+    signal, interference = (ch.h11, pair.v), (ch.h12, pair.w)
     in_ibar = (
-        matcore.dim_quotient(g1v, g2w, tol=tol_e) == 0
-        and matcore.dim_intersection(ch.h11 @ pair.v, ch.h12 @ pair.w, tol=tol_d1) == 0
+        matcore.image_quotient((ch.g1, pair.v), (ch.g2, pair.w)) == 0
+        # disjoint: no signal dimension lies inside the interference span
+        and matcore.image_quotient(signal, interference) == matcore.image_quotient(signal)
     )
 
     # image columns below this are zero up to round-off of the matrix products
-    ztol = max(
-        _ALIGN_RTOL * max(np.linalg.norm(g1v), np.linalg.norm(g2w), 1e-300), 10 * tol_e
+    ztol = _ALIGN_RTOL * max(
+        np.linalg.norm(ch.g1) * np.linalg.norm(pair.v),
+        np.linalg.norm(ch.g2) * np.linalg.norm(pair.w),
     )
-    in_ihat = in_ibar and _columnwise_aligned(g1v, g2w, _ALIGN_RTOL, ztol)
+    in_ihat = in_ibar and _columnwise_aligned(
+        ch.g1 @ pair.v, ch.g2 @ pair.w, _ALIGN_RTOL, ztol
+    )
     return Membership(in_i=in_i, in_ibar=in_ibar, in_ihat=in_ihat)
 
 

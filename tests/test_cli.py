@@ -158,6 +158,35 @@ class TestChannelAntennas:
         assert "antennas (2, 2, 1, 1, 9)" in out["message"]
 
 
+class TestMalformedFiles:
+    @pytest.mark.parametrize("value", ["5", "null", "true"])
+    @pytest.mark.parametrize("command", ["verify", "construct"])
+    def test_non_object_document_exits_2(self, capsys, tmp_path, command, value):
+        path = tmp_path / "value.json"
+        path.write_text(value)
+        argv = {
+            "verify": ["verify", "--channels", str(path), "--precoder", str(path)],
+            "construct": ["construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                          "--channels", str(path)],
+        }[command]
+        code, out = run_json(capsys, *argv)
+        assert code == 2
+        assert out["error"] == "bad_input"
+
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path):
+        bundle = tmp_path / "bundle.json"
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(bundle))
+        doc = json.loads(bundle.read_text())
+        doc["channels"]["h11"]["data"][0][0][0] = 10**400
+        bundle.write_text(json.dumps(doc))
+        code, out = run_json(capsys, "verify", "--channels", str(bundle),
+                             "--precoder", str(bundle))
+        assert code == 2
+        assert out["error"] == "bad_input"
+        assert out["message"].startswith("h11: ")
+
+
 class TestVerifyCommand:
     def test_dimension_mismatch_exits_2(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

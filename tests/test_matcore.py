@@ -103,50 +103,93 @@ class TestNullAndComplement:
         assert np.linalg.norm(c.conj().T @ c - np.eye(2)) <= 1e-10
 
 
+def span(a):
+    """The factor pair whose image is span(``a``)."""
+    return a, np.eye(a.shape[1])
+
+
 class TestDimArithmetic:
     def test_quotient_containment(self, rng):
         b = cstd(rng, 6, 2)
-        assert matcore.dim_quotient(b @ cstd(rng, 2, 3), b) == 0
+        assert matcore.image_quotient((b, cstd(rng, 2, 3)), span(b)) == 0
 
     def test_quotient_empty_reference(self, rng):
-        assert matcore.dim_quotient(cstd(rng, 6, 3), np.zeros((6, 0))) == 3
+        assert matcore.image_quotient(span(cstd(rng, 6, 3)), span(np.zeros((6, 0)))) == 3
 
     def test_quotient_generic(self, rng):
-        assert matcore.dim_quotient(cstd(rng, 6, 3), cstd(rng, 6, 2)) == 3
+        assert matcore.image_quotient(span(cstd(rng, 6, 3)), span(cstd(rng, 6, 2))) == 3
 
     def test_intersection_self(self, rng):
-        a = cstd(rng, 6, 3)
-        assert matcore.dim_intersection(a, a) == 3
+        x = span(cstd(rng, 6, 3))
+        assert matcore.image_quotient(x) - matcore.image_quotient(x, x) == 3
 
     def test_intersection_generic_disjoint(self, rng):
-        assert matcore.dim_intersection(cstd(rng, 6, 2), cstd(rng, 6, 3)) == 0
+        x = span(cstd(rng, 6, 2))
+        assert matcore.image_quotient(x, span(cstd(rng, 6, 3))) == matcore.image_quotient(x)
 
     def test_intersection_matches_gsvd(self, rng):
         a, b = cstd(rng, 6, 4), cstd(rng, 6, 5)
-        assert matcore.dim_intersection(a, b) == 3 == matcore.gsvd(a, b).s
+        intersection = matcore.image_quotient(span(a)) - matcore.image_quotient(span(a), span(b))
+        assert intersection == 3 == matcore.gsvd(a, b).s
 
     def test_row_count_mismatch(self, rng):
         with pytest.raises(ValueError):
-            matcore.dim_quotient(cstd(rng, 3, 2), cstd(rng, 4, 2))
+            matcore.image_quotient(span(cstd(rng, 3, 2)), span(cstd(rng, 4, 2)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
     def test_quotient_plus_intersection_is_rank(self, seed, rows, ca, cb):
         r = np.random.default_rng(seed)
         a, b = cstd(r, rows, ca), cstd(r, rows, cb)
-        assert matcore.dim_quotient(a, b) + matcore.dim_intersection(a, b) == matcore.rank_tol(a)
+        quotient = matcore.image_quotient(span(a), span(b))
+        assert quotient + matcore.gsvd(a, b).s == matcore.rank_tol(a)
 
 
 class TestProductCutoff:
     def test_zero_product_judged_zero(self, rng):
         h = cstd(rng, 2, 5)
-        w = matcore.null_basis(h)
-        tol = matcore.product_cutoff((h, w))
-        assert matcore.rank_tol(h @ w, tol=tol) == 0
+        assert matcore.image_quotient((h, matcore.null_basis(h))) == 0
 
     def test_real_signal_unaffected(self, rng):
-        h, w = cstd(rng, 4, 5), cstd(rng, 5, 3)
-        assert matcore.rank_tol(h @ w, tol=matcore.product_cutoff((h, w))) == 3
+        assert matcore.image_quotient((cstd(rng, 4, 5), cstd(rng, 5, 3))) == 3
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-12.0, 0.0))
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_under_common_scale(self, seed, k):
+        # x = (A, B) and y = (A, D) with rank(B) = 3, rank(D) = 3 and one
+        # shared direction of span(B) and span(D): the quotient is 2, and
+        # the product of B with the 2 x 5 null basis of A is zero
+        r = np.random.default_rng(seed)
+        a = cstd(r, 7, 5)
+        u = cstd(r, 5, 5)
+        b = u[:, :3] @ cstd(r, 3, 4)
+        d = u[:, 2:5] @ cstd(r, 3, 3)
+        h = cstd(r, 2, 5)
+        c = 10.0**k
+        cases = [((a, b), (a, d), 2), ((a, b), None, 3), ((h, matcore.null_basis(h)), None, 0)]
+        for x, y, expected in cases:
+            scaled_y = None if y is None else (c * y[0], c * y[1])
+            assert matcore.image_quotient(x, y) == expected
+            assert matcore.image_quotient((c * x[0], c * x[1]), scaled_y) == expected
+
+
+class TestAlignedPairs:
+    @pytest.mark.parametrize("shape", [(6, 4, 5), (4, 4, 4), (3, 5, 4), (10, 3, 8), (5, 1, 5)])
+    def test_shared_image(self, rng, shape):
+        n, m, k = shape
+        a, b = cstd(rng, n, m), cstd(rng, n, k)
+        v, w, x = matcore.aligned_pairs(a, b)
+        assert v.shape[1] == w.shape[1] == x.shape[1] == matcore.gsvd(a, b).s > 0
+        scale = np.linalg.norm(a) + np.linalg.norm(b)
+        assert np.linalg.norm(a @ v - x) <= 1e-10 * scale * np.linalg.norm(v)
+        assert np.linalg.norm(b @ w - x) <= 1e-10 * scale * np.linalg.norm(w)
+        assert matcore.rank_tol(x) == x.shape[1]
+
+    @pytest.mark.parametrize("shape", [(6, 3, 3), (6, 0, 4), (5, 2, 0)])
+    def test_disjoint_spans_give_zero_width(self, rng, shape):
+        n, m, k = shape
+        v, w, x = matcore.aligned_pairs(cstd(rng, n, m), cstd(rng, n, k))
+        assert v.shape == (m, 0) and w.shape == (k, 0) and x.shape == (n, 0)
 
 
 class TestGsvd:
@@ -200,7 +243,7 @@ class TestGsvd:
         a, b = cstd(r, n, m), cstd(r, n, k)
         g = matcore.gsvd(a, b)
         check_gsvd_invariants(a, b, g)
-        assert matcore.dim_intersection(a, b) == g.s
+        assert matcore.image_quotient(span(a)) - matcore.image_quotient(span(a), span(b)) == g.s
 
 
 def assembled_cs_reference(a, b):

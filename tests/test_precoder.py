@@ -12,12 +12,6 @@ EX1 = (6, 6, 3, 6, 6)
 EX2 = (6, 6, 5, 4, 5)
 
 
-def image_tol(ch, pair_or_v, w=None):
-    v = pair_or_v.v if w is None else pair_or_v
-    w = pair_or_v.w if w is None else w
-    return matcore.product_cutoff((ch.g1, v), (ch.g2, w), (ch.h12, w), (ch.h21, v))
-
-
 class TestChannelSet:
     def test_config_inference(self, rng):
         ch = channels_for(EX2, rng)
@@ -103,8 +97,8 @@ class TestSubsetBasis:
             v, w = np.hstack(v_cols), np.hstack(w_cols)
             resid = np.linalg.norm(ch.g1 @ v - ch.g2 @ w)
             assert resid <= 1e-9 * (np.linalg.norm(ch.g1) + np.linalg.norm(ch.g2))
-            tol = image_tol(ch, v, w)
-            assert matcore.dim_intersection(ch.h11 @ v, ch.h12 @ w, tol=tol) == 0
+            signal = (ch.h11, v)
+            assert matcore.image_quotient(signal, (ch.h12, w)) == matcore.image_quotient(signal)
 
 
 class TestConstruct:
@@ -154,9 +148,7 @@ class TestConstruct:
             ch = channels_for(tup, rng)
             for target in region.boundary(cfg).strict:
                 pair = precoder.construct(ch, target, power=1.0)
-                h21v = ch.h21 @ pair.v
-                tol = matcore.product_cutoff((ch.h21, pair.v))
-                z = matcore.rank_tol(h21v, tol=tol)
+                z = matcore.image_quotient((ch.h21, pair.v))
                 y = min(cfg.nd1 - target.d1, region.subset_dims(cfg).d5
                         + region.subset_dims(cfg).d6, target.d1)
                 zmin = max(target.d1 - (min(y, region.subset_dims(cfg).d5)
@@ -179,9 +171,8 @@ class TestConstruct:
             ch = channels_for(tup, rng)
             for target in region.boundary(cfg).strict:
                 pair = precoder.construct(ch, target, power=1.0)
-                tol = matcore.product_cutoff((ch.h11, pair.v), (ch.h12, pair.w))
-                used = matcore.rank_tol(ch.h11 @ pair.v, tol=tol) + matcore.rank_tol(
-                    ch.h12 @ pair.w, tol=tol
+                used = matcore.image_quotient((ch.h11, pair.v)) + matcore.image_quotient(
+                    (ch.h12, pair.w)
                 )
                 assert used <= cfg.nd1, (tup, tuple(target))
 
