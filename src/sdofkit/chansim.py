@@ -22,8 +22,8 @@ import numpy as np
 
 from . import matcore
 from . import precoder as pc
-from . import region, verifier
-from .errors import ConstructionDeficit, DegenerateDraw, TargetInfeasible
+from . import verifier
+from .errors import ConstructionDeficit, DegenerateDraw
 from .region import AntennaConfig, SdofPoint
 
 __all__ = [
@@ -301,13 +301,11 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     the design channels at the effective SNR, and score the rate pair on
     the true channels.  Trials whose draw or construction degenerates, or
     in which a LAPACK routine does not converge, are counted as failures
-    and excluded from the averages.
+    and excluded from the averages.  A target outside the region raises
+    :class:`TargetInfeasible` from :func:`precoder.construct` at the first
+    trial that draws.
     """
     target = SdofPoint(*target)
-    cfg = scenario.config
-    if target.d1 > region.su1(cfg) or target.d2 > region.d2_max(cfg, target.d1):
-        raise TargetInfeasible(f"target {tuple(target)} infeasible for {cfg.as_tuple()}")
-
     power = scenario.effective_power
     rs1 = np.zeros(scenario.trials)
     rs2 = np.zeros(scenario.trials)

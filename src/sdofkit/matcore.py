@@ -307,22 +307,11 @@ def _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p) -> GsvdResult:
     # With k = N columns of a unitary split at row m, SciPy's identity
     # blocks are exactly r and p wide and theta has exactly
     # min(m, k, kc, m+kc-k) = s entries, so theta alone carries the
-    # diagonals of D1 and D2.
+    # diagonals of D1 and D2.  LAPACK's zbbcsd returns theta ascending, so
+    # lam1 is already in the documented descending order.
     lam1, lam2 = np.cos(theta), np.sin(theta)
     x = rfac.conj().T @ v1h.conj().T
     if np.any(lam1 <= 0) or np.any(lam2 <= 0):
         raise DegenerateInput("cosine-sine angles inconsistent with rank counts")
-
-    order = np.argsort(-lam1, kind="stable")
-    if not np.array_equal(order, np.arange(s)):
-        lam1 = lam1[order]
-        lam2 = lam2[order]
-        psi1 = psi1.copy()
-        psi2 = psi2.copy()
-        x = x.copy()
-        psi1[:, r : r + s] = psi1[:, r : r + s][:, order]
-        psi2[:, kc - s - p : kc - p] = psi2[:, kc - s - p : kc - p][:, order]
-        x[:, r : r + s] = x[:, r : r + s][:, order]
-
     return GsvdResult(psi1=psi1, psi2=psi2, lam1=lam1, lam2=lam2, x=x,
                       k=k, r=r, s=s, p=p)

@@ -142,7 +142,6 @@ class SubsetBasis:
     channels are generic.
     """
 
-    subset: Subset
     v_basis: np.ndarray
     w_basis: np.ndarray
 
@@ -151,19 +150,9 @@ class SubsetBasis:
         return self.v_basis.shape[1]
 
 
-def _empty_basis(sub: Subset, cfg: AntennaConfig) -> SubsetBasis:
-    return SubsetBasis(
-        subset=sub,
-        v_basis=np.zeros((cfg.ns1, 0), dtype=np.complex128),
-        w_basis=np.zeros((cfg.ns2, 0), dtype=np.complex128),
-    )
-
-
 def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
     """Coordinates, within the shared image basis ``x``, that complete the
     directions already claimed by higher-priority subsets."""
-    if not claimed:
-        return np.eye(x.shape[1], dtype=np.complex128)
     coords, *_ = np.linalg.lstsq(x, np.hstack(claimed), rcond=None)
     return matcore.orth_complement(coords)
 
@@ -191,7 +180,7 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
     claim eavesdropper-image directions first (IV and V avoid III, VI
     avoids III, IV and V); lower ones parametrize only the orthogonal
     remainder of their shared subspace, which keeps any cross-subset
-    selection linearly independent.
+    selection linearly independent.  Only built subsets are returned.
     """
     cfg = ch.config
     dims = region.subset_dims(cfg)
@@ -208,7 +197,7 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
         for sub in (Subset.I, Subset.II):
             if want(sub):
                 v = null_g1 @ (inner if sub is Subset.I else matcore.orth_complement(inner))
-                out[sub] = SubsetBasis(sub, v, np.zeros((cfg.ns2, v.shape[1]), dtype=np.complex128))
+                out[sub] = SubsetBasis(v, np.zeros((cfg.ns2, v.shape[1]), dtype=np.complex128))
 
     built = [
         row for row in _GSVD_SUBSETS
@@ -224,14 +213,11 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
             v = null_h21 @ v
         if w_in_null:
             w = null_h12 @ w
-        if avoid:
-            z = _exclusion_coords(x, [ch.g1 @ out[o].v_basis for o in avoid if o in out])
+        claimed = [ch.g1 @ out[o].v_basis for o in avoid if o in out]
+        if claimed:
+            z = _exclusion_coords(x, claimed)
             v, w = v @ z, w @ z
-        out[sub] = SubsetBasis(sub, v, w)
-
-    for sub in Subset:
-        if sub not in out:
-            out[sub] = _empty_basis(sub, cfg)
+        out[sub] = SubsetBasis(v, w)
     return out
 
 
@@ -246,7 +232,10 @@ def subset_basis(ch: ChannelSet, subset: Subset | int) -> SubsetBasis:
     III's, and VI only the part outside the images of III, IV and V.
     """
     sub = Subset(subset)
-    return _build_bases(ch, {sub: 1})[sub]
+    cfg = ch.config
+    empty = SubsetBasis(np.zeros((cfg.ns1, 0), dtype=np.complex128),
+                        np.zeros((cfg.ns2, 0), dtype=np.complex128))
+    return _build_bases(ch, {sub: 1}).get(sub, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +280,10 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
     to the confidential receiver) and then leading right-singular
     directions of its own channel until it supports the requested public
     D.o.F.  Finally both matrices are scaled to the trace budget, equally
-    across nonzero streams.
+    across nonzero streams.  A target with d1 = 0 takes the same path and
+    the same checks: with no confidential stream to protect it takes no
+    null-space beam, so its public beams are the leading right-singular
+    directions alone.
 
     Boundary targets are achieved exactly.  For a dominated interior
     target the jamming columns required by the confidential side may
@@ -300,7 +292,7 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
 
     Raises :class:`TargetInfeasible` for points outside the region and
     :class:`ConstructionDeficit` when a numerical rank check fails after
-    assembly (a degenerate channel draw).
+    assembly (a degenerate channel draw), whatever the target.
     """
     if not 0 < power < math.inf:
         raise ValueError(f"power must be positive and finite, got {power!r}")
@@ -310,23 +302,16 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
     if d1 < 0 or d2 < 0 or d1 > region.su1(cfg) or d2 > region.d2_max(cfg, d1):
         raise TargetInfeasible(f"target {tuple(target)} outside the region for {cfg.as_tuple()}")
 
-    ns1, ns2 = cfg.ns1, cfg.ns2
-    if d1 == 0:
-        # no confidential stream: a plain point-to-point public link served
-        # by the strongest right-singular directions of its own channel
-        v = np.zeros((ns1, 0), dtype=np.complex128)
-        if d2 == 0:
-            return PrecoderPair(v=v, w=np.zeros((ns2, 0), dtype=np.complex128), power=power)
-        rmat = np.linalg.svd(ch.h22)[2].conj().T
-        return with_power(PrecoderPair(v=v, w=rmat[:, :d2]), power)
-
     wanted = dict(zip(Subset, region.select_streams(cfg, d1)))
     try:
         bases = _build_bases(ch, wanted)
     except DegenerateInput as exc:
         raise ConstructionDeficit(f"subset decomposition failed: {exc}") from exc
 
-    v_cols, w_cols = [], []
+    # one zero-width block each, so a target with no confidential stream
+    # (d1 = 0) takes the same tail and the same checks
+    v_cols = [np.zeros((cfg.ns1, 0), dtype=np.complex128)]
+    w_cols = [np.zeros((cfg.ns2, 0), dtype=np.complex128)]
     order = (Subset.I, Subset.III, Subset.V, Subset.II, Subset.IV, Subset.VI)
     for sub in order:
         n = wanted[sub]
@@ -345,11 +330,11 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
     rank_w1 = matcore.rank_tol(w1)
     deficit = d2 - rank_w1
     if deficit > 0:
-        # beams invisible to the confidential receiver first; the paired
-        # columns from III/IV already sit in that null space, so only its
-        # unused dimensions are available
+        # beams invisible to the confidential receiver first, when there is
+        # one to protect; the paired columns from III/IV already sit in that
+        # null space, so only its unused dimensions are available
         null_used = wanted[Subset.III] + wanted[Subset.IV]
-        extra = min(deficit, max(ns2 - cfg.nd1 - null_used, 0))
+        extra = min(deficit, max(cfg.ns2 - cfg.nd1 - null_used, 0)) if d1 else 0
         blocks = [w1]
         if extra > 0:
             blocks.append(matcore.null_basis(ch.h12)[:, :extra])

@@ -15,5 +15,10 @@ def cstd(rng, rows, cols):
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
 
+def low_rank(rng, rows, cols, rank):
+    """Generic complex Gaussian matrix of the given rank."""
+    return cstd(rng, rows, rank) @ cstd(rng, rank, cols)
+
+
 def channels_for(tup, rng):
     return gaussian_channels(AntennaConfig(*tup), rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ from sdofkit.chansim import Geometry, Scenario, Sweep, gaussian_channels
 from sdofkit.errors import SchemaViolation
 from sdofkit.precoder import PrecoderPair
 from sdofkit.region import AntennaConfig
+
+from conftest import low_rank
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +129,45 @@ class TestConstructCommand:
         assert code == 2
         assert doc["error"] == "bad_input"
 
+    def test_channels_file_reproduces_bundle(self, capsys, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(first))
+        code, doc = run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                             "--channels", str(first), "--out", str(second))
+        assert code == 0
+        bundle, again = json.loads(first.read_text()), json.loads(second.read_text())
+        assert doc["sdof"] == bundle["sdof"] == [2, 4]
+        assert again["channels"] == bundle["channels"]
+        pairs = [serialize.precoder_from_json(b["precoder"]) for b in (bundle, again)]
+        assert pairs[0].v.tobytes() == pairs[1].v.tobytes()
+        assert pairs[0].w.tobytes() == pairs[1].w.tobytes()
+
+    def test_antennas_disagreeing_with_channels_file_exit_2(self, capsys, tmp_path):
+        bundle = tmp_path / "bundle.json"
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(bundle))
+        code, doc = run_json(capsys, "construct", "--antennas", "4,2,4,2,4", "--target", "1,1",
+                             "--channels", str(bundle))
+        assert code == 2
+        assert doc["error"] == "bad_input"
+        assert "do not match --antennas (4, 2, 4, 2, 4)" in doc["message"]
+
+    # a rank-2 public channel carries two streams, so neither target fits;
+    # (0, 4) takes the same checks as every other target
+    @pytest.mark.parametrize("target", ["0,4", "2,4"])
+    def test_deficient_channel_exits_4(self, capsys, tmp_path, target):
+        rng = np.random.default_rng(3)
+        ch = gaussian_channels(AntennaConfig(6, 6, 5, 4, 5), rng)
+        ch = dataclasses.replace(ch, h22=low_rank(rng, 4, 6, 2))
+        path = tmp_path / "rank2.json"
+        path.write_text(json.dumps(serialize.channels_to_json(ch)))
+        code, doc = run_json(capsys, "construct", "--antennas", "6,6,5,4,5",
+                             "--target", target, "--channels", str(path))
+        assert code == 4
+        assert doc["error"] == "construction_failed"
+        assert doc["message"] == "public streams do not span the target dimensions"
+
     def test_lapack_failure_exits_4(self, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -239,6 +281,36 @@ class TestSimulateCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "x,mean_rs1,se_rs1,mean_rs2,se_rs2,failures"
         assert len(lines) == 3
+
+    def test_without_sweep_writes_one_record(self, capsys, tmp_path):
+        scenario = {
+            "antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4},
+            "target": [1, 1],
+            "trials": 3,
+        }
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(scenario))
+        out_csv = tmp_path / "curve.csv"
+        code, doc = run_json(capsys, "simulate", "--scenario", str(spath),
+                             "--out", str(out_csv))
+        assert code == 0
+        assert [(rec["variable"], rec["x"]) for rec in doc["records"]] == [("", 0.0)]
+        assert len(out_csv.read_text().strip().splitlines()) == 2
+
+    def test_distance_sweep_without_geometry_exits_2(self, capsys, tmp_path):
+        scenario = {
+            "antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4},
+            "target": [1, 1],
+            "trials": 3,
+            "sweep": {"variable": "s1_s2_distance", "values": [150, 50]},
+        }
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(scenario))
+        code, doc = run_json(capsys, "simulate", "--scenario", str(spath),
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert doc["error"] == "bad_input"
+        assert doc["message"] == "distance sweep requires geometry"
 
     def test_missing_target_exits_2(self, capsys, tmp_path):
         spath = tmp_path / "scenario.json"

@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sdofkit import matcore, precoder, region, verifier
-from sdofkit.errors import TargetInfeasible
+from sdofkit.errors import ConstructionDeficit, TargetInfeasible
 from sdofkit.precoder import PrecoderPair, Subset
 from sdofkit.region import AntennaConfig
 
-from conftest import channels_for, cstd
+from conftest import channels_for, cstd, low_rank
 
 EX1 = (6, 6, 3, 6, 6)
 EX2 = (6, 6, 5, 4, 5)
@@ -123,6 +125,28 @@ class TestConstruct:
         r = np.linalg.svd(ch.h22)[2].conj().T[:, :4]
         # spans the leading right-singular subspace
         assert matcore.rank_tol(np.hstack([pair.w, r])) == 4
+
+    def test_single_user_public_point_checks_rank(self, rng):
+        # d1 = 0 runs the same rank checks as every other target: a rank-2
+        # public channel cannot carry four public streams
+        ch = dataclasses.replace(channels_for(EX2, rng), h22=low_rank(rng, 4, 6, 2))
+        with pytest.raises(ConstructionDeficit, match="public streams do not span"):
+            precoder.construct(ch, (0, 4), power=1.0)
+
+    # one rank-deficient channel per failure path of the assembly; in
+    # (7,2,5,2,2) subset II's width is rank(H21 N_G1), which a rank-1 H21 cuts
+    @pytest.mark.parametrize("name, rank, tup, target, message", [
+        ("g1", 1, EX2, (2, 4), "subset decomposition failed: rank-deficient input"),
+        ("h21", 1, (7, 2, 5, 2, 2), (5, 0), "subset II supplied 1 pairs, needed 2"),
+        ("h11", 2, EX2, (3, 3), "confidential streams lost rank at the receiver"),
+        ("h22", 2, EX2, (2, 4), "public streams do not span the target dimensions"),
+    ])
+    def test_rank_deficient_channel_raises(self, rng, name, rank, tup, target, message):
+        ch = channels_for(tup, rng)
+        rows, cols = getattr(ch, name).shape
+        ch = dataclasses.replace(ch, **{name: low_rank(rng, rows, cols, rank)})
+        with pytest.raises(ConstructionDeficit, match=message):
+            precoder.construct(ch, target, power=1.0)
 
     def test_infeasible_target(self, rng):
         ch = channels_for(EX2, rng)
