@@ -107,7 +107,7 @@ class Scenario:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.uncertainty_alpha < 0:
+        if not self.uncertainty_alpha >= 0:  # rejects NaN as well
             raise ValueError("uncertainty_alpha must be non-negative")
         # dataclasses.replace runs this too, so swept values are checked
         _db_to_linear(self.power_dbm - self.noise_power_dbm)
@@ -197,7 +197,7 @@ def uncertain_eve_channel(gbar: np.ndarray, alpha: float, distance: float,
     applies the path loss; ``alpha = 0`` returns the scaled estimate
     exactly.
     """
-    if alpha < 0:
+    if not alpha >= 0:  # rejects NaN as well
         raise ValueError("alpha must be non-negative")
     gbar = np.asarray(gbar, dtype=np.complex128)
     if alpha == 0:

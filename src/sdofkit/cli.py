@@ -12,7 +12,8 @@ All results are printed to stdout as JSON (``region --format csv`` prints
 CSV).  ``construct`` writes a bundle file ``{"channels": ..., "precoder":
 ..., ...}`` that ``verify`` accepts for either argument.  Matrices are
 serialized as ``{"rows": R, "data": [column, ...]}`` with complex entries
-as ``[re, im]`` pairs; see the schemas shipped under ``sdofkit/schemas``.
+as ``[re, im]`` pairs.  Input files must meet the schemas shipped under
+``sdofkit/schemas``; the result schemas there document the output.
 
 Exit codes: 0 success; 1 stdout closed before the output was written
 (``sdof ... | head``), with nothing printed to stderr; 2 malformed
@@ -34,14 +35,7 @@ import sys
 import numpy as np
 
 from . import chansim, precoder, region, serialize, verifier
-from .errors import (
-    ConstructionDeficit,
-    DegenerateDraw,
-    DegenerateInput,
-    OutOfRange,
-    SchemaViolation,
-    TargetInfeasible,
-)
+from .errors import ConstructionDeficit, DegenerateDraw, SchemaViolation, TargetInfeasible
 from .region import AntennaConfig, SdofPoint
 
 _EXIT_CLOSED_STDOUT = 1
@@ -63,16 +57,10 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
 
 
 def _antennas(text: str) -> AntennaConfig:
-    ns1, ns2, nd1, nd2, ne = _parse_ints(text, 5, "--antennas")
-    try:
-        return AntennaConfig(ns1=ns1, ns2=ns2, nd1=nd1, nd2=nd2, ne=ne)
-    except ValueError as exc:
-        raise SchemaViolation(str(exc)) from exc
+    return AntennaConfig(*_parse_ints(text, 5, "--antennas"))
 
 
-def _emit(payload: dict, schema: str | None = None) -> None:
-    if schema is not None:
-        serialize.validate_document(payload, schema)
+def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
@@ -100,8 +88,7 @@ def cmd_region(args) -> int:
             "e2": list(reg.e2_point),
             "strict_boundary": [list(p) for p in reg.strict],
             "subset_dims": list(dims.as_tuple()),
-        },
-        schema="region_result",
+        }
     )
     return 0
 
@@ -147,8 +134,7 @@ def cmd_construct(args) -> int:
             "seed": seed,
             "power_dbm": args.power_dbm,
             "out_path": args.out,
-        },
-        schema="construct_result",
+        }
     )
     return 0
 
@@ -182,8 +168,7 @@ def cmd_verify(args) -> int:
             "membership": {"in_i": mem.in_i, "in_ibar": mem.in_ibar, "in_ihat": mem.in_ihat},
             "slopes": [slopes[0], slopes[1]],
             "p_grid": list(p_grid),
-        },
-        schema="verify_result",
+        }
     )
     return 0
 
@@ -209,8 +194,7 @@ def cmd_simulate(args) -> int:
                 }
                 for rec in records
             ],
-        },
-        schema="simulate_result",
+        }
     )
     return 0
 
@@ -281,10 +265,10 @@ def _dispatch(args) -> int:
     except (SchemaViolation, ValueError, OSError) as exc:
         _fail(str(exc), "bad_input")
         return _EXIT_BAD_INPUT
-    except (TargetInfeasible, OutOfRange) as exc:
+    except TargetInfeasible as exc:
         _fail(str(exc), "target_infeasible")
         return _EXIT_INFEASIBLE
-    except (ConstructionDeficit, DegenerateDraw, DegenerateInput) as exc:
+    except (ConstructionDeficit, DegenerateDraw) as exc:
         _fail(str(exc), "construction_failed")
         return _EXIT_CONSTRUCTION
 

@@ -4,16 +4,17 @@ Complex scalars are serialized as two-element ``[re, im]`` arrays and
 matrices as ``{"rows": R, "data": [col, col, ...]}`` where each column is
 a list of ``[re, im]`` entries (vectors are columns throughout the
 package; the explicit row count keeps zero-column matrices unambiguous).
-Documents are validated against the schemas shipped under
-``sdofkit/schemas`` on load.
+Input documents are validated on load against the schemas shipped under
+``sdofkit/schemas``, with ``jsonschema`` imported at the first check, and
+every number read from them must be finite (``NaN`` and ``Infinity`` too).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .chansim import Geometry, Scenario, Sweep
@@ -93,7 +94,7 @@ def precoder_from_json(obj: dict) -> PrecoderPair:
     return PrecoderPair(
         v=matrix_from_json(obj["v"], "v"),
         w=matrix_from_json(obj["w"], "w"),
-        power=None if obj.get("power") is None else float(obj["power"]),
+        power=None if obj.get("power") is None else _finite(obj["power"], "power"),
     )
 
 
@@ -105,10 +106,22 @@ def _antennas_from_json(obj: dict) -> AntennaConfig:
     return AntennaConfig(**{k: int(obj[k]) for k in ("ns1", "ns2", "nd1", "nd2", "ne")})
 
 
+def _finite(value, field: str) -> float:
+    """``value`` as a finite float, else malformed input naming ``field``."""
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaViolation(f"{field} must be a finite number")
+    return out
+
+
 def _present(obj: dict, coercions: dict) -> dict:
     """The coerced values of the keys ``obj`` sets; absent keys keep the
     defaults of the dataclass they are passed to."""
-    return {key: coerce(obj[key]) for key, coerce in coercions.items() if key in obj}
+    return {key: _finite(obj[key], key) if coerce is float else coerce(obj[key])
+            for key, coerce in coercions.items() if key in obj}
 
 
 _GEOMETRY_COERCIONS = {"ring_radius": float, "resample_rings": bool}
@@ -132,15 +145,15 @@ def scenario_from_json(obj: dict) -> tuple[Scenario, SdofPoint]:
     if obj.get("geometry") is not None:
         g = obj["geometry"]
         geo = Geometry(
-            s1=(float(g["s1"][0]), float(g["s1"][1])),
-            s2=(float(g["s2"][0]), float(g["s2"][1])),
+            s1=tuple(_finite(x, "s1") for x in g["s1"]),
+            s2=tuple(_finite(x, "s2") for x in g["s2"]),
             **_present(g, _GEOMETRY_COERCIONS),
         )
     sweep = None
     if obj.get("sweep") is not None:
         sweep = Sweep(
             variable=obj["sweep"]["variable"],
-            values=tuple(float(v) for v in obj["sweep"]["values"]),
+            values=tuple(_finite(v, "sweep value") for v in obj["sweep"]["values"]),
         )
     try:
         scenario = Scenario(
@@ -162,6 +175,7 @@ def _schema(name: str) -> dict:
 
 def validate_document(obj, name: str) -> None:
     """Validate a JSON document against a shipped schema."""
+    import jsonschema
     try:
         jsonschema.validate(obj, _schema(name))
     except jsonschema.ValidationError as exc:
@@ -171,6 +185,6 @@ def validate_document(obj, name: str) -> None:
 def load_json(path) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=lambda name: _finite(name, f"{path}: {name}"))
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"{path}: invalid JSON ({exc})") from exc

@@ -57,6 +57,18 @@ class TestUncertainEve:
         g = chansim.uncertain_eve_channel(gbar, 1e9, 1.0, 3.5, rng)
         assert abs(np.var(g) - 1.0) < 2e-2  # per-entry variance -> d**-c
 
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+    def test_rejects_alpha(self, rng, alpha):
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            chansim.uncertain_eve_channel(np.ones((2, 2), dtype=complex), alpha, 2.0, 3.5, rng)
+
+
+class TestScenario:
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+    def test_rejects_uncertainty_alpha(self, alpha):
+        with pytest.raises(ValueError, match="uncertainty_alpha must be non-negative"):
+            Scenario(config=CFG_SMALL, uncertainty_alpha=alpha)
+
 
 class TestDrawTrial:
     def test_deterministic(self):

@@ -228,6 +228,40 @@ class TestMalformedFiles:
         assert out["error"] == "bad_input"
         assert out["message"].startswith("h11: ")
 
+    # a JSON integer beyond the float range, a float that parses to inf,
+    # and a constant that Python's json accepts but JSON lacks
+    @pytest.mark.parametrize("power", ["1" + "0" * 400, "1e400", "Infinity"],
+                             ids=["integer_beyond_float_range", "1e400", "Infinity"])
+    def test_non_finite_power_exits_2(self, capsys, tmp_path, power):
+        bundle = tmp_path / "bundle.json"
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(bundle))
+        doc = json.loads(bundle.read_text())
+        doc["precoder"]["power"] = "POWER"
+        bundle.write_text(json.dumps(doc).replace('"POWER"', power))
+        code, out = run_json(capsys, "verify", "--channels", str(bundle),
+                             "--precoder", str(bundle))
+        assert code == 2
+        assert out["error"] == "bad_input"
+        assert out["message"].endswith(" must be a finite number")
+
+    @pytest.mark.parametrize("setting, field", [
+        ('"power_dbm": 1' + "0" * 400, "power_dbm"),
+        ('"uncertainty_alpha": NaN', "NaN"),
+        ('"pathloss_exponent": 1e400', "pathloss_exponent"),
+        ('"geometry": {"s1": [1' + "0" * 400 + ', 0], "s2": [0, 0]}', "s1"),
+        ('"sweep": {"variable": "power_dbm", "values": [0, -1e400]}', "sweep value"),
+    ], ids=["power_dbm", "uncertainty_alpha", "pathloss_exponent", "geometry", "sweep"])
+    def test_non_finite_scenario_number_exits_2(self, capsys, tmp_path, setting, field):
+        spath = tmp_path / "scenario.json"
+        spath.write_text('{"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4}, '
+                         '"target": [1, 1], "trials": 2, ' + setting + "}")
+        code, doc = run_json(capsys, "simulate", "--scenario", str(spath),
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert doc["error"] == "bad_input"
+        assert doc["message"].endswith(f"{field} must be a finite number")
+
 
 class TestVerifyCommand:
     def test_dimension_mismatch_exits_2(self, capsys, tmp_path):
@@ -444,28 +478,32 @@ class TestClosedStdout:
         assert proc.stderr == b""
 
 
-# Prints, after each step, whether SciPy's linalg module has been loaded.
-_SCIPY_PROBE = """
+# Prints, after each step, whether MODULE has been loaded.
+_MODULE_PROBE = """
 import contextlib, io, json, sys
 loaded = {}
 import sdofkit
-loaded["import sdofkit"] = "scipy.linalg" in sys.modules
+loaded["import sdofkit"] = MODULE in sys.modules
 import sdofkit.cli
-loaded["import sdofkit.cli"] = "scipy.linalg" in sys.modules
+loaded["import sdofkit.cli"] = MODULE in sys.modules
 for argv in ARGVS:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = sdofkit.cli.main(argv)
-    loaded[argv[0]] = "scipy.linalg" in sys.modules
+    loaded[argv[0]] = MODULE in sys.modules
     loaded[argv[0] + " output"] = [code, json.loads(out.getvalue())]
 print(json.dumps(loaded))
 """
 
 
-def scipy_probe(*argvs):
-    proc = run_python(_SCIPY_PROBE.replace("ARGVS", repr(list(argvs))),
-                      capture_output=True, text=True)
+def module_probe(module, *argvs):
+    code = _MODULE_PROBE.replace("MODULE", repr(module)).replace("ARGVS", repr(list(argvs)))
+    proc = run_python(code, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def scipy_probe(*argvs):
+    return module_probe("scipy.linalg", *argvs)
 
 
 class TestImportCost:
@@ -492,3 +530,63 @@ class TestImportCost:
         code, doc = loaded["construct output"]
         assert code == 0
         assert doc["sdof"] == [2, 4]
+
+    def test_jsonschema_loads_with_the_first_input_file(self, tmp_path):
+        bundle = str(tmp_path / "bundle.json")
+        loaded = module_probe(
+            "jsonschema",
+            ["region", "--antennas", "6,6,5,4,5"],
+            ["construct", "--antennas", "6,6,5,4,5", "--target", "2,4", "--seed", "7",
+             "--out", bundle],
+            ["verify", "--channels", bundle, "--precoder", bundle],
+        )
+        codes = [loaded[command + " output"][0] for command in ("region", "construct", "verify")]
+        assert codes == [0, 0, 0]
+        assert loaded["verify output"][1]["sdof"] == [2, 4]
+        steps = ["import sdofkit", "import sdofkit.cli", "region", "construct", "verify"]
+        assert [loaded[step] for step in steps] == [False, False, False, False, True]
+
+
+class TestResultSchemas:
+    """Each command's output meets its shipped ``<command>_result`` schema;
+    the CLI prints it without checking.  Each case also checks the fields
+    that make it the variant it is named for."""
+
+    @pytest.mark.parametrize("argv, variant", [
+        pytest.param(["region", "--antennas", "6,6,5,4,5"],
+                     lambda doc: doc["strict_boundary"] == [[3, 3], [2, 4]], id="region"),
+        pytest.param(["region", "--antennas", "1,1,1,1,1"],
+                     lambda doc: doc["strict_boundary"] == [], id="region_no_strict_points"),
+        pytest.param(["construct", "--antennas", "6,6,5,4,5", "--target", "2,4", "--seed", "7",
+                      "--out", "{tmp}/again.json"],
+                     lambda doc: doc["seed"] == 7 and doc["out_path"].endswith("again.json"),
+                     id="construct_seeded_out"),
+        pytest.param(["construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                      "--channels", "{tmp}/bundle.json"],
+                     lambda doc: doc["seed"] is None and doc["out_path"] is None,
+                     id="construct_channels"),
+        pytest.param(["verify", "--channels", "{tmp}/bundle.json",
+                      "--precoder", "{tmp}/bundle.json"],
+                     lambda doc: doc["p_grid"] == [1e6, 1e8, 1e10, 1e12], id="verify"),
+        pytest.param(["verify", "--channels", "{tmp}/bundle.json",
+                      "--precoder", "{tmp}/bundle.json", "--p-grid", "1e4,1e8,1e10"],
+                     lambda doc: doc["p_grid"] == [1e4, 1e8, 1e10], id="verify_p_grid"),
+        pytest.param(["simulate", "--scenario", "{tmp}/sweep.json", "--out", "{tmp}/a.csv"],
+                     lambda doc: [rec["x"] for rec in doc["records"]] == [0.0, 10.0],
+                     id="simulate_sweep"),
+        pytest.param(["simulate", "--scenario", "{tmp}/single.json", "--out", "{tmp}/b.csv"],
+                     lambda doc: [rec["variable"] for rec in doc["records"]] == [""],
+                     id="simulate"),
+    ])
+    def test_output_meets_schema(self, capsys, tmp_path, argv, variant):
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(tmp_path / "bundle.json"))
+        scenario = {"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4},
+                    "target": [1, 1], "trials": 3}
+        (tmp_path / "single.json").write_text(json.dumps(scenario))
+        sweep = {"variable": "power_dbm", "values": [0, 10]}
+        (tmp_path / "sweep.json").write_text(json.dumps({**scenario, "sweep": sweep}))
+        code, doc = run_json(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 0
+        serialize.validate_document(doc, f"{argv[0]}_result")
+        assert variant(doc)
