@@ -23,7 +23,7 @@ import numpy as np
 from . import matcore
 from . import precoder as pc
 from . import verifier
-from .errors import ConstructionDeficit, DegenerateDraw
+from .errors import DegenerateDraw
 from .region import AntennaConfig, SdofPoint
 
 __all__ = [
@@ -294,6 +294,10 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
     raise DegenerateDraw(f"trial {trial_index}: full-rank check failed repeatedly")
 
 
+# trials assembled and scored as one stack; memory does not grow with trials
+_STACK_TRIALS = 256
+
+
 def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointStats:
     """Average secrecy rates over the scenario's trials at one target.
 
@@ -304,6 +308,11 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     and excluded from the averages.  A target outside the region raises
     :class:`TargetInfeasible` from :func:`precoder.construct` at the first
     trial that draws.
+
+    Each trial is drawn alone, from its own stream; the drawn trials are
+    then built and scored in stacks of up to ``_STACK_TRIALS``, with every
+    trial's outcome bitwise the one :func:`precoder.construct` and
+    :func:`verifier.rates` give it alone.
     """
     target = SdofPoint(*target)
     power = scenario.effective_power
@@ -311,17 +320,25 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     rs2 = np.zeros(scenario.trials)
     used = 0
     failures = 0
-    for trial in range(scenario.trials):
-        try:
-            chans = draw_trial(scenario, trial)
-            pair = pc.construct(chans.design, target, power=power)
-            triple = verifier.rates(chans.actual, pair)
-        except (DegenerateDraw, ConstructionDeficit, np.linalg.LinAlgError):
-            failures += 1
+    for start in range(0, scenario.trials, _STACK_TRIALS):
+        drawn = []
+        for trial in range(start, min(start + _STACK_TRIALS, scenario.trials)):
+            try:
+                drawn.append(draw_trial(scenario, trial))
+            except (DegenerateDraw, np.linalg.LinAlgError):
+                failures += 1
+        if not drawn:
             continue
-        rs1[used] = triple.rs1
-        rs2[used] = triple.rs2
-        used += 1
+        pairs = pc._construct_stack([c.design for c in drawn], target, power)
+        built = [(c.actual, p) for c, p in zip(drawn, pairs) if isinstance(p, pc.PrecoderPair)]
+        failures += len(drawn) - len(built)
+        for triple in verifier._rates_stack(built):
+            if isinstance(triple, Exception):
+                failures += 1
+                continue
+            rs1[used] = triple.rs1
+            rs2[used] = triple.rs2
+            used += 1
     if used == 0:
         raise DegenerateDraw("every trial failed")
     r1, r2 = rs1[:used], rs2[:used]

@@ -16,6 +16,13 @@ rank uses ``max(m, n) * eps * sigma_max``; the rank of a channel image
 to the factor norms.  Aligned precoder pairs are read from a GSVD only by
 :func:`aligned_pairs`.  No process-wide setting changes either decision.
 
+:func:`rank_tol`, :func:`null_basis`, :func:`orth_complement` and
+:func:`image_quotient` also take (T, m, n) stacks of matrices of one shape
+and decide each item's rank as the 2-D call decides it, bitwise; a 2-D
+input runs as a plain matrix and gives the same int or matrix as ever.  A basis of a stack needs one
+width, so items of different rank raise :class:`_StackSplit`, and
+:func:`_per_item` runs such a stack as smaller ones.  The GSVD stays 2-D.
+
 SciPy, used only for the cosine-sine step of a GSVD whose two spans share a
 block, is imported at the first such step, so importing this module (and
 commands that compute no such GSVD) never loads it.
@@ -44,72 +51,171 @@ _EPS = float(np.finfo(np.float64).eps)
 _PRODUCT_MARGIN = 1e4  # see image_quotient
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex ndarray, treating 1-D input as a column."""
+def _as_matrices(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a complex matrix (1-D input is a column) or a (T, m, n)
+    stack of matrices."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    if m.ndim not in (2, 3):
+        raise ValueError(f"{name} must be 2-D or a stack of 2-D, got shape {m.shape}")
     if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
-def _cutoff(a: np.ndarray, sv: np.ndarray) -> float:
-    return max(a.shape) * _EPS * float(sv[0]) if a.size else 0.0
+def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D complex ndarray, treating 1-D input as a column."""
+    m = _as_matrices(a, name)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    return m
 
 
-def _count_above(a: np.ndarray, cutoff: float) -> int:
-    if a.size == 0:
-        return 0
-    return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False) > cutoff))
+class _StackSplit(Exception):
+    """The items of a stack need different paths; ``agree`` marks the items
+    that take the first item's path."""
+
+    def __init__(self, agree: np.ndarray):
+        super().__init__("the items of a stack disagree")
+        self.agree = agree
 
 
-def rank_tol(a) -> int:
-    """Numerical rank: number of singular values above ``max(m, n) * eps * sigma_max``."""
-    m = _as_matrix(a)
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(sv > _cutoff(m, sv)))
+def _agreed(keys):
+    """The key that every item of a stack shares, one row of ``keys`` per
+    item; a key that is neither a list nor an array is a single matrix's.
+
+    Raises :class:`_StackSplit` when some item's key differs from the first
+    item's, so that :func:`_per_item` can run the two groups apart.
+    """
+    if not isinstance(keys, (list, np.ndarray)):
+        return keys
+    keys = np.asarray(keys)
+    if len(keys) > 1:
+        agree = (keys == keys[0]).reshape(len(keys), -1).all(axis=1)
+        if not agree.all():
+            raise _StackSplit(agree)
+    return keys[0]
+
+
+def _per_item(run, items: list, failures: tuple = ()) -> list:
+    """One outcome per item of ``run(items)``: the item's result, or the
+    exception (a ``failures`` class or ``LinAlgError``) that running the
+    item alone raises.
+
+    ``run`` maps a list of items to a list of results, computed as one
+    stack.  A :class:`_StackSplit` re-runs the agreeing items and the rest
+    as two stacks; a ``LinAlgError`` re-runs every item alone, so a real
+    non-convergence costs only its own item.  A ``failures`` exception
+    raised for the whole stack is every item's outcome.
+    """
+    if not items:
+        return []
+    try:
+        return run(items)
+    except _StackSplit as split:
+        groups = [np.flatnonzero(split.agree), np.flatnonzero(~split.agree)]
+    except np.linalg.LinAlgError as exc:
+        if len(items) == 1:
+            return [exc]
+        groups = [[i] for i in range(len(items))]
+    except failures as exc:
+        return [exc] * len(items)
+    out = [None] * len(items)
+    for group in groups:
+        for i, outcome in zip(group, _per_item(run, [items[i] for i in group], failures)):
+            out[i] = outcome
+    return out
+
+
+def _frobenius(m: np.ndarray):
+    """Frobenius norm of a matrix, or of each item of a stack, bitwise
+    ``np.linalg.norm`` of the matrix.
+
+    That call sums a matrix as one strided BLAS dot over its real parts
+    plus one over its imaginary parts, in memory order; a C-contiguous
+    stack makes the same dots as one batched call.
+    """
+    if m.ndim == 2:
+        return np.linalg.norm(m)
+    if not m.flags.c_contiguous:
+        return np.array([np.linalg.norm(x) for x in m])
+    flat = m.reshape(len(m), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
+
+
+def _count(sv: np.ndarray, cutoff):
+    """Singular values above the cutoff: an int for one matrix's values,
+    one count per item for a stack's."""
+    if sv.ndim == 1:
+        return int(np.count_nonzero(sv > cutoff))
+    return np.add.reduce(sv > np.reshape(cutoff, (-1, 1)), axis=-1)
+
+
+def _ranks(m: np.ndarray, sv: np.ndarray):
+    """Counts of the singular values above ``max(m, n) * eps * sigma_max``."""
+    return _count(sv, max(m.shape[-2:]) * _EPS * sv[..., 0])
+
+
+def _count_above(a: np.ndarray, cutoff):
+    if a.size == 0:  # no singular values
+        return _count(np.zeros(a.shape[:-2] + (0,)), cutoff)
+    return _count(np.linalg.svd(a, compute_uv=False), cutoff)
+
+
+def rank_tol(a):
+    """Numerical rank: number of singular values above ``max(m, n) * eps * sigma_max``.
+
+    A (T, m, n) stack gives one rank per item.
+    """
+    m = _as_matrices(a)
+    if m.size == 0:  # no singular values
+        return _count(np.zeros(m.shape[:-2] + (0,)), 0.0)
+    return _ranks(m, np.linalg.svd(m, compute_uv=False))
+
+
+def _identities(lead: tuple, n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n, dtype=np.complex128), lead + (n, n)).copy()
 
 
 def null_basis(a) -> np.ndarray:
     """Orthonormal basis N of the null space of ``a``: a @ N == 0.
 
     The basis has ``cols - rank`` columns; a trivial null space yields a
-    zero-column matrix.
+    zero-column matrix.  A (T, m, n) stack gives a stack of bases; its
+    items must share their rank (:func:`_agreed`).
     """
-    m = _as_matrix(a)
-    n = m.shape[1]
+    m = _as_matrices(a)
+    rows, n = m.shape[-2:]
     if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if m.shape[0] == 0:
-        return np.eye(n, dtype=np.complex128)
+        return np.zeros(m.shape[:-2] + (0, 0), dtype=np.complex128)
+    if rows == 0:
+        return _identities(m.shape[:-2], n)
     _, sv, vh = np.linalg.svd(m, full_matrices=True)
-    r = int(np.count_nonzero(sv > _cutoff(m, sv)))
-    return vh[r:, :].conj().T.copy()
+    r = _agreed(_ranks(m, sv))
+    return vh[..., r:, :].conj().swapaxes(-1, -2).copy()
 
 
 def orth_complement(a) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(``a``).
 
     Equivalent to the null-space basis of ``a``'s conjugate transpose;
-    width is ``rows - rank``.
+    width is ``rows - rank``.  Stacks are taken as :func:`null_basis`
+    takes them.
     """
-    m = _as_matrix(a)
-    rows = m.shape[0]
+    m = _as_matrices(a)
+    rows, n = m.shape[-2:]
     if rows == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if m.shape[1] == 0:
-        return np.eye(rows, dtype=np.complex128)
+        return np.zeros(m.shape[:-2] + (0, 0), dtype=np.complex128)
+    if n == 0:
+        return _identities(m.shape[:-2], rows)
     u, sv, _ = np.linalg.svd(m, full_matrices=True)
-    r = int(np.count_nonzero(sv > _cutoff(m, sv)))
-    return u[:, r:].copy()
+    r = _agreed(_ranks(m, sv))
+    return u[..., r:].copy()
 
 
-def image_quotient(x, y=None) -> int:
+def image_quotient(x, y=None):
     """Dimension of span(A @ B) outside span(C @ D) for the factor pairs
     ``x = (A, B)`` and ``y = (C, D)``; rank(A @ B) when ``y`` is None.
 
@@ -120,20 +226,23 @@ def image_quotient(x, y=None) -> int:
     the largest factor dimension).  The margin of 1e4 puts the cutoff a few
     orders of magnitude above the round-off that multi-stage assembly
     chains accumulate, and many orders below generic signal directions.
+
+    Factors given as (T, m, n) stacks give one dimension per item, each
+    with its own cutoff.
     """
-    images = []
-    scale = 0.0
+    factors = [(_as_matrices(a), _as_matrices(b)) for a, b in ((x,) if y is None else (x, y))]
+    scale = None
     dim = 1
-    for a, b in (x,) if y is None else (x, y):
-        ma, mb = _as_matrix(a), _as_matrix(b)
+    for ma, mb in factors:
         if ma.size and mb.size:
-            scale = max(scale, float(np.linalg.norm(ma)) * float(np.linalg.norm(mb)))
-            dim = max(dim, ma.shape[0], ma.shape[1], mb.shape[1])
-        images.append(ma @ mb)
-    cutoff = _PRODUCT_MARGIN * dim * _EPS * scale
+            norms = _frobenius(ma) * _frobenius(mb)
+            scale = norms if scale is None else np.maximum(scale, norms)
+            dim = max(dim, ma.shape[-2], ma.shape[-1], mb.shape[-1])
+    images = [ma @ mb for ma, mb in factors]
+    cutoff = _PRODUCT_MARGIN * dim * _EPS * (0.0 if scale is None else scale)
     if y is None:
         return _count_above(images[0], cutoff)
-    return _count_above(np.hstack(images), cutoff) - _count_above(images[1], cutoff)
+    return _count_above(np.concatenate(images, axis=-1), cutoff) - _count_above(images[1], cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +356,7 @@ def gsvd(a, b) -> GsvdResult:
     # one full SVD of the stacked pair serves both the rank check and the
     # orthonormal factor the cosine-sine step starts from
     uz, sz, vzh = np.linalg.svd(z, full_matrices=True)
-    if np.count_nonzero(sz > _cutoff(z, sz)) != k:
+    if _ranks(z, sz) != k:
         raise DegenerateInput("stacked pair is rank deficient")
     return _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p)
 

@@ -4,7 +4,9 @@ Builds per-subset bases of aligned precoding vector pairs and assembles
 full precoding matrices (V, W) that achieve a requested point on the
 region boundary: confidential streams whose eavesdropper images are
 reproduced by the public transmission, plus extra public beams filling
-the remaining interference-free dimensions at the public receiver.
+the remaining interference-free dimensions at the public receiver.  The
+assembly is written once, over a stack of draws of one configuration
+(:func:`_construct_stack`); :func:`construct` is the stack of one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -147,14 +150,57 @@ class SubsetBasis:
 
     @property
     def width(self) -> int:
-        return self.v_basis.shape[1]
+        return self.v_basis.shape[-1]
+
+
+# A stack of T > 1 matrices of one shape is a (T, m, n) array; a stack of
+# one is the matrix itself, so the T = 1 case runs on plain matrices.
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The matrices as one stack."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+_CHANNELS = ("h11", "h12", "h21", "h22", "g1", "g2")
+
+
+def _stacked(chs: list[ChannelSet]) -> ChannelSet | SimpleNamespace:
+    """The channel sets of one configuration as six stacks."""
+    if len(chs) == 1:
+        return chs[0]
+    return SimpleNamespace(**{name: np.stack([getattr(c, name) for c in chs])
+                              for name in _CHANNELS})
+
+
+def _stacked_aligned_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`matcore.aligned_pairs` of each item, stacked as (v, w, x).
+
+    The GSVD is not stackable, so it runs item by item.  Items that raise
+    :class:`DegenerateInput` with another message than the first item's
+    are split off; when every item raises, the first item's error is
+    raised.
+    """
+    outcomes = []
+    for ai, bi in zip(a, b) if a.ndim == 3 else [(a, b)]:
+        try:
+            outcomes.append(matcore.aligned_pairs(ai, bi))
+        except DegenerateInput as exc:
+            outcomes.append(exc)
+    failed = [str(o) if isinstance(o, DegenerateInput) else "" for o in outcomes]
+    if any(failed):
+        matcore._agreed(failed)
+        raise outcomes[0]
+    return tuple(_stack(list(part)) for part in zip(*outcomes))
 
 
 def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
     """Coordinates, within the shared image basis ``x``, that complete the
-    directions already claimed by higher-priority subsets."""
-    coords, *_ = np.linalg.lstsq(x, np.hstack(claimed), rcond=None)
-    return matcore.orth_complement(coords)
+    directions already claimed by higher-priority subsets (per item)."""
+    rhs = np.concatenate(claimed, axis=-1)
+    pairs = zip(x, rhs) if x.ndim == 3 else [(x, rhs)]
+    return matcore.orth_complement(
+        _stack([np.linalg.lstsq(xi, ri, rcond=None)[0] for xi, ri in pairs]))
 
 
 # The subsets built from matcore.aligned_pairs(G1 N_v, G2 N_w): the subset,
@@ -170,8 +216,10 @@ _GSVD_SUBSETS = (
 )
 
 
-def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, SubsetBasis]:
-    """Construct the requested subset bases, sharing intermediates.
+def _build_bases(ch: ChannelSet | SimpleNamespace, cfg: AntennaConfig,
+                 needed: dict[Subset, int]) -> dict[Subset, SubsetBasis]:
+    """Construct the requested subset bases of a channel stack, sharing
+    intermediates; each basis is a stack of the same size.
 
     Subsets I and II come from the null space of G1.  Subsets III..VI are
     built from the ``_GSVD_SUBSETS`` table: a subset is built when its
@@ -182,9 +230,7 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
     remainder of their shared subspace, which keeps any cross-subset
     selection linearly independent.  Only built subsets are returned.
     """
-    cfg = ch.config
-    dims = region.subset_dims(cfg)
-    counts = dict(zip(Subset, dims.as_tuple()))
+    counts = dict(zip(Subset, region.subset_dims(cfg).as_tuple()))
     out: dict[Subset, SubsetBasis] = {}
 
     def want(sub: Subset) -> bool:
@@ -197,7 +243,8 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
         for sub in (Subset.I, Subset.II):
             if want(sub):
                 v = null_g1 @ (inner if sub is Subset.I else matcore.orth_complement(inner))
-                out[sub] = SubsetBasis(v, np.zeros((cfg.ns2, v.shape[1]), dtype=np.complex128))
+                w = np.zeros(v.shape[:-2] + (cfg.ns2, v.shape[-1]), dtype=np.complex128)
+                out[sub] = SubsetBasis(v, w)
 
     built = [
         row for row in _GSVD_SUBSETS
@@ -207,8 +254,8 @@ def _build_bases(ch: ChannelSet, needed: dict[Subset, int]) -> dict[Subset, Subs
     null_h21 = matcore.null_basis(ch.h21) if any(row[1] for row in built) else None
     null_h12 = matcore.null_basis(ch.h12) if any(row[2] for row in built) else None
     for sub, v_in_null, w_in_null, avoid in built:
-        v, w, x = matcore.aligned_pairs(ch.g1 @ null_h21 if v_in_null else ch.g1,
-                                        ch.g2 @ null_h12 if w_in_null else ch.g2)
+        v, w, x = _stacked_aligned_pairs(ch.g1 @ null_h21 if v_in_null else ch.g1,
+                                         ch.g2 @ null_h12 if w_in_null else ch.g2)
         if v_in_null:
             v = null_h21 @ v
         if w_in_null:
@@ -235,7 +282,7 @@ def subset_basis(ch: ChannelSet, subset: Subset | int) -> SubsetBasis:
     cfg = ch.config
     empty = SubsetBasis(np.zeros((cfg.ns1, 0), dtype=np.complex128),
                         np.zeros((cfg.ns2, 0), dtype=np.complex128))
-    return _build_bases(ch, {sub: 1}).get(sub, empty)
+    return _build_bases(ch, cfg, {sub: 1}).get(sub, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +290,35 @@ def subset_basis(ch: ChannelSet, subset: Subset | int) -> SubsetBasis:
 
 
 def _equal_power_columns(m: np.ndarray, total: float) -> np.ndarray:
-    """Scale nonzero columns to share ``total`` trace power equally.
+    """Scale the nonzero columns of each item of a stack to share ``total``
+    trace power equally.
 
     Structurally zero columns are left in place; a matrix with no nonzero
-    columns collapses to zero width since it cannot carry power.
+    columns collapses to zero width since it cannot carry power.  The
+    items must share their pattern of zero columns.
     """
-    if m.shape[1] == 0:
+    if m.shape[-1] == 0:
         return m.copy()
-    norms = np.linalg.norm(m, axis=0)
+    norms = np.linalg.norm(m, axis=-2)
     nz = norms > 0
+    if m.ndim == 3:
+        nz = matcore._agreed(nz)
     n_active = int(np.count_nonzero(nz))
     if n_active == 0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
+        return np.zeros(m.shape[:-1] + (0,), dtype=np.complex128)
     out = m.copy()
-    out[:, nz] = m[:, nz] * (np.sqrt(total / n_active) / norms[nz])
+    out[..., nz] = m[..., nz] * (np.sqrt(total / n_active) / norms[..., nz])[..., None, :]
     return out
+
+
+def _check_power(power: float) -> None:
+    if not 0 < power < math.inf:
+        raise ValueError(f"power must be positive and finite, got {power!r}")
 
 
 def with_power(pair: PrecoderPair, power: float) -> PrecoderPair:
     """Renormalize a pair to a trace budget, equally across nonzero streams."""
-    if not 0 < power < math.inf:
-        raise ValueError(f"power must be positive and finite, got {power!r}")
+    _check_power(power)
     return PrecoderPair(
         v=_equal_power_columns(pair.v, power),
         w=_equal_power_columns(pair.w, power),
@@ -292,26 +347,55 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
 
     Raises :class:`TargetInfeasible` for points outside the region and
     :class:`ConstructionDeficit` when a numerical rank check fails after
-    assembly (a degenerate channel draw), whatever the target.
+    assembly (a degenerate channel draw), whatever the target.  This is
+    the stack of one of :func:`_construct_stack`.
     """
-    if not 0 < power < math.inf:
-        raise ValueError(f"power must be positive and finite, got {power!r}")
+    (outcome,) = _construct_stack([ch], target, power)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _construct_stack(chs: list[ChannelSet], target: SdofPoint | tuple[int, int],
+                     power: float) -> list[PrecoderPair | Exception]:
+    """:func:`construct` on each of several channel sets of one
+    configuration, assembled as stacks.
+
+    Returns one outcome per channel set: its pair, or the
+    :class:`ConstructionDeficit` or ``LinAlgError`` that :func:`construct`
+    raises for it alone.  The power, the target's feasibility and the
+    stream selection are checked once; items whose ranks differ from the
+    first item's are split off and assembled as their own stack
+    (:func:`matcore._per_item`), so every outcome is bitwise the one
+    :func:`construct` gives for that channel set.
+    """
+    _check_power(power)
     target = SdofPoint(*target)
-    cfg = ch.config
+    cfg = chs[0].config
     d1, d2 = target
     if d1 < 0 or d2 < 0 or d1 > region.su1(cfg) or d2 > region.d2_max(cfg, d1):
         raise TargetInfeasible(f"target {tuple(target)} outside the region for {cfg.as_tuple()}")
-
     wanted = dict(zip(Subset, region.select_streams(cfg, d1)))
+    return matcore._per_item(lambda items: _assemble(items, cfg, target, wanted, power),
+                             chs, (ConstructionDeficit,))
+
+
+def _assemble(chs: list[ChannelSet], cfg: AntennaConfig, target: SdofPoint,
+              wanted: dict[Subset, int], power: float) -> list[PrecoderPair]:
+    """One stack of :func:`construct`: raises for the whole stack, or
+    :class:`matcore._StackSplit` when its items need different paths."""
+    d1, d2 = target
+    ch = _stacked(chs)
+    lead = ch.g1.shape[:-2]
     try:
-        bases = _build_bases(ch, wanted)
+        bases = _build_bases(ch, cfg, wanted)
     except DegenerateInput as exc:
         raise ConstructionDeficit(f"subset decomposition failed: {exc}") from exc
 
     # one zero-width block each, so a target with no confidential stream
     # (d1 = 0) takes the same tail and the same checks
-    v_cols = [np.zeros((cfg.ns1, 0), dtype=np.complex128)]
-    w_cols = [np.zeros((cfg.ns2, 0), dtype=np.complex128)]
+    v_cols = [np.zeros(lead + (cfg.ns1, 0), dtype=np.complex128)]
+    w_cols = [np.zeros(lead + (cfg.ns2, 0), dtype=np.complex128)]
     order = (Subset.I, Subset.III, Subset.V, Subset.II, Subset.IV, Subset.VI)
     for sub in order:
         n = wanted[sub]
@@ -322,13 +406,12 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
             raise ConstructionDeficit(
                 f"subset {sub.name} supplied {basis.width} pairs, needed {n}"
             )
-        v_cols.append(basis.v_basis[:, :n])
-        w_cols.append(basis.w_basis[:, :n])
-    v = np.hstack(v_cols)
-    w1 = np.hstack(w_cols)
+        v_cols.append(basis.v_basis[..., :n])
+        w_cols.append(basis.w_basis[..., :n])
+    v = np.concatenate(v_cols, axis=-1)
+    w1 = np.concatenate(w_cols, axis=-1)
 
-    rank_w1 = matcore.rank_tol(w1)
-    deficit = d2 - rank_w1
+    deficit = d2 - int(matcore._agreed(matcore.rank_tol(w1)))
     if deficit > 0:
         # beams invisible to the confidential receiver first, when there is
         # one to protect; the paired columns from III/IV already sit in that
@@ -337,20 +420,22 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
         extra = min(deficit, max(cfg.ns2 - cfg.nd1 - null_used, 0)) if d1 else 0
         blocks = [w1]
         if extra > 0:
-            blocks.append(matcore.null_basis(ch.h12)[:, :extra])
+            blocks.append(matcore.null_basis(ch.h12)[..., :extra])
         if deficit - extra > 0:
-            rmat = np.linalg.svd(ch.h22)[2].conj().T
-            blocks.append(rmat[:, : deficit - extra])
-        w = np.hstack(blocks)
+            rmat = np.linalg.svd(ch.h22)[2].conj().swapaxes(-1, -2)
+            blocks.append(rmat[..., : deficit - extra])
+        w = np.concatenate(blocks, axis=-1)
     else:
         w = w1
 
-    if matcore.image_quotient((ch.h11, v)) != d1:
+    if not matcore._agreed(matcore.image_quotient((ch.h11, v)) == d1):
         raise ConstructionDeficit("confidential streams lost rank at the receiver")
-    if matcore.image_quotient((ch.h22, w), (ch.h21, v)) < d2:
+    if not matcore._agreed(matcore.image_quotient((ch.h22, w), (ch.h21, v)) >= d2):
         raise ConstructionDeficit("public streams do not span the target dimensions")
 
-    return with_power(PrecoderPair(v=v, w=w), power)
+    vs, ws = _equal_power_columns(v, power), _equal_power_columns(w, power)
+    return [PrecoderPair(v=vi, w=wi, power=power)
+            for vi, wi in (zip(vs, ws) if vs.ndim == 3 else [(vs, ws)])]
 
 
 def right_multiply(pair: PrecoderPair, a: np.ndarray, b: np.ndarray) -> PrecoderPair:

@@ -54,6 +54,8 @@ def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
         pairs = np.array(cols, dtype=float).reshape(len(cols), rows, 2)
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise SchemaViolation(f"{name}: {exc}") from exc
+    if not np.isfinite(pairs).all():
+        raise SchemaViolation(f"{name}: every entry must be a finite number")
     out = np.empty((rows, len(cols)), dtype=np.complex128)
     # filled part by part: adding a complex product would turn -0.0 into 0.0
     out.real = pairs[:, :, 0].T
@@ -182,9 +184,17 @@ def validate_document(obj, name: str) -> None:
         raise SchemaViolation(f"{name}: {exc.message}") from exc
 
 
+def _json_int(text: str, path) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # past Python's limit on integer digits
+        raise SchemaViolation(f"{path}: an integer of {len(text)} digits is too long") from exc
+
+
 def load_json(path) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh, parse_constant=lambda name: _finite(name, f"{path}: {name}"))
+            return json.load(fh, parse_int=lambda text: _json_int(text, path),
+                             parse_constant=lambda name: _finite(name, f"{path}: {name}"))
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"{path}: invalid JSON ({exc})") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .precoder import ChannelSet, PrecoderPair, with_power
+from .precoder import ChannelSet, PrecoderPair, _stack, _stacked, with_power
 from .region import SdofPoint
 
 __all__ = ["RateTriple", "Membership", "sdof_of", "membership", "rates", "slope_estimate"]
@@ -130,10 +130,10 @@ def _columnwise_aligned(g1v: np.ndarray, g2w: np.ndarray, rtol: float, ztol: flo
     return True
 
 
-def _log2det_gram(x: np.ndarray) -> float:
-    """log2 det(I + X X^H), summed from the singular values of X."""
+def _log2det_gram(x: np.ndarray) -> np.ndarray:
+    """log2 det(I + X X^H) of each item, summed from the singular values of X."""
     sv = np.linalg.svd(x, compute_uv=False)
-    return float(np.sum(np.log1p(sv * sv)) / math.log(2.0))
+    return np.sum(np.log1p(sv * sv), axis=-1) / math.log(2.0)
 
 
 def rates(ch: ChannelSet, pair: PrecoderPair) -> RateTriple:
@@ -144,17 +144,40 @@ def rates(ch: ChannelSet, pair: PrecoderPair) -> RateTriple:
     same log-det for the interference images Hi Pi alone.  Each log-det is
     the sum of log2(1 + sigma^2) over the singular values of its X; no
     covariance, Gram matrix or inverse is formed, so the rates stay finite
-    and accurate at any power.
+    and accurate at any power.  This is the stack of one of
+    :func:`_rates_stack`.
     """
+    (outcome,) = _rates_stack([(ch, pair)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    def pairwise(hs: np.ndarray, ps: np.ndarray, hi: np.ndarray, pi: np.ndarray) -> float:
+
+def _rates_stack(items: list[tuple[ChannelSet, PrecoderPair]]) -> list[RateTriple | Exception]:
+    """:func:`rates` of each (channel set, pair), scored as stacks.
+
+    Returns one outcome per item: its triple, or the ``LinAlgError`` that
+    :func:`rates` raises for it alone.  Items whose precoder shapes differ
+    from the first item's are scored as their own stack.
+    """
+    return matcore._per_item(_score, items)
+
+
+def _score(items: list[tuple[ChannelSet, PrecoderPair]]) -> list[RateTriple]:
+    """One stack of :func:`rates`; the pairs must share their shapes."""
+    matcore._agreed([(pair.v.shape, pair.w.shape) for _, pair in items])
+    ch = _stacked([c for c, _ in items])
+    v = _stack([pair.v for _, pair in items])
+    w = _stack([pair.w for _, pair in items])
+
+    def pairwise(hs: np.ndarray, ps: np.ndarray, hi: np.ndarray, pi: np.ndarray) -> np.ndarray:
         interf = hi @ pi
-        return _log2det_gram(np.hstack([hs @ ps, interf])) - _log2det_gram(interf)
+        return _log2det_gram(np.concatenate([hs @ ps, interf], axis=-1)) - _log2det_gram(interf)
 
-    rd1 = pairwise(ch.h11, pair.v, ch.h12, pair.w)
-    rd2 = pairwise(ch.h22, pair.w, ch.h21, pair.v)
-    re = pairwise(ch.g1, pair.v, ch.g2, pair.w)
-    return RateTriple(rd1=rd1, rd2=rd2, re=re)
+    triples = zip(np.atleast_1d(pairwise(ch.h11, v, ch.h12, w)),
+                  np.atleast_1d(pairwise(ch.h22, w, ch.h21, v)),
+                  np.atleast_1d(pairwise(ch.g1, v, ch.g2, w)))
+    return [RateTriple(rd1=float(a), rd2=float(b), re=float(c)) for a, b, c in triples]
 
 
 def slope_estimate(ch: ChannelSet, pair: PrecoderPair, p_grid) -> tuple[float, float]:

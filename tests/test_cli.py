@@ -262,6 +262,47 @@ class TestMalformedFiles:
         assert doc["error"] == "bad_input"
         assert doc["message"].endswith(f"{field} must be a finite number")
 
+    def test_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        # Python refuses to convert integers of more than 4,300 digits
+        bundle = tmp_path / "bundle.json"
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(bundle))
+        doc = json.loads(bundle.read_text())
+        doc["channels"]["g1"]["data"][0][0][0] = "ENTRY"
+        bundle.write_text(json.dumps(doc).replace('"ENTRY"', "1" * 5001))
+        code, out = run_json(capsys, "verify", "--channels", str(bundle),
+                             "--precoder", str(bundle))
+        assert code == 2
+        assert out["error"] == "bad_input"
+        assert out["message"] == f"{bundle}: an integer of 5001 digits is too long"
+
+    @pytest.mark.parametrize("name", ["v", "w"])
+    @pytest.mark.parametrize("entry", ["1e400", "-1" + "0" * 400])
+    def test_non_finite_precoder_entry_exits_2(self, capsys, tmp_path, name, entry):
+        bundle = tmp_path / "bundle.json"
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(bundle))
+        doc = json.loads(bundle.read_text())
+        doc["precoder"][name]["data"][0][0][1] = "ENTRY"
+        bundle.write_text(json.dumps(doc).replace('"ENTRY"', entry))
+        code, out = run_json(capsys, "verify", "--channels", str(bundle),
+                             "--precoder", str(bundle))
+        assert code == 2
+        assert out["error"] == "bad_input"
+        assert out["message"].startswith(f"{name}: ")
+
+    def test_non_finite_channel_entry_names_the_matrix(self, capsys, tmp_path):
+        bundle = tmp_path / "bundle.json"
+        run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
+                 "--seed", "7", "--out", str(bundle))
+        doc = json.loads(bundle.read_text())
+        doc["channels"]["h21"]["data"][1][0][0] = "ENTRY"
+        bundle.write_text(json.dumps(doc).replace('"ENTRY"', "1e400"))
+        code, out = run_json(capsys, "verify", "--channels", str(bundle),
+                             "--precoder", str(bundle))
+        assert code == 2
+        assert out["message"].startswith("h21")
+
 
 class TestVerifyCommand:
     def test_dimension_mismatch_exits_2(self, capsys, tmp_path):
