@@ -19,9 +19,10 @@ to the factor norms.  Aligned precoder pairs are read from a GSVD only by
 :func:`rank_tol`, :func:`null_basis`, :func:`orth_complement` and
 :func:`image_quotient` also take (T, m, n) stacks of matrices of one shape
 and decide each item's rank as the 2-D call decides it, bitwise; a 2-D
-input runs as a plain matrix and gives the same int or matrix as ever.  A basis of a stack needs one
-width, so items of different rank raise :class:`_StackSplit`, and
-:func:`_per_item` runs such a stack as smaller ones.  The GSVD stays 2-D.
+input runs as a plain matrix and gives the same int or matrix as ever.
+A basis of a stack needs one width, so items of different rank raise
+:class:`_StackSplit`, and :func:`_per_item` runs such a stack as smaller
+ones.  The GSVD stays 2-D.
 
 SciPy, used only for the cosine-sine step of a GSVD whose two spans share a
 block, is imported at the first such step, so importing this module (and
@@ -61,14 +62,6 @@ def _as_matrices(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D or a stack of 2-D, got shape {m.shape}")
     if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex ndarray, treating 1-D input as a column."""
-    m = _as_matrices(a, name)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     return m
 
 
@@ -134,12 +127,11 @@ def _frobenius(m: np.ndarray):
 
     That call sums a matrix as one strided BLAS dot over its real parts
     plus one over its imaginary parts, in memory order; a C-contiguous
-    stack makes the same dots as one batched call.
+    stack, as every stack built by ``np.stack``, ``np.concatenate`` or
+    ``matmul`` is, makes the same dots as one batched call.
     """
     if m.ndim == 2:
         return np.linalg.norm(m)
-    if not m.flags.c_contiguous:
-        return np.array([np.linalg.norm(x) for x in m])
     flat = m.reshape(len(m), 1, -1)
     re, im = flat.real, flat.imag
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
@@ -155,7 +147,9 @@ def _count(sv: np.ndarray, cutoff):
 
 def _ranks(m: np.ndarray, sv: np.ndarray):
     """Counts of the singular values above ``max(m, n) * eps * sigma_max``."""
-    return _count(sv, max(m.shape[-2:]) * _EPS * sv[..., 0])
+    # sv.T[0] is each item's sigma_max: a scalar for one matrix, not the
+    # 0-d array that sv[..., 0] would give, which costs an array ufunc
+    return _count(sv, max(m.shape[-2:]) * _EPS * sv.T[0])
 
 
 def _count_above(a: np.ndarray, cutoff):
@@ -176,7 +170,9 @@ def rank_tol(a):
 
 
 def _identities(lead: tuple, n: int) -> np.ndarray:
-    return np.broadcast_to(np.eye(n, dtype=np.complex128), lead + (n, n)).copy()
+    """An n x n identity, or a stack of them when ``lead`` is (T,)."""
+    eye = np.eye(n, dtype=np.complex128)
+    return np.broadcast_to(eye, lead + (n, n)).copy() if lead else eye
 
 
 def null_basis(a) -> np.ndarray:
@@ -236,7 +232,9 @@ def image_quotient(x, y=None):
     for ma, mb in factors:
         if ma.size and mb.size:
             norms = _frobenius(ma) * _frobenius(mb)
-            scale = norms if scale is None else np.maximum(scale, norms)
+            # max() for one matrix's norms: np.maximum on scalars costs ~1 us
+            scale = (norms if scale is None else np.maximum(scale, norms) if norms.ndim
+                     else max(scale, norms))
             dim = max(dim, ma.shape[-2], ma.shape[-1], mb.shape[-1])
     images = [ma @ mb for ma, mb in factors]
     cutoff = _PRODUCT_MARGIN * dim * _EPS * (0.0 if scale is None else scale)
@@ -337,7 +335,10 @@ def gsvd(a, b) -> GsvdResult:
     column rank) is returned directly and no inner triangular factor is
     ever inverted.
     """
-    ma, mb = _as_matrix(a, "a"), _as_matrix(b, "b")
+    ma, mb = _as_matrices(a, "a"), _as_matrices(b, "b")
+    for name, m in (("a", ma), ("b", mb)):
+        if m.ndim != 2:
+            raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if ma.shape[0] != mb.shape[0]:
         raise ValueError(f"row counts differ: {ma.shape[0]} vs {mb.shape[0]}")
     n = ma.shape[0]

@@ -6,7 +6,8 @@ region boundary: confidential streams whose eavesdropper images are
 reproduced by the public transmission, plus extra public beams filling
 the remaining interference-free dimensions at the public receiver.  The
 assembly is written once, over a stack of draws of one configuration
-(:func:`_construct_stack`); :func:`construct` is the stack of one.
+(:func:`_assemble`); :func:`construct` runs it on a stack of one, and
+:func:`_construct_stack` on many.
 """
 
 from __future__ import annotations
@@ -179,10 +180,12 @@ def _stacked_aligned_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ..
     The GSVD is not stackable, so it runs item by item.  Items that raise
     :class:`DegenerateInput` with another message than the first item's
     are split off; when every item raises, the first item's error is
-    raised.
+    raised.  A pair of matrices is one call.
     """
+    if a.ndim == 2:
+        return matcore.aligned_pairs(a, b)
     outcomes = []
-    for ai, bi in zip(a, b) if a.ndim == 3 else [(a, b)]:
+    for ai, bi in zip(a, b):
         try:
             outcomes.append(matcore.aligned_pairs(ai, bi))
         except DegenerateInput as exc:
@@ -191,7 +194,7 @@ def _stacked_aligned_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ..
     if any(failed):
         matcore._agreed(failed)
         raise outcomes[0]
-    return tuple(_stack(list(part)) for part in zip(*outcomes))
+    return tuple(np.stack(part) for part in zip(*outcomes))
 
 
 def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
@@ -306,9 +309,9 @@ def _equal_power_columns(m: np.ndarray, total: float) -> np.ndarray:
     n_active = int(np.count_nonzero(nz))
     if n_active == 0:
         return np.zeros(m.shape[:-1] + (0,), dtype=np.complex128)
-    out = m.copy()
-    out[..., nz] = m[..., nz] * (np.sqrt(total / n_active) / norms[..., nz])[..., None, :]
-    return out
+    # a zero column times its gain stays zero
+    gain = np.sqrt(total / n_active) / np.where(nz, norms, 1.0)
+    return m * gain[..., None, :]
 
 
 def _check_power(power: float) -> None:
@@ -347,35 +350,39 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
 
     Raises :class:`TargetInfeasible` for points outside the region and
     :class:`ConstructionDeficit` when a numerical rank check fails after
-    assembly (a degenerate channel draw), whatever the target.  This is
-    the stack of one of :func:`_construct_stack`.
+    assembly (a degenerate channel draw), whatever the target.  The
+    assembly is :func:`_assemble` on a stack of one.
     """
-    (outcome,) = _construct_stack([ch], target, power)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _construct_stack(chs: list[ChannelSet], target: SdofPoint | tuple[int, int],
-                     power: float) -> list[PrecoderPair | Exception]:
-    """:func:`construct` on each of several channel sets of one
-    configuration, assembled as stacks.
-
-    Returns one outcome per channel set: its pair, or the
-    :class:`ConstructionDeficit` or ``LinAlgError`` that :func:`construct`
-    raises for it alone.  The power, the target's feasibility and the
-    stream selection are checked once; items whose ranks differ from the
-    first item's are split off and assembled as their own stack
-    (:func:`matcore._per_item`), so every outcome is bitwise the one
-    :func:`construct` gives for that channel set.
-    """
-    _check_power(power)
     target = SdofPoint(*target)
-    cfg = chs[0].config
+    cfg = ch.config
+    (pair,) = _assemble([ch], cfg, target, _plan(cfg, target, power), power)
+    return pair
+
+
+def _plan(cfg: AntennaConfig, target: SdofPoint, power: float) -> dict[Subset, int]:
+    """The confidential streams per subset for ``target``, once the power
+    and the target's feasibility for ``cfg`` have been checked."""
+    _check_power(power)
     d1, d2 = target
     if d1 < 0 or d2 < 0 or d1 > region.su1(cfg) or d2 > region.d2_max(cfg, d1):
         raise TargetInfeasible(f"target {tuple(target)} outside the region for {cfg.as_tuple()}")
-    wanted = dict(zip(Subset, region.select_streams(cfg, d1)))
+    return dict(zip(Subset, region.select_streams(cfg, d1)))
+
+
+def _construct_stack(chs: list[ChannelSet], target: SdofPoint, wanted: dict[Subset, int],
+                     power: float) -> list[PrecoderPair | Exception]:
+    """:func:`construct` on each of several channel sets of one
+    configuration, assembled as stacks; ``wanted`` is the :func:`_plan`
+    of the target.
+
+    Returns one outcome per channel set: its pair, or the
+    :class:`ConstructionDeficit` or ``LinAlgError`` that :func:`construct`
+    raises for it alone.  Items whose ranks differ from the first item's
+    are split off and assembled as their own stack
+    (:func:`matcore._per_item`), so every outcome is bitwise the one
+    :func:`construct` gives for that channel set.
+    """
+    cfg = chs[0].config
     return matcore._per_item(lambda items: _assemble(items, cfg, target, wanted, power),
                              chs, (ConstructionDeficit,))
 

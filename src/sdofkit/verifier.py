@@ -144,13 +144,11 @@ def rates(ch: ChannelSet, pair: PrecoderPair) -> RateTriple:
     same log-det for the interference images Hi Pi alone.  Each log-det is
     the sum of log2(1 + sigma^2) over the singular values of its X; no
     covariance, Gram matrix or inverse is formed, so the rates stay finite
-    and accurate at any power.  This is the stack of one of
-    :func:`_rates_stack`.
+    and accurate at any power.  The scoring is :func:`_score`, the one
+    that :func:`_rates_stack` runs over stacks, on a stack of one.
     """
-    (outcome,) = _rates_stack([(ch, pair)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    (triple,) = _score([(ch, pair)])
+    return triple
 
 
 def _rates_stack(items: list[tuple[ChannelSet, PrecoderPair]]) -> list[RateTriple | Exception]:
@@ -165,7 +163,8 @@ def _rates_stack(items: list[tuple[ChannelSet, PrecoderPair]]) -> list[RateTripl
 
 def _score(items: list[tuple[ChannelSet, PrecoderPair]]) -> list[RateTriple]:
     """One stack of :func:`rates`; the pairs must share their shapes."""
-    matcore._agreed([(pair.v.shape, pair.w.shape) for _, pair in items])
+    if len(items) > 1:
+        matcore._agreed([(pair.v.shape, pair.w.shape) for _, pair in items])
     ch = _stacked([c for c, _ in items])
     v = _stack([pair.v for _, pair in items])
     w = _stack([pair.w for _, pair in items])

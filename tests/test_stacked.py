@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sdofkit import chansim, matcore, precoder, region, verifier
 from sdofkit.chansim import Geometry, Scenario
-from sdofkit.errors import ConstructionDeficit, DegenerateDraw
+from sdofkit.errors import ConstructionDeficit, DegenerateDraw, TargetInfeasible
 from sdofkit.region import AntennaConfig
 
 from conftest import channels_for, cstd, low_rank
@@ -33,6 +33,12 @@ def single_outcome(ch, target, power):
         return precoder.construct(ch, target, power)
     except (ConstructionDeficit, np.linalg.LinAlgError) as exc:
         return exc
+
+
+def construct_stack(chs, target, power):
+    target = region.SdofPoint(*target)
+    return precoder._construct_stack(chs, target, precoder._plan(chs[0].config, target, power),
+                                     power)
 
 
 def assert_same_outcome(got, expected):
@@ -93,7 +99,7 @@ class TestConstructStack:
             rows, cols = getattr(chs[index], name).shape
             rank = data.draw(st.integers(0, min(rows, cols) - 1))
             chs[index] = dataclasses.replace(chs[index], **{name: low_rank(rng, rows, cols, rank)})
-        outcomes = precoder._construct_stack(chs, target, 10.0)
+        outcomes = construct_stack(chs, target, 10.0)
         assert len(outcomes) == size
         for ch, got in zip(chs, outcomes):
             assert_same_outcome(got, single_outcome(ch, target, 10.0))
@@ -111,7 +117,7 @@ class TestConstructStack:
         chs = [channels_for((6, 6, 5, 4, 5), rng) for _ in range(3)]
         rows, cols = getattr(chs[1], name).shape
         chs[1] = dataclasses.replace(chs[1], **{name: low_rank(rng, rows, cols, rank)})
-        outcomes = precoder._construct_stack(chs, target, 1.0)
+        outcomes = construct_stack(chs, target, 1.0)
         assert isinstance(outcomes[1], ConstructionDeficit)
         assert str(outcomes[1]).startswith(message)
         for i in (0, 2):
@@ -201,6 +207,67 @@ class TestRunPointStacks:
         monkeypatch.setattr(np.linalg, "svd", once_svd)
         assert chansim.run_point(sc, (1, 1)) == expected
         assert failed
+
+    def test_planted_scoring_failure_costs_its_trial(self, monkeypatch):
+        # the rate SVD of trial 3's [H11 V, H12 W] fails wherever it runs:
+        # once in the scoring stack, which is then re-run trial by trial,
+        # and once more alone, so only trial 3 is lost
+        sc = small_scenario(trials=8, seed=0)
+        chans = chansim.draw_trial(sc, 3)
+        pair = precoder.construct(chans.design, (1, 1), power=sc.effective_power)
+        marked = np.concatenate([chans.actual.h11 @ pair.v, chans.actual.h12 @ pair.w], axis=-1)
+        svd = np.linalg.svd
+        hits = []
+
+        def planted_svd(a, *args, **kwargs):
+            items = a.reshape((-1,) + a.shape[-2:])
+            if a.shape[-2:] == marked.shape and any(np.array_equal(x, marked) for x in items):
+                hits.append(a.ndim)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", planted_svd)
+        out = chansim.run_point(sc, (1, 1))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert hits == [3, 2]
+        assert out == stats_without(sc, (1, 1), {3})
+
+    def test_one_shot_scoring_failure_costs_no_trial(self, monkeypatch):
+        # the first SVD of the first scoring stack fails once; the stack is
+        # re-run trial by trial and every trial is scored
+        sc = small_scenario(trials=8, seed=0)
+        expected = chansim.run_point(sc, (1, 1))
+        svd, score = np.linalg.svd, verifier._score
+        failed = []
+
+        def once_svd(a, *args, **kwargs):
+            if not failed:
+                failed.append(a.shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        def scoring(items):
+            monkeypatch.setattr(np.linalg, "svd", once_svd)
+            try:
+                return score(items)
+            finally:
+                monkeypatch.setattr(np.linalg, "svd", svd)
+
+        monkeypatch.setattr(verifier, "_score", scoring)
+        assert chansim.run_point(sc, (1, 1)) == expected
+        assert [shape[0] for shape in failed] == [8]
+
+    def test_infeasible_target_costs_one_draw(self, monkeypatch):
+        draw, drawn = chansim.draw_trial, []
+
+        def counting_draw(scenario, trial):
+            drawn.append(trial)
+            return draw(scenario, trial)
+
+        monkeypatch.setattr(chansim, "draw_trial", counting_draw)
+        with pytest.raises(TargetInfeasible):
+            chansim.run_point(small_scenario(trials=1000, seed=0), (4, 4))
+        assert drawn == [0]
 
     def test_every_draw_failing_raises_degenerate_draw(self, monkeypatch):
         def no_draw(scenario, trial):
