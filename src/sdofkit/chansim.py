@@ -314,7 +314,8 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     Each trial is drawn alone, from its own stream; the drawn trials are
     then built and scored in stacks of up to ``_STACK_TRIALS``, with every
     trial's outcome bitwise the one :func:`precoder.construct` and
-    :func:`verifier.rates` give it alone.
+    :func:`verifier.rates` give it alone.  Within a stack each GSVD runs
+    once, with only its cosine-sine step taken trial by trial.
     """
     target = SdofPoint(*target)
     power = scenario.effective_power

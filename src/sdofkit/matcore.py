@@ -16,21 +16,22 @@ rank uses ``max(m, n) * eps * sigma_max``; the rank of a channel image
 to the factor norms.  Aligned precoder pairs are read from a GSVD only by
 :func:`aligned_pairs`.  No process-wide setting changes either decision.
 
-:func:`rank_tol`, :func:`null_basis`, :func:`orth_complement` and
-:func:`image_quotient` also take (T, m, n) stacks of matrices of one shape
-and decide each item's rank as the 2-D call decides it, bitwise; a 2-D
-input runs as a plain matrix and gives the same int or matrix as ever.
-A basis of a stack needs one width, so items of different rank raise
-:class:`_StackSplit`, and :func:`_per_item` runs such a stack as smaller
-ones.  The GSVD stays 2-D.
+The public functions also take (T, m, n) stacks of matrices of one shape
+and decide each item as the 2-D call decides it, bitwise; a 2-D input
+runs as a plain matrix and gives the same int or matrix as ever.  A basis
+of a stack needs one width, and a GSVD of a stack one path, so items
+whose ranks or checks differ raise :class:`_StackSplit`, and
+:func:`_per_item` runs such a stack as smaller ones.
 
-SciPy, used only for the cosine-sine step of a GSVD whose two spans share a
-block, is imported at the first such step, so importing this module (and
+The cosine-sine step of a GSVD whose spans share a block is LAPACK's
+``zuncsd``, one item at a time, through SciPy's ``lapack`` module: SciPy
+is imported at the first such step, so importing this module (and
 commands that compute no such GSVD) never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,15 +159,19 @@ def _count_above(a: np.ndarray, cutoff):
     return _count(np.linalg.svd(a, compute_uv=False), cutoff)
 
 
+def _rank(m: np.ndarray):
+    """:func:`rank_tol` of a matrix or stack that has passed :func:`_as_matrices`."""
+    if m.size == 0:  # no singular values
+        return _count(np.zeros(m.shape[:-2] + (0,)), 0.0)
+    return _ranks(m, np.linalg.svd(m, compute_uv=False))
+
+
 def rank_tol(a):
     """Numerical rank: number of singular values above ``max(m, n) * eps * sigma_max``.
 
     A (T, m, n) stack gives one rank per item.
     """
-    m = _as_matrices(a)
-    if m.size == 0:  # no singular values
-        return _count(np.zeros(m.shape[:-2] + (0,)), 0.0)
-    return _ranks(m, np.linalg.svd(m, compute_uv=False))
+    return _rank(_as_matrices(a))
 
 
 def _identities(lead: tuple, n: int) -> np.ndarray:
@@ -261,6 +266,9 @@ class GsvdResult:
     ``psi23`` split ``psi2`` at K-s-p and K-p; ``x1``, ``x2``, ``x3`` split
     ``x`` at r and r+s.  span(x1) = span(A) ∩ span(B)^perp,
     span(x2) = span(A) ∩ span(B), span(x3) = span(A)^perp ∩ span(B).
+
+    A GSVD of a stack of pairs holds stacked factors (``lam1`` and ``lam2``
+    as (T, s)) and one (k, r, s, p); the views slice the last axis.
     """
 
     psi1: np.ndarray
@@ -275,42 +283,42 @@ class GsvdResult:
 
     @property
     def psi11(self) -> np.ndarray:
-        return self.psi1[:, : self.r]
+        return self.psi1[..., : self.r]
 
     @property
     def psi12(self) -> np.ndarray:
-        return self.psi1[:, self.r : self.r + self.s]
+        return self.psi1[..., self.r : self.r + self.s]
 
     @property
     def psi13(self) -> np.ndarray:
-        return self.psi1[:, self.r + self.s :]
+        return self.psi1[..., self.r + self.s :]
 
     @property
     def psi21(self) -> np.ndarray:
-        kk = self.psi2.shape[1]
-        return self.psi2[:, : kk - self.s - self.p]
+        kk = self.psi2.shape[-1]
+        return self.psi2[..., : kk - self.s - self.p]
 
     @property
     def psi22(self) -> np.ndarray:
-        kk = self.psi2.shape[1]
-        return self.psi2[:, kk - self.s - self.p : kk - self.p]
+        kk = self.psi2.shape[-1]
+        return self.psi2[..., kk - self.s - self.p : kk - self.p]
 
     @property
     def psi23(self) -> np.ndarray:
-        kk = self.psi2.shape[1]
-        return self.psi2[:, kk - self.p :]
+        kk = self.psi2.shape[-1]
+        return self.psi2[..., kk - self.p :]
 
     @property
     def x1(self) -> np.ndarray:
-        return self.x[:, : self.r]
+        return self.x[..., : self.r]
 
     @property
     def x2(self) -> np.ndarray:
-        return self.x[:, self.r : self.r + self.s]
+        return self.x[..., self.r : self.r + self.s]
 
     @property
     def x3(self) -> np.ndarray:
-        return self.x[:, self.r + self.s :]
+        return self.x[..., self.r + self.s :]
 
 
 def _quadruple(n: int, m: int, kc: int) -> tuple[int, int, int, int]:
@@ -334,30 +342,31 @@ def gsvd(a, b) -> GsvdResult:
     a cosine-sine decomposition; the common factor ``x`` (N x k, full
     column rank) is returned directly and no inner triangular factor is
     ever inverted.
+
+    Stacks (T, N, M) and (T, N, K) of pairs run the rank checks and the
+    factorization once and the cosine-sine step once per item; items whose
+    checks differ from the first item's raise :class:`_StackSplit`.
     """
     ma, mb = _as_matrices(a, "a"), _as_matrices(b, "b")
-    for name, m in (("a", ma), ("b", mb)):
-        if m.ndim != 2:
-            raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if ma.shape[0] != mb.shape[0]:
-        raise ValueError(f"row counts differ: {ma.shape[0]} vs {mb.shape[0]}")
-    n = ma.shape[0]
-    m, kc = ma.shape[1], mb.shape[1]
+    if ma.shape[:-1] != mb.shape[:-1]:
+        raise ValueError(f"stack sizes or row counts differ: {ma.shape} vs {mb.shape}")
+    n, m = ma.shape[-2:]
+    kc = mb.shape[-1]
 
     k, r, s, p = _quadruple(n, m, kc)
-    if rank_tol(ma) != min(m, n) or rank_tol(mb) != min(kc, n):
+    if not (_agreed(_rank(ma) == min(m, n)) and _agreed(_rank(mb) == min(kc, n))):
         raise DegenerateInput(
             "rank-deficient input: (k, r, s, p) inconsistent with full-rank formulas"
         )
-    z = np.vstack([ma.conj().T, mb.conj().T])
+    z = np.concatenate([ma.conj().swapaxes(-1, -2), mb.conj().swapaxes(-1, -2)], axis=-2)
     if s == 0:
-        if rank_tol(z) != k:
+        if not _agreed(_rank(z) == k):
             raise DegenerateInput("stacked pair is rank deficient")
-        return _gsvd_disjoint(ma, mb, n, m, kc, k, r, p)
+        return _gsvd_disjoint(ma, mb, k, r, p)
     # one full SVD of the stacked pair serves both the rank check and the
     # orthonormal factor the cosine-sine step starts from
     uz, sz, vzh = np.linalg.svd(z, full_matrices=True)
-    if _ranks(z, sz) != k:
+    if not _agreed(_ranks(z, sz) == k):
         raise DegenerateInput("stacked pair is rank deficient")
     return _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p)
 
@@ -368,60 +377,73 @@ def aligned_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The columns of ``x`` are a basis of span(a) ∩ span(b), ordered by
     descending generalized singular value; its width is :func:`gsvd`'s
     ``s`` and zero when the spans are disjoint.  ``v`` and ``w`` are the
-    GSVD's middle factor columns scaled by the inverse diagonals.  Raises
-    :class:`DegenerateInput` as :func:`gsvd` does.
+    GSVD's middle factor columns scaled by the inverse diagonals.  Stacks
+    of pairs give stacks of (v, w, x).  Raises as :func:`gsvd` does.
     """
     g = gsvd(a, b)
-    return g.psi12 / g.lam1, g.psi22 / g.lam2, g.x2
+    return g.psi12 / g.lam1[..., None, :], g.psi22 / g.lam2[..., None, :], g.x2
 
 
-def _gsvd_disjoint(ma, mb, n, m, kc, k, r, p) -> GsvdResult:
-    """Construction for s == 0: the two column spans intersect trivially,
-    so independent SVDs of A and B supply all blocks."""
-    lam = np.zeros(0)
-    if m > 0:
-        ua, sa, vah = np.linalg.svd(ma, full_matrices=True)
-        psi1 = vah.conj().T
-        x1 = ua[:, :r] * sa[:r]
-    else:
-        psi1 = np.zeros((0, 0), dtype=np.complex128)
-        x1 = np.zeros((n, 0), dtype=np.complex128)
-    if kc > 0:
-        ub, sb, vbh = np.linalg.svd(mb, full_matrices=True)
-        vb = vbh.conj().T
-        # null-space part first (maps to zero), image part last (maps to x3)
-        psi2 = np.hstack([vb[:, p:], vb[:, :p]])
-        x3 = ub[:, :p] * sb[:p]
-    else:
-        psi2 = np.zeros((0, 0), dtype=np.complex128)
-        x3 = np.zeros((n, 0), dtype=np.complex128)
-    x = np.hstack([x1, x3])
-    return GsvdResult(psi1=psi1, psi2=psi2, lam1=lam, lam2=lam.copy(), x=x,
-                      k=k, r=r, s=0, p=p)
+def _gsvd_disjoint(ma, mb, k, r, p) -> GsvdResult:
+    """Construction for s == 0: the spans intersect trivially, so SVDs of A
+    and B supply all blocks (with empty factors for an empty side)."""
+    ua, sa, vah = np.linalg.svd(ma, full_matrices=True)
+    ub, sb, vbh = np.linalg.svd(mb, full_matrices=True)
+    vb = vbh.conj().swapaxes(-1, -2)
+    # null-space part first (maps to zero), image part last (maps to x3)
+    psi2 = np.concatenate([vb[..., p:], vb[..., :p]], axis=-1)
+    x = np.concatenate([ua[..., :r] * sa[..., None, :r], ub[..., :p] * sb[..., None, :p]], axis=-1)
+    lam = np.zeros(ma.shape[:-2] + (0,))
+    return GsvdResult(psi1=vah.conj().swapaxes(-1, -2), psi2=psi2, lam1=lam, lam2=lam.copy(),
+                      x=x, k=k, r=r, s=0, p=p)
+
+
+@functools.lru_cache(maxsize=64)
+def _uncsd(m: int, p: int, q: int):
+    """``zuncsd`` and the (lwork, lrwork) SciPy's ``cossin`` passes it for (m, p, q)."""
+    from scipy.linalg import lapack
+
+    csd, csd_lwork = lapack.get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=np.complex128)
+    return (csd, *lapack._compute_lwork(csd_lwork, m=m, p=p, q=q))
 
 
 def cossin(x, p, q, separate):
-    """:func:`scipy.linalg.cossin`, with SciPy imported on the first call."""
-    from scipy.linalg import cossin as scipy_cossin
-
-    return scipy_cossin(x, p=p, q=q, separate=separate)
+    """Cosine-sine decomposition of the unitary ``x`` split at row ``p`` and
+    column ``q``, bitwise ``scipy.linalg.cossin(x, p=p, q=q, separate=True)``
+    (only the separate form is computed), from LAPACK ``zuncsd`` without
+    that wrapper's checks.  SciPy is imported on the first call."""
+    if not separate:
+        raise ValueError("only the separate form is computed")
+    csd, lwork, lrwork = _uncsd(x.shape[0], p, q)
+    *_, theta, u1, u2, v1h, v2h, info = csd(x[:p, :q], x[:p, q:], x[p:, :q], x[p:, q:],
+                                            lwork=lwork, lrwork=lrwork)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal zuncsd")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zuncsd did not converge: {info}")
+    return (u1, u2), theta, (v1h, v2h)
 
 
 def _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p) -> GsvdResult:
-    rfac = sz[:k, None] * vzh[:k, :]
+    rfac = sz[..., :k, None] * vzh[..., :k, :]
     # uz's trailing columns complete the orthonormal factor to a square
     # unitary, as the CS decomposition requires; s > 0 guarantees k < M+K.
     # Only the diagonal blocks of the unitary factors are used, so they are
-    # taken unassembled.
-    (psi1, psi2), theta, (v1h, _) = cossin(uz, p=m, q=k, separate=True)
-    # With k = N columns of a unitary split at row m, SciPy's identity
-    # blocks are exactly r and p wide and theta has exactly
+    # taken unassembled, one item of a stack at a time.
+    if uz.ndim == 2:
+        (psi1, psi2), theta, (v1h, _) = cossin(uz, p=m, q=k, separate=True)
+    else:
+        parts = [cossin(u, p=m, q=k, separate=True) for u in uz]
+        psi1, psi2, theta, v1h = (np.stack(block) for block in zip(
+            *[(u1, u2, th, v1) for (u1, u2), th, (v1, _) in parts]))
+    # With k = N columns of a unitary split at row m, the identity blocks
+    # are exactly r and p wide and theta has exactly
     # min(m, k, kc, m+kc-k) = s entries, so theta alone carries the
     # diagonals of D1 and D2.  LAPACK's zbbcsd returns theta ascending, so
     # lam1 is already in the documented descending order.
     lam1, lam2 = np.cos(theta), np.sin(theta)
-    x = rfac.conj().T @ v1h.conj().T
-    if np.any(lam1 <= 0) or np.any(lam2 <= 0):
+    x = rfac.conj().swapaxes(-1, -2) @ v1h.conj().swapaxes(-1, -2)
+    if _agreed(np.any(lam1 <= 0, axis=-1) | np.any(lam2 <= 0, axis=-1)):
         raise DegenerateInput("cosine-sine angles inconsistent with rank counts")
     return GsvdResult(psi1=psi1, psi2=psi2, lam1=lam1, lam2=lam2, x=x,
                       k=k, r=r, s=s, p=p)

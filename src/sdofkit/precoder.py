@@ -174,29 +174,6 @@ def _stacked(chs: list[ChannelSet]) -> ChannelSet | SimpleNamespace:
                               for name in _CHANNELS})
 
 
-def _stacked_aligned_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`matcore.aligned_pairs` of each item, stacked as (v, w, x).
-
-    The GSVD is not stackable, so it runs item by item.  Items that raise
-    :class:`DegenerateInput` with another message than the first item's
-    are split off; when every item raises, the first item's error is
-    raised.  A pair of matrices is one call.
-    """
-    if a.ndim == 2:
-        return matcore.aligned_pairs(a, b)
-    outcomes = []
-    for ai, bi in zip(a, b):
-        try:
-            outcomes.append(matcore.aligned_pairs(ai, bi))
-        except DegenerateInput as exc:
-            outcomes.append(exc)
-    failed = [str(o) if isinstance(o, DegenerateInput) else "" for o in outcomes]
-    if any(failed):
-        matcore._agreed(failed)
-        raise outcomes[0]
-    return tuple(np.stack(part) for part in zip(*outcomes))
-
-
 def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
     """Coordinates, within the shared image basis ``x``, that complete the
     directions already claimed by higher-priority subsets (per item)."""
@@ -257,8 +234,8 @@ def _build_bases(ch: ChannelSet | SimpleNamespace, cfg: AntennaConfig,
     null_h21 = matcore.null_basis(ch.h21) if any(row[1] for row in built) else None
     null_h12 = matcore.null_basis(ch.h12) if any(row[2] for row in built) else None
     for sub, v_in_null, w_in_null, avoid in built:
-        v, w, x = _stacked_aligned_pairs(ch.g1 @ null_h21 if v_in_null else ch.g1,
-                                         ch.g2 @ null_h12 if w_in_null else ch.g2)
+        v, w, x = matcore.aligned_pairs(ch.g1 @ null_h21 if v_in_null else ch.g1,
+                                        ch.g2 @ null_h12 if w_in_null else ch.g2)
         if v_in_null:
             v = null_h21 @ v
         if w_in_null:

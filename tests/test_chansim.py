@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sdofkit import chansim
+from sdofkit import chansim, matcore
 from sdofkit.chansim import Geometry, Scenario, Sweep
 from sdofkit.errors import DegenerateDraw, TargetInfeasible
 from sdofkit.region import AntennaConfig
@@ -149,32 +149,48 @@ class TestRunPoint:
         assert out.failures == 0
         assert out.trials == 30
 
-    @pytest.mark.parametrize("failing_call", ["first", "last_of_trial_0"])
+    @pytest.mark.parametrize("failing_call", ["first", "gsvd_of_trial_0"])
     def test_lapack_failure_costs_one_trial(self, monkeypatch, failing_call):
-        # The first SVD is in trial 0's channel draw; the last one of trial 0
-        # scores its rates.
+        # "first" fails the first SVD, which is in trial 0's channel draw.
+        # "gsvd_of_trial_0" fails the SVD of trial 0's stacked GSVD pair
+        # [A^H; B^H] wherever it runs: in the stack's GSVD, which is then
+        # re-run trial by trial, and in trial 0's GSVD alone.
         sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=6, seed=0)
         svd = np.linalg.svd
-        calls = [0]
+        if failing_call == "first":
+            calls = [0]
 
-        def counting_svd(*args, **kwargs):
-            calls[0] += 1
-            return svd(*args, **kwargs)
+            def fails(a):
+                calls[0] += 1
+                return calls[0] == 1
+        else:
+            gsvd, pairs = matcore.gsvd, []
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        chansim.run_point(dataclasses.replace(sc, trials=1), (1, 1))
-        fail_at = 1 if failing_call == "first" else calls[0]
+            def recording_gsvd(a, b):
+                pairs.append((a, b))
+                return gsvd(a, b)
 
-        calls[0] = 0
+            monkeypatch.setattr(matcore, "gsvd", recording_gsvd)
+            chansim.run_point(dataclasses.replace(sc, trials=1), (1, 1))
+            monkeypatch.setattr(matcore, "gsvd", gsvd)
+            a, b = pairs[0]
+            marked = np.vstack([a.conj().T, b.conj().T])
 
-        def failing_svd(*args, **kwargs):
-            calls[0] += 1
-            if calls[0] == fail_at:
+            def fails(m):
+                items = m.reshape((-1,) + m.shape[-2:])
+                return m.shape[-2:] == marked.shape and any(np.array_equal(x, marked) for x in items)
+
+        hits = []
+
+        def failing_svd(a, *args, **kwargs):
+            if fails(a):
+                hits.append(a.ndim)
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(*args, **kwargs)
+            return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         out = chansim.run_point(sc, (1, 1))
+        assert hits == ([2] if failing_call == "first" else [3, 2])
         assert out.failures == 1
         assert out.trials == 6
         assert np.isfinite([out.mean_rs1, out.se_rs1, out.mean_rs2, out.se_rs2]).all()

@@ -302,14 +302,31 @@ class TestGsvdMatchesAssembledCosineSine:
         assert_equal_up_to_column_phase(g.x2, x2, 1e-14 * max(1.0, np.linalg.norm(x2)))
 
 
+def assert_cossin_matches_scipy(n, p, q):
+    rng = np.random.default_rng([n, p, q])
+    u = np.linalg.qr(cstd(rng, n, n))[0]
+    got = matcore.cossin(u, p, q, separate=True)
+    ref = cossin(u, p=p, q=q, separate=True)
+    assert np.array_equal(got[1], ref[1])
+    for got_pair, ref_pair in ((got[0], ref[0]), (got[2], ref[2])):
+        for g, r in zip(got_pair, ref_pair):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
 class TestDeferredCossin:
-    @pytest.mark.parametrize("n, p, q", [(2, 1, 1), (5, 2, 3), (7, 4, 2), (9, 3, 5)])
+    # (6, 4, 4) is the LoS scenario's split; (3, 2, 2), (3, 1, 2) and
+    # (4, 2, 3) are among the commonest of acceptance criterion 4's
+    @pytest.mark.parametrize("n, p, q", [(2, 1, 1), (5, 2, 3), (7, 4, 2), (9, 3, 5), (6, 4, 4),
+                                         (3, 2, 2), (3, 1, 2), (4, 2, 3)])
     def test_bitwise_equal_to_scipy(self, n, p, q):
-        rng = np.random.default_rng([n, p, q])
-        u = np.linalg.qr(cstd(rng, n, n))[0]
-        got = matcore.cossin(u, p, q, separate=True)
-        ref = cossin(u, p=p, q=q, separate=True)
-        assert np.array_equal(got[1], ref[1])
-        for got_pair, ref_pair in ((got[0], ref[0]), (got[2], ref[2])):
-            for g, r in zip(got_pair, ref_pair):
-                assert g.dtype == r.dtype and np.array_equal(g, r)
+        assert_cossin_matches_scipy(n, p, q)
+
+    def test_alternating_splits(self):
+        # the workspace is cached per (m, p, q).  (6, 4, 4) needs a larger
+        # lrwork than the three splits before it, and (8, 4, 4) a larger
+        # one than (6, 4, 4), so a cache keyed on any part of (m, p, q)
+        # alone hands one of them too small a workspace, which zuncsd rejects
+        matcore._uncsd.cache_clear()
+        for n, p, q in [(6, 1, 1), (6, 4, 1), (6, 1, 4), (6, 4, 4), (8, 4, 4), (3, 1, 2),
+                        (4, 2, 3), (6, 1, 1)]:
+            assert_cossin_matches_scipy(n, p, q)

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from sdofkit import chansim, matcore, precoder, region, verifier
 from sdofkit.chansim import Geometry, Scenario
-from sdofkit.errors import ConstructionDeficit, DegenerateDraw, TargetInfeasible
+from sdofkit.errors import ConstructionDeficit, DegenerateDraw, DegenerateInput, TargetInfeasible
 from sdofkit.region import AntennaConfig
 
 from conftest import channels_for, cstd, low_rank
+from test_matcore import gsvd_shapes_with_shared_block
 
 CFG_SMALL = AntennaConfig(4, 2, 4, 2, 4)
 CHANNELS = ("h11", "h12", "h21", "h22", "g1", "g2")
@@ -81,6 +82,71 @@ class TestMatcoreStacks:
         with pytest.raises(matcore._StackSplit) as info:
             matcore.null_basis(stack)
         assert info.value.agree.tolist() == [True, False, True]
+
+    # every shape with a shared block (s > 0), then shapes with s == 0,
+    # including an empty side
+    @pytest.mark.parametrize("shape", gsvd_shapes_with_shared_block()
+                             + [(6, 3, 3), (6, 0, 4), (5, 2, 0), (4, 1, 2), (8, 3, 4)])
+    def test_gsvd_bitwise_per_item(self, shape):
+        n, m, kc = shape
+        rng = np.random.default_rng(list(shape))
+        a = np.stack([cstd(rng, n, m) for _ in range(3)])
+        b = np.stack([cstd(rng, n, kc) for _ in range(3)])
+        g, pairs = matcore.gsvd(a, b), matcore.aligned_pairs(a, b)
+        for i in range(3):
+            gi = matcore.gsvd(a[i], b[i])
+            assert (g.k, g.r, g.s, g.p) == (gi.k, gi.r, gi.s, gi.p)
+            for name in ("psi1", "psi2", "lam1", "lam2", "x"):
+                got, ref = getattr(g, name)[i], getattr(gi, name)
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+            for got, ref in zip(pairs, matcore.aligned_pairs(a[i], b[i])):
+                assert got[i].shape == ref.shape and np.array_equal(got[i], ref)
+
+    @pytest.mark.parametrize("shape, deficient, message", [
+        # a rank-deficient a; then a full-rank pair whose spans coincide, so
+        # the stacked pair is deficient, with and without a shared block
+        ((6, 4, 5), "a", "rank-deficient input"),
+        ((4, 3, 3), "pair", "stacked pair is rank deficient"),
+        ((6, 2, 2), "pair", "stacked pair is rank deficient"),
+    ])
+    def test_gsvd_deficient_item_splits(self, rng, shape, deficient, message):
+        n, m, kc = shape
+        a = np.stack([cstd(rng, n, m) for _ in range(3)])
+        b = np.stack([cstd(rng, n, kc) for _ in range(3)])
+        if deficient == "a":
+            a[1] = low_rank(rng, n, m, m - 1)
+        else:
+            b[1] = a[1] @ cstd(rng, m, kc)
+        with pytest.raises(matcore._StackSplit) as info:
+            matcore.gsvd(a, b)
+        assert info.value.agree.tolist() == [True, False, True]
+        with pytest.raises(DegenerateInput, match=message):
+            matcore.gsvd(a[1], b[1])
+        with pytest.raises(DegenerateInput, match=message):
+            matcore.gsvd(a[1:2], b[1:2])
+
+    def test_gsvd_angle_check_splits(self, rng, monkeypatch):
+        # a zero angle planted in the second item's cosine-sine step fails
+        # that item's angle check alone
+        a = np.stack([cstd(rng, 6, 4) for _ in range(3)])
+        b = np.stack([cstd(rng, 6, 5) for _ in range(3)])
+        cossin, calls = matcore.cossin, []
+
+        def planted(x, p, q, separate):
+            calls.append(len(calls))
+            u, theta, vh = cossin(x, p, q, separate)
+            if len(calls) == 2:
+                theta = np.concatenate([[0.0], theta[1:]])
+            return u, theta, vh
+
+        monkeypatch.setattr(matcore, "cossin", planted)
+        with pytest.raises(matcore._StackSplit) as info:
+            matcore.gsvd(a, b)
+        assert info.value.agree.tolist() == [True, False, True]
+        calls.clear()
+        matcore.gsvd(a[0], b[0])
+        with pytest.raises(DegenerateInput, match="cosine-sine angles"):
+            matcore.gsvd(a[1], b[1])
 
 
 class TestConstructStack:
@@ -256,6 +322,90 @@ class TestRunPointStacks:
         monkeypatch.setattr(verifier, "_score", scoring)
         assert chansim.run_point(sc, (1, 1)) == expected
         assert [shape[0] for shape in failed] == [8]
+
+    def test_planted_cossin_failure_costs_its_trial(self, monkeypatch):
+        # the cosine-sine step of trial 3's GSVD fails wherever it runs:
+        # once in the stack, which is then re-run trial by trial, and once
+        # more alone, so only trial 3 is lost
+        sc = small_scenario(trials=8, seed=0)
+        cossin, inputs = matcore.cossin, []
+
+        def recording(x, p, q, separate):
+            inputs.append(x.copy())
+            return cossin(x, p, q, separate)
+
+        monkeypatch.setattr(matcore, "cossin", recording)
+        precoder.construct(chansim.draw_trial(sc, 3).design, (1, 1), power=sc.effective_power)
+        (marked,) = inputs
+        hits = []
+
+        def planted(x, p, q, separate):
+            if np.array_equal(x, marked):
+                hits.append(True)
+                raise np.linalg.LinAlgError("zuncsd did not converge: 1")
+            return cossin(x, p, q, separate)
+
+        monkeypatch.setattr(matcore, "cossin", planted)
+        out = chansim.run_point(sc, (1, 1))
+        monkeypatch.setattr(matcore, "cossin", cossin)
+        assert len(hits) == 2
+        assert out == stats_without(sc, (1, 1), {3})
+
+    def test_one_shot_cossin_failure_costs_no_trial(self, monkeypatch):
+        # the first cosine-sine step, the stack's first item, fails once;
+        # the stack is re-run trial by trial and no trial is lost
+        sc = small_scenario(trials=8, seed=0)
+        expected = chansim.run_point(sc, (1, 1))
+        cossin, gsvd, calls = matcore.cossin, matcore.gsvd, []
+
+        def once(x, p, q, separate):
+            calls.append(x.shape)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("zuncsd did not converge: 1")
+            return cossin(x, p, q, separate)
+
+        def stack_sizes(a, b):
+            calls.append(a.shape[:-2])
+            return gsvd(a, b)
+
+        monkeypatch.setattr(matcore, "cossin", once)
+        monkeypatch.setattr(matcore, "gsvd", stack_sizes)
+        assert chansim.run_point(sc, (1, 1)) == expected
+        # the stack of 8 fails at its first item, then each trial runs alone
+        assert calls[:2] == [(8,), (6, 6)]
+        assert calls[2:] == [(), (6, 6)] * 8
+
+    def test_gsvd_runs_once_per_stack(self, monkeypatch):
+        # counts that do not depend on the machine: on a 20-trial LoS point
+        # the GSVD's two input rank checks and its stacked-pair SVD run once
+        # for the stack, and the cosine-sine step once per trial
+        sc = small_scenario(trials=20, seed=1)
+        svd, gsvd, cossin = np.linalg.svd, matcore.gsvd, matcore.cossin
+        inside, svds, steps = [False], [], []
+
+        def counting_svd(a, *args, **kwargs):
+            if inside[0]:
+                svds.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        def counting_gsvd(a, b):
+            inside[0] = True
+            try:
+                return gsvd(a, b)
+            finally:
+                inside[0] = False
+
+        def counting_cossin(x, p, q, separate):
+            steps.append(x.shape)
+            return cossin(x, p, q, separate)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(matcore, "gsvd", counting_gsvd)
+        monkeypatch.setattr(matcore, "cossin", counting_cossin)
+        out = chansim.run_point(sc, (1, 1))
+        assert out.failures == 0
+        assert len(svds) == 3 and all(shape[0] == 20 for shape in svds)
+        assert len(steps) == 20
 
     def test_infeasible_target_costs_one_draw(self, monkeypatch):
         draw, drawn = chansim.draw_trial, []
