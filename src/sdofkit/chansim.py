@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -240,17 +241,25 @@ def _link_distances(geo: Geometry, rng: np.random.Generator) -> dict[str, float]
     raise DegenerateDraw("could not place receivers within geometric constraints")
 
 
+@functools.lru_cache(maxsize=16)
+def _fixed_link_distances(geo: Geometry, seed: int) -> dict[str, float]:
+    """Trial 0's link distances, which every trial reuses when ``geo``
+    does not resample its rings (callers must not mutate the result)."""
+    return _link_distances(geo, _trial_rng(seed, 0))
+
+
 def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
     """Deterministic channel draw for one trial.
 
     The same (scenario, trial index) always produces identical matrices.
     Gaussian scenarios draw the design set through
-    :func:`gaussian_channels`; line-of-sight ones place the receivers, then
-    draw the four link phases and the two unit-magnitude eavesdropper
-    estimates.  Without uncertainty the true set is the design set itself;
-    with it, only the true eavesdropper channels differ, and their error
-    matrices are drawn before any rank check.  Full-rank failures trigger
-    a complete redraw from the same stream, up to a small budget, after
+    :func:`gaussian_channels`; line-of-sight ones place the receivers (once
+    per geometry and seed when the rings are not resampled), then draw the
+    four link phases and the two unit-magnitude eavesdropper estimates.
+    Without uncertainty the true set is the design set itself; with it,
+    only the true eavesdropper channels differ, and their error matrices
+    are drawn before any rank check.  Full-rank failures trigger a
+    complete redraw from the same stream, up to a small budget, after
     which :class:`DegenerateDraw` is raised.
     """
     cfg = scenario.config
@@ -265,8 +274,8 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
             g1_est, g2_est = design.g1, design.g2
             dist_g1 = dist_g2 = 1.0
         else:
-            pos_rng = rng if geo.resample_rings else _trial_rng(scenario.seed, 0)
-            links = _link_distances(geo, pos_rng)
+            links = (_link_distances(geo, rng) if geo.resample_rings
+                     else _fixed_link_distances(geo, scenario.seed))
             h11 = los_channel(cfg.nd1, cfg.ns1, links["h11"], cexp, rng)
             h12 = los_channel(cfg.nd1, cfg.ns2, links["h12"], cexp, rng)
             h21 = los_channel(cfg.nd2, cfg.ns1, links["h21"], cexp, rng)
@@ -300,6 +309,15 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
 _STACK_TRIALS = 256
 
 
+def _stack_rates(trials: list[TrialChannels], cfg: AntennaConfig, target: SdofPoint,
+                 wanted: dict[pc.Subset, int], power: float) -> list[verifier.RateTriple]:
+    """One stack of trials, built on their design channels and scored on
+    their true ones: raises for the whole stack, or
+    :class:`matcore._StackSplit` when its items need different paths."""
+    v, w = pc._assemble([t.design for t in trials], cfg, target, wanted, power)
+    return verifier._score(pc._stacked([t.actual for t in trials]), v, w)
+
+
 def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointStats:
     """Average secrecy rates over the scenario's trials at one target.
 
@@ -312,10 +330,13 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     first trial that draws.
 
     Each trial is drawn alone, from its own stream; the drawn trials are
-    then built and scored in stacks of up to ``_STACK_TRIALS``, with every
-    trial's outcome bitwise the one :func:`precoder.construct` and
-    :func:`verifier.rates` give it alone.  Within a stack each GSVD runs
-    once, with only its cosine-sine step taken trial by trial.
+    then built and scored in stacks of up to ``_STACK_TRIALS``, in one
+    pass per stack (:func:`_stack_rates` under :func:`matcore._per_item`):
+    trials that need a different path are split off, and a LAPACK error
+    re-runs build and score trial by trial, so every trial's outcome is
+    bitwise the one :func:`precoder.construct` and :func:`verifier.rates`
+    give it alone.  Within a stack each GSVD runs once, with only its
+    cosine-sine step taken trial by trial.
     """
     target = SdofPoint(*target)
     power = scenario.effective_power
@@ -334,12 +355,9 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
                 continue
             if wanted is None:
                 wanted = pc._plan(scenario.config, target, power)
-        if not drawn:
-            continue
-        pairs = pc._construct_stack([c.design for c in drawn], target, wanted, power)
-        built = [(c.actual, p) for c, p in zip(drawn, pairs) if isinstance(p, pc.PrecoderPair)]
-        failures += len(drawn) - len(built)
-        for triple in verifier._rates_stack(built):
+        outcomes = matcore._per_item(
+            lambda items: _stack_rates(items, scenario.config, target, wanted, power), drawn)
+        for triple in outcomes:
             if isinstance(triple, Exception):
                 failures += 1
                 continue

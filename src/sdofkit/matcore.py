@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import ConstructionDeficit, DegenerateInput
 
 __all__ = [
     "GsvdResult",
@@ -92,15 +92,15 @@ def _agreed(keys):
     return keys[0]
 
 
-def _per_item(run, items: list, failures: tuple = ()) -> list:
+def _per_item(run, items: list) -> list:
     """One outcome per item of ``run(items)``: the item's result, or the
-    exception (a ``failures`` class or ``LinAlgError``) that running the
-    item alone raises.
+    :class:`ConstructionDeficit` or ``LinAlgError`` that running the item
+    alone raises.
 
     ``run`` maps a list of items to a list of results, computed as one
     stack.  A :class:`_StackSplit` re-runs the agreeing items and the rest
     as two stacks; a ``LinAlgError`` re-runs every item alone, so a real
-    non-convergence costs only its own item.  A ``failures`` exception
+    non-convergence costs only its own item.  A ``ConstructionDeficit``
     raised for the whole stack is every item's outcome.
     """
     if not items:
@@ -113,11 +113,11 @@ def _per_item(run, items: list, failures: tuple = ()) -> list:
         if len(items) == 1:
             return [exc]
         groups = [[i] for i in range(len(items))]
-    except failures as exc:
+    except ConstructionDeficit as exc:
         return [exc] * len(items)
     out = [None] * len(items)
     for group in groups:
-        for i, outcome in zip(group, _per_item(run, [items[i] for i in group], failures)):
+        for i, outcome in zip(group, _per_item(run, [items[i] for i in group])):
             out[i] = outcome
     return out
 

@@ -7,7 +7,7 @@ reproduced by the public transmission, plus extra public beams filling
 the remaining interference-free dimensions at the public receiver.  The
 assembly is written once, over a stack of draws of one configuration
 (:func:`_assemble`); :func:`construct` runs it on a stack of one, and
-:func:`_construct_stack` on many.
+``chansim.run_point`` on the trials of a Monte-Carlo point.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ class Subset(enum.IntEnum):
     VI = 6
 
 
+# the fields of a ChannelSet, in order
+_CHANNELS = ("h11", "h12", "h21", "h22", "g1", "g2")
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
     """The six channel matrices of the two-user wiretap interference network.
@@ -72,7 +76,7 @@ class ChannelSet:
 
     def __post_init__(self):
         mats = {}
-        for name in ("h11", "h12", "h21", "h22", "g1", "g2"):
+        for name in _CHANNELS:
             m = np.asarray(getattr(self, name), dtype=np.complex128)
             if m.ndim != 2 or not np.isfinite(m).all():
                 raise ValueError(f"{name} must be a finite 2-D complex matrix")
@@ -105,7 +109,7 @@ class ChannelSet:
         """True when all six matrices are full rank under the default tolerance."""
         return all(
             matcore.rank_tol(m) == min(m.shape)
-            for m in (self.h11, self.h12, self.h21, self.h22, self.g1, self.g2)
+            for m in (getattr(self, name) for name in _CHANNELS)
         )
 
 
@@ -161,9 +165,6 @@ class SubsetBasis:
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """The matrices as one stack."""
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
-_CHANNELS = ("h11", "h12", "h21", "h22", "g1", "g2")
 
 
 def _stacked(chs: list[ChannelSet]) -> ChannelSet | SimpleNamespace:
@@ -332,8 +333,8 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
     """
     target = SdofPoint(*target)
     cfg = ch.config
-    (pair,) = _assemble([ch], cfg, target, _plan(cfg, target, power), power)
-    return pair
+    v, w = _assemble([ch], cfg, target, _plan(cfg, target, power), power)
+    return PrecoderPair(v=v, w=w, power=power)
 
 
 def _plan(cfg: AntennaConfig, target: SdofPoint, power: float) -> dict[Subset, int]:
@@ -346,28 +347,15 @@ def _plan(cfg: AntennaConfig, target: SdofPoint, power: float) -> dict[Subset, i
     return dict(zip(Subset, region.select_streams(cfg, d1)))
 
 
-def _construct_stack(chs: list[ChannelSet], target: SdofPoint, wanted: dict[Subset, int],
-                     power: float) -> list[PrecoderPair | Exception]:
-    """:func:`construct` on each of several channel sets of one
-    configuration, assembled as stacks; ``wanted`` is the :func:`_plan`
-    of the target.
-
-    Returns one outcome per channel set: its pair, or the
-    :class:`ConstructionDeficit` or ``LinAlgError`` that :func:`construct`
-    raises for it alone.  Items whose ranks differ from the first item's
-    are split off and assembled as their own stack
-    (:func:`matcore._per_item`), so every outcome is bitwise the one
-    :func:`construct` gives for that channel set.
-    """
-    cfg = chs[0].config
-    return matcore._per_item(lambda items: _assemble(items, cfg, target, wanted, power),
-                             chs, (ConstructionDeficit,))
-
-
 def _assemble(chs: list[ChannelSet], cfg: AntennaConfig, target: SdofPoint,
-              wanted: dict[Subset, int], power: float) -> list[PrecoderPair]:
-    """One stack of :func:`construct`: raises for the whole stack, or
-    :class:`matcore._StackSplit` when its items need different paths."""
+              wanted: dict[Subset, int], power: float) -> tuple[np.ndarray, np.ndarray]:
+    """One stack of :func:`construct` on the channel sets ``chs`` of one
+    configuration, with ``wanted`` the :func:`_plan` of the target: the
+    normalized V and W stacks (plain matrices for a stack of one).
+
+    Raises for the whole stack, or :class:`matcore._StackSplit` when its
+    items need different paths.
+    """
     d1, d2 = target
     ch = _stacked(chs)
     lead = ch.g1.shape[:-2]
@@ -417,9 +405,7 @@ def _assemble(chs: list[ChannelSet], cfg: AntennaConfig, target: SdofPoint,
     if not matcore._agreed(matcore.image_quotient((ch.h22, w), (ch.h21, v)) >= d2):
         raise ConstructionDeficit("public streams do not span the target dimensions")
 
-    vs, ws = _equal_power_columns(v, power), _equal_power_columns(w, power)
-    return [PrecoderPair(v=vi, w=wi, power=power)
-            for vi, wi in (zip(vs, ws) if vs.ndim == 3 else [(vs, ws)])]
+    return _equal_power_columns(v, power), _equal_power_columns(w, power)
 
 
 def right_multiply(pair: PrecoderPair, a: np.ndarray, b: np.ndarray) -> PrecoderPair:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chansim import Geometry, Scenario, Sweep
 from .errors import SchemaViolation
-from .precoder import ChannelSet, PrecoderPair
+from .precoder import _CHANNELS, ChannelSet, PrecoderPair
 from .region import AntennaConfig, SdofPoint
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
     "validate_document",
     "load_json",
 ]
-
-_CHANNEL_FIELDS = ("h11", "h12", "h21", "h22", "g1", "g2")
-
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
@@ -64,7 +61,7 @@ def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
 
 
 def channels_to_json(ch: ChannelSet) -> dict:
-    doc = {name: matrix_to_json(getattr(ch, name)) for name in _CHANNEL_FIELDS}
+    doc = {name: matrix_to_json(getattr(ch, name)) for name in _CHANNELS}
     doc["antennas"] = _antennas_to_json(ch.config)
     return doc
 
@@ -72,7 +69,7 @@ def channels_to_json(ch: ChannelSet) -> dict:
 def channels_from_json(obj: dict) -> ChannelSet:
     """Parse a channel set; an ``antennas`` field must match the matrix shapes."""
     validate_document(obj, "channel_set")
-    ch = ChannelSet(**{name: matrix_from_json(obj[name], name) for name in _CHANNEL_FIELDS})
+    ch = ChannelSet(**{name: matrix_from_json(obj[name], name) for name in _CHANNELS})
     if "antennas" in obj:
         declared = _antennas_from_json(obj["antennas"])
         if declared != ch.config:

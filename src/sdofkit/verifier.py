@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .precoder import ChannelSet, PrecoderPair, _stack, _stacked, with_power
+from .precoder import ChannelSet, PrecoderPair, with_power
 from .region import SdofPoint
 
 __all__ = ["RateTriple", "Membership", "sdof_of", "membership", "rates", "slope_estimate"]
@@ -144,31 +144,17 @@ def rates(ch: ChannelSet, pair: PrecoderPair) -> RateTriple:
     same log-det for the interference images Hi Pi alone.  Each log-det is
     the sum of log2(1 + sigma^2) over the singular values of its X; no
     covariance, Gram matrix or inverse is formed, so the rates stay finite
-    and accurate at any power.  The scoring is :func:`_score`, the one
-    that :func:`_rates_stack` runs over stacks, on a stack of one.
+    and accurate at any power.  The scoring is :func:`_score` on a stack
+    of one.
     """
-    (triple,) = _score([(ch, pair)])
+    (triple,) = _score(ch, pair.v, pair.w)
     return triple
 
 
-def _rates_stack(items: list[tuple[ChannelSet, PrecoderPair]]) -> list[RateTriple | Exception]:
-    """:func:`rates` of each (channel set, pair), scored as stacks.
-
-    Returns one outcome per item: its triple, or the ``LinAlgError`` that
-    :func:`rates` raises for it alone.  Items whose precoder shapes differ
-    from the first item's are scored as their own stack.
-    """
-    return matcore._per_item(_score, items)
-
-
-def _score(items: list[tuple[ChannelSet, PrecoderPair]]) -> list[RateTriple]:
-    """One stack of :func:`rates`; the pairs must share their shapes."""
-    if len(items) > 1:
-        matcore._agreed([(pair.v.shape, pair.w.shape) for _, pair in items])
-    ch = _stacked([c for c, _ in items])
-    v = _stack([pair.v for _, pair in items])
-    w = _stack([pair.w for _, pair in items])
-
+def _score(ch, v: np.ndarray, w: np.ndarray) -> list[RateTriple]:
+    """One stack of :func:`rates`: the six channel stacks of ``ch`` with the
+    precoder stacks ``v`` and ``w`` (or one channel set with its two
+    matrices), one triple per item."""
     def pairwise(hs: np.ndarray, ps: np.ndarray, hi: np.ndarray, pi: np.ndarray) -> np.ndarray:
         interf = hi @ pi
         return _log2det_gram(np.concatenate([hs @ ps, interf], axis=-1)) - _log2det_gram(interf)

@@ -113,6 +113,25 @@ class TestDrawTrial:
         assert not np.allclose(chans.design.g1, chans.actual.g1)
         assert np.array_equal(chans.design.h11, chans.actual.h11)
 
+    def test_fixed_rings_are_placed_once(self, monkeypatch):
+        # without resampling every trial reuses trial 0's placement, so a
+        # 200-trial point places its receivers once; the stats are pinned
+        # bitwise to those of placing them anew for every trial and redraw
+        geo = dataclasses.replace(small_geometry(), resample_rings=False)
+        sc = Scenario(config=CFG_SMALL, geometry=geo, trials=200, seed=9, uncertainty_alpha=0.1)
+        place, calls = chansim._link_distances, []
+
+        def counting(geo, rng):
+            calls.append(geo)
+            return place(geo, rng)
+
+        monkeypatch.setattr(chansim, "_link_distances", counting)
+        chansim._fixed_link_distances.cache_clear()
+        point = chansim.run_point(sc, (1, 1))
+        assert calls == [geo]
+        assert point.mean_rs1.hex() == "0x1.bad2b6d670764p+1"
+        assert point.mean_rs2.hex() == "0x1.236a5da714983p+3"
+
     def test_rank_deficient_true_eve_channel_is_redrawn(self, monkeypatch):
         # the design channels stay full rank; only the true eavesdropper
         # channels, scored but never designed on, are rank one

@@ -28,18 +28,24 @@ CASES = [
 ]
 
 
-def single_outcome(ch, target, power):
-    """What construct gives, or raises, for one channel set alone."""
+def single_outcome(trial, target, power):
+    """What construct on the design channels, then rates on the true ones,
+    give or raise for one trial alone."""
     try:
-        return precoder.construct(ch, target, power)
+        pair = precoder.construct(trial.design, target, power)
+        return verifier.rates(trial.actual, pair)
     except (ConstructionDeficit, np.linalg.LinAlgError) as exc:
         return exc
 
 
-def construct_stack(chs, target, power):
+def stack_outcomes(trials, target, power):
+    """run_point's one pass over a stack of trials: built and scored as one
+    stack, split and re-run by _per_item."""
     target = region.SdofPoint(*target)
-    return precoder._construct_stack(chs, target, precoder._plan(chs[0].config, target, power),
-                                     power)
+    cfg = trials[0].design.config
+    wanted = precoder._plan(cfg, target, power)
+    return matcore._per_item(
+        lambda items: chansim._stack_rates(items, cfg, target, wanted, power), trials)
 
 
 def assert_same_outcome(got, expected):
@@ -47,10 +53,9 @@ def assert_same_outcome(got, expected):
         assert type(got) is type(expected)
         assert str(got) == str(expected)
     else:
-        assert isinstance(got, precoder.PrecoderPair)
-        assert got.power == expected.power
-        assert got.v.shape == expected.v.shape and got.w.shape == expected.w.shape
-        assert np.array_equal(got.v, expected.v) and np.array_equal(got.w, expected.w)
+        assert isinstance(got, verifier.RateTriple)
+        assert [x.hex() for x in dataclasses.astuple(got)] == \
+            [x.hex() for x in dataclasses.astuple(expected)]
 
 
 class TestMatcoreStacks:
@@ -156,23 +161,24 @@ class TestConstructStack:
     def test_stacked_equals_single(self, case, seed, size, planted, data):
         tup, target = case
         rng = np.random.default_rng(seed)
-        chs = [channels_for(tup, rng) for _ in range(size)]
+        designs = [channels_for(tup, rng) for _ in range(size)]
         if planted:
             # one rank-deficient item, so its widths or checks differ from
             # the others' and the split path runs
             index = data.draw(st.integers(0, size - 1))
             name = data.draw(st.sampled_from(CHANNELS))
-            rows, cols = getattr(chs[index], name).shape
+            rows, cols = getattr(designs[index], name).shape
             rank = data.draw(st.integers(0, min(rows, cols) - 1))
-            chs[index] = dataclasses.replace(chs[index], **{name: low_rank(rng, rows, cols, rank)})
-        outcomes = construct_stack(chs, target, 10.0)
+            designs[index] = dataclasses.replace(designs[index],
+                                                 **{name: low_rank(rng, rows, cols, rank)})
+        # true eavesdropper channels apart from the design ones, as under
+        # channel uncertainty, so scoring on the wrong set shows
+        trials = [chansim.TrialChannels(design=ch, actual=dataclasses.replace(
+            ch, g1=cstd(rng, *ch.g1.shape), g2=cstd(rng, *ch.g2.shape))) for ch in designs]
+        outcomes = stack_outcomes(trials, target, 10.0)
         assert len(outcomes) == size
-        for ch, got in zip(chs, outcomes):
-            assert_same_outcome(got, single_outcome(ch, target, 10.0))
-        built = [(ch, pair) for ch, pair in zip(chs, outcomes)
-                 if isinstance(pair, precoder.PrecoderPair)]
-        for (ch, pair), triple in zip(built, verifier._rates_stack(built)):
-            assert triple == verifier.rates(ch, pair)
+        for trial, got in zip(trials, outcomes):
+            assert_same_outcome(got, single_outcome(trial, target, 10.0))
 
     @pytest.mark.parametrize("name, rank, target, message", [
         ("g1", 1, (2, 4), "subset decomposition failed: rank-deficient input"),
@@ -183,11 +189,12 @@ class TestConstructStack:
         chs = [channels_for((6, 6, 5, 4, 5), rng) for _ in range(3)]
         rows, cols = getattr(chs[1], name).shape
         chs[1] = dataclasses.replace(chs[1], **{name: low_rank(rng, rows, cols, rank)})
-        outcomes = construct_stack(chs, target, 1.0)
+        trials = [chansim.TrialChannels(design=ch, actual=ch) for ch in chs]
+        outcomes = stack_outcomes(trials, target, 1.0)
         assert isinstance(outcomes[1], ConstructionDeficit)
         assert str(outcomes[1]).startswith(message)
         for i in (0, 2):
-            assert_same_outcome(outcomes[i], precoder.construct(chs[i], target, 1.0))
+            assert_same_outcome(outcomes[i], single_outcome(trials[i], target, 1.0))
 
 
 def small_scenario(**kwargs):
@@ -312,10 +319,10 @@ class TestRunPointStacks:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
 
-        def scoring(items):
+        def scoring(ch, v, w):
             monkeypatch.setattr(np.linalg, "svd", once_svd)
             try:
-                return score(items)
+                return score(ch, v, w)
             finally:
                 monkeypatch.setattr(np.linalg, "svd", svd)
 
