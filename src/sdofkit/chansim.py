@@ -297,7 +297,7 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
                 g1=uncertain_eve_channel(g1_est, alpha, dist_g1, cexp, rng),
                 g2=uncertain_eve_channel(g2_est, alpha, dist_g2, cexp, rng),
             )
-            true_eve_ok = all(matcore.rank_tol(g) == min(g.shape) for g in (actual.g1, actual.g2))
+            true_eve_ok = pc._full_rank(actual.g1, actual.g2)
         if design.full_rank() and true_eve_ok:
             return TrialChannels(design=design, actual=actual)
     raise DegenerateDraw(f"trial {trial_index}: full-rank check failed repeatedly")
@@ -314,7 +314,7 @@ def _stack_rates(trials: list[TrialChannels], cfg: AntennaConfig, target: SdofPo
     """One stack of trials, built on their design channels and scored on
     their true ones: raises for the whole stack, or
     :class:`matcore._StackSplit` when its items need different paths."""
-    v, w = pc._assemble([t.design for t in trials], cfg, target, wanted, power)
+    v, w = pc._assemble(pc._stacked([t.design for t in trials]), cfg, target, wanted, power)
     return verifier._score(pc._stacked([t.actual for t in trials]), v, w)
 
 

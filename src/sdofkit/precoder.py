@@ -78,8 +78,10 @@ class ChannelSet:
         mats = {}
         for name in _CHANNELS:
             m = np.asarray(getattr(self, name), dtype=np.complex128)
-            if m.ndim != 2 or not np.isfinite(m).all():
-                raise ValueError(f"{name} must be a finite 2-D complex matrix")
+            if m.ndim != 2:
+                raise ValueError(f"{name} must be a 2-D matrix, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} contains non-finite entries")
             mats[name] = m
             object.__setattr__(self, name, m)
         nd1, ns1 = mats["h11"].shape
@@ -107,10 +109,12 @@ class ChannelSet:
 
     def full_rank(self) -> bool:
         """True when all six matrices are full rank under the default tolerance."""
-        return all(
-            matcore.rank_tol(m) == min(m.shape)
-            for m in (getattr(self, name) for name in _CHANNELS)
-        )
+        return _full_rank(*(getattr(self, name) for name in _CHANNELS))
+
+
+def _full_rank(*mats: np.ndarray) -> bool:
+    """True when every matrix has rank ``min(m, n)`` under :func:`matcore.rank_tol`."""
+    return all(matcore.rank_tol(m) == min(m.shape) for m in mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,13 +166,8 @@ class SubsetBasis:
 # one is the matrix itself, so the T = 1 case runs on plain matrices.
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """The matrices as one stack."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _stacked(chs: list[ChannelSet]) -> ChannelSet | SimpleNamespace:
-    """The channel sets of one configuration as six stacks."""
+    """The channel sets of one configuration as six stacks; one set is its own."""
     if len(chs) == 1:
         return chs[0]
     return SimpleNamespace(**{name: np.stack([getattr(c, name) for c in chs])
@@ -176,12 +175,13 @@ def _stacked(chs: list[ChannelSet]) -> ChannelSet | SimpleNamespace:
 
 
 def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
-    """Coordinates, within the shared image basis ``x``, that complete the
-    directions already claimed by higher-priority subsets (per item)."""
+    """Coordinates, within the shared image basis ``x`` (full column rank),
+    that complete the directions already claimed by higher-priority subsets;
+    the claimed ones' least-squares coordinates come from one SVD of the stack."""
     rhs = np.concatenate(claimed, axis=-1)
-    pairs = zip(x, rhs) if x.ndim == 3 else [(x, rhs)]
-    return matcore.orth_complement(
-        _stack([np.linalg.lstsq(xi, ri, rcond=None)[0] for xi, ri in pairs]))
+    u, sv, vh = np.linalg.svd(x, full_matrices=False)
+    coords = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / sv[..., None])
+    return matcore.orth_complement(coords)
 
 
 # The subsets built from matcore.aligned_pairs(G1 N_v, G2 N_w): the subset,
@@ -333,7 +333,7 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
     """
     target = SdofPoint(*target)
     cfg = ch.config
-    v, w = _assemble([ch], cfg, target, _plan(cfg, target, power), power)
+    v, w = _assemble(ch, cfg, target, _plan(cfg, target, power), power)
     return PrecoderPair(v=v, w=w, power=power)
 
 
@@ -347,17 +347,16 @@ def _plan(cfg: AntennaConfig, target: SdofPoint, power: float) -> dict[Subset, i
     return dict(zip(Subset, region.select_streams(cfg, d1)))
 
 
-def _assemble(chs: list[ChannelSet], cfg: AntennaConfig, target: SdofPoint,
+def _assemble(ch: ChannelSet | SimpleNamespace, cfg: AntennaConfig, target: SdofPoint,
               wanted: dict[Subset, int], power: float) -> tuple[np.ndarray, np.ndarray]:
-    """One stack of :func:`construct` on the channel sets ``chs`` of one
-    configuration, with ``wanted`` the :func:`_plan` of the target: the
-    normalized V and W stacks (plain matrices for a stack of one).
+    """One stack of :func:`construct` on the :func:`_stacked` channels ``ch``
+    of one configuration, with ``wanted`` the :func:`_plan` of the target:
+    the normalized V and W stacks (plain matrices for a stack of one).
 
     Raises for the whole stack, or :class:`matcore._StackSplit` when its
     items need different paths.
     """
     d1, d2 = target
-    ch = _stacked(chs)
     lead = ch.g1.shape[:-2]
     try:
         bases = _build_bases(ch, cfg, wanted)

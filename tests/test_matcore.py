@@ -52,9 +52,29 @@ class TestRank:
     def test_empty(self):
         assert matcore.rank_tol(np.zeros((4, 0))) == 0
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            matcore.rank_tol(np.array([[np.nan, 1.0]]))
+    # every public entry, with the bad matrix in each of its matrix slots;
+    # without the check an SVD of such a matrix raises LinAlgError (a
+    # ValueError too) for NaN and prints a LAPACK error to stdout for inf
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", [
+        lambda bad, ok: matcore.rank_tol(bad),
+        lambda bad, ok: matcore.null_basis(bad),
+        lambda bad, ok: matcore.orth_complement(bad),
+        lambda bad, ok: matcore.image_quotient((bad, ok), (ok, ok)),
+        lambda bad, ok: matcore.image_quotient((ok, bad), (ok, ok)),
+        lambda bad, ok: matcore.image_quotient((ok, ok), (bad, ok)),
+        lambda bad, ok: matcore.image_quotient((ok, ok), (ok, bad)),
+        lambda bad, ok: matcore.gsvd(bad, ok),
+        lambda bad, ok: matcore.gsvd(ok, bad),
+        lambda bad, ok: matcore.aligned_pairs(bad, ok),
+    ], ids=["rank_tol", "null_basis", "orth_complement", "image_quotient-a", "image_quotient-b",
+            "image_quotient-c", "image_quotient-d", "gsvd-a", "gsvd-b", "aligned_pairs"])
+    def test_rejects_nonfinite(self, rng, call, value):
+        ok = cstd(rng, 3, 3)
+        bad = cstd(rng, 3, 3)
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            call(bad, ok)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

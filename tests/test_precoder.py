@@ -26,6 +26,20 @@ class TestChannelSet:
             precoder.ChannelSet(h11=ch.h11, h12=ch.h12, h21=ch.h21,
                                 h22=ch.h22, g1=ch.g1, g2=cstd(rng, 5, 3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", precoder._CHANNELS)
+    def test_rejects_nonfinite_entry(self, rng, name, value):
+        ch = channels_for(EX2, rng)
+        bad = getattr(ch, name).copy()
+        bad[0, -1] = value
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            dataclasses.replace(ch, **{name: bad})
+
+    def test_rejects_matrix_that_is_not_2d(self, rng):
+        ch = channels_for(EX2, rng)
+        with pytest.raises(ValueError, match=r"^h21 must be a 2-D matrix, got shape \(1, 4, 6\)$"):
+            dataclasses.replace(ch, h21=ch.h21[None])
+
 
 class TestSubsetBasis:
     def test_widths_match_counts(self, rng):

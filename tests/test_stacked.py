@@ -18,7 +18,6 @@ from conftest import channels_for, cstd, low_rank
 from test_matcore import gsvd_shapes_with_shared_block
 
 CFG_SMALL = AntennaConfig(4, 2, 4, 2, 4)
-CHANNELS = ("h11", "h12", "h21", "h22", "g1", "g2")
 
 # every (config, strict-boundary target) of acceptance criterion 4
 CASES = [
@@ -26,6 +25,35 @@ CASES = [
     for tup in itertools.product(range(1, 5), repeat=5)
     for target in region.boundary(AntennaConfig(*tup)).strict
 ]
+
+# the cases among those whose subset build solves for exclusion coordinates
+# (IV, V or VI avoiding the images of an earlier subset), found by recording
+# the calls of precoder._exclusion_coords over one pass of CASES
+EXCLUSION_CASES = [
+    ((2, 2, 4, 1, 2), (2, 0)), ((2, 3, 4, 1, 2), (2, 0)), ((2, 3, 4, 1, 3), (2, 0)),
+    ((2, 4, 2, 1, 2), (2, 0)), ((2, 4, 3, 2, 2), (2, 0)), ((2, 4, 3, 3, 2), (2, 1)),
+    ((2, 4, 3, 4, 2), (2, 2)), ((2, 4, 4, 1, 2), (2, 0)), ((2, 4, 4, 1, 3), (2, 0)),
+    ((2, 4, 4, 1, 4), (2, 0)), ((3, 2, 4, 1, 3), (2, 0)), ((3, 3, 4, 1, 4), (2, 0)),
+    ((3, 3, 4, 2, 3), (2, 1)), ((3, 4, 2, 1, 3), (2, 0)), ((3, 4, 3, 1, 2), (2, 1)),
+    ((3, 4, 3, 3, 3), (2, 1)), ((3, 4, 3, 4, 3), (2, 2)), ((3, 4, 4, 2, 3), (2, 1)),
+    ((3, 4, 4, 2, 4), (2, 1)), ((4, 2, 4, 1, 4), (2, 0)), ((4, 3, 4, 2, 4), (2, 1)),
+    ((4, 4, 2, 1, 4), (2, 0)), ((4, 4, 3, 1, 3), (2, 1)), ((4, 4, 3, 2, 2), (2, 2)),
+    ((4, 4, 3, 4, 4), (2, 2)), ((4, 4, 4, 3, 4), (2, 2)),
+]
+
+
+def recording_exclusion_solves(monkeypatch):
+    """The image basis, claimed directions and coordinates of each
+    precoder._exclusion_coords call, as they run."""
+    solve, calls = precoder._exclusion_coords, []
+
+    def recording(x, claimed):
+        z = solve(x, claimed)
+        calls.append((x, np.concatenate(claimed, axis=-1), z))
+        return z
+
+    monkeypatch.setattr(precoder, "_exclusion_coords", recording)
+    return calls
 
 
 def single_outcome(trial, target, power):
@@ -166,7 +194,7 @@ class TestConstructStack:
             # one rank-deficient item, so its widths or checks differ from
             # the others' and the split path runs
             index = data.draw(st.integers(0, size - 1))
-            name = data.draw(st.sampled_from(CHANNELS))
+            name = data.draw(st.sampled_from(precoder._CHANNELS))
             rows, cols = getattr(designs[index], name).shape
             rank = data.draw(st.integers(0, min(rows, cols) - 1))
             designs[index] = dataclasses.replace(designs[index],
@@ -195,6 +223,41 @@ class TestConstructStack:
         assert str(outcomes[1]).startswith(message)
         for i in (0, 2):
             assert_same_outcome(outcomes[i], single_outcome(trials[i], target, 1.0))
+
+
+class TestExclusionStack:
+    def test_cases_are_those_that_solve(self, monkeypatch):
+        calls = recording_exclusion_solves(monkeypatch)
+        rng = np.random.default_rng(0)
+        reached = []
+        for tup, target in CASES:
+            calls.clear()
+            precoder.construct(channels_for(tup, rng), target, power=10.0)
+            if calls:
+                reached.append((tup, target))
+        assert reached == EXCLUSION_CASES
+
+    @pytest.mark.parametrize("tup, target", EXCLUSION_CASES)
+    def test_stacked_equals_single(self, monkeypatch, tup, target):
+        # one solve for the stack of three, then each draw as a stack of one
+        rng = np.random.default_rng(list(tup) + list(target))
+        chs = [channels_for(tup, rng) for _ in range(3)]
+        cfg, target = AntennaConfig(*tup), region.SdofPoint(*target)
+        wanted = precoder._plan(cfg, target, 10.0)
+        calls = recording_exclusion_solves(monkeypatch)
+        v, w = precoder._assemble(precoder._stacked(chs), cfg, target, wanted, 10.0)
+        assert calls and {x.shape[:-2] for x, _, _ in calls} == {(3,)}
+        # each item's coordinates complete the least-squares coordinates of
+        # its claimed directions, as np.linalg.lstsq gives them
+        for x, rhs, z in calls:
+            for xi, ri, zi in zip(x, rhs, z):
+                claimed = np.linalg.lstsq(xi, ri, rcond=None)[0]
+                assert zi.shape[-1] == xi.shape[-1] - matcore.rank_tol(claimed)
+                assert np.linalg.norm(zi.conj().T @ claimed) <= 1e-12 * np.linalg.norm(claimed)
+        for i, ch in enumerate(chs):
+            pair = precoder.construct(ch, target, power=10.0)
+            assert np.array_equal(v[i], pair.v) and np.array_equal(w[i], pair.w)
+            assert verifier.sdof_of(ch, pair) == target
 
 
 def small_scenario(**kwargs):
