@@ -55,9 +55,10 @@ class Geometry:
     (radius uniform in [1, ring_radius], angle uniform) around their own
     source; the eavesdropper rings the confidential source.  Draws are
     rejected while any link distance drops below one meter or a receiver
-    lands farther from its source than the source-source spacing.
-    ``resample_rings`` redraws positions every trial; otherwise the trial
-    index 0 positions are reused throughout.
+    lands farther from its source than the source-source spacing, so the
+    sources must be at least one meter apart.  ``resample_rings`` redraws
+    positions every trial; otherwise the trial index 0 positions are
+    reused throughout.
     """
 
     s1: tuple[float, float]
@@ -68,6 +69,10 @@ class Geometry:
     def __post_init__(self):
         if not 1.0 <= self.ring_radius <= 10.0:
             raise ValueError("ring radius must lie in [1, 10] meters")
+        if not all(math.isfinite(x) for x in (*self.s1, *self.s2)):
+            raise ValueError("source coordinates must be finite")
+        if math.dist(self.s1, self.s2) < 1.0:
+            raise ValueError("sources must be at least one meter apart")
 
 
 def _db_to_linear(level_db: float) -> float:
@@ -108,8 +113,11 @@ class Scenario:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if not self.uncertainty_alpha >= 0:  # rejects NaN as well
-            raise ValueError("uncertainty_alpha must be non-negative")
+        # both reject NaN as well
+        if not 0 < self.pathloss_exponent < math.inf:
+            raise ValueError("pathloss_exponent must be positive and finite")
+        if not 0 <= self.uncertainty_alpha < math.inf:
+            raise ValueError("uncertainty_alpha must be non-negative and finite")
         # dataclasses.replace runs this too, so swept values are checked
         _db_to_linear(self.power_dbm - self.noise_power_dbm)
 
@@ -167,16 +175,15 @@ def _cgauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
 
+def _shapes(cfg: AntennaConfig) -> tuple[tuple[int, int], ...]:
+    """The shapes of a channel set's matrices, in ``precoder._CHANNELS`` order."""
+    return ((cfg.nd1, cfg.ns1), (cfg.nd1, cfg.ns2), (cfg.nd2, cfg.ns1),
+            (cfg.nd2, cfg.ns2), (cfg.ne, cfg.ns1), (cfg.ne, cfg.ns2))
+
+
 def gaussian_channels(cfg: AntennaConfig, rng: np.random.Generator) -> pc.ChannelSet:
     """One unit-variance complex Gaussian channel set."""
-    return pc.ChannelSet(
-        h11=_cgauss(rng, cfg.nd1, cfg.ns1),
-        h12=_cgauss(rng, cfg.nd1, cfg.ns2),
-        h21=_cgauss(rng, cfg.nd2, cfg.ns1),
-        h22=_cgauss(rng, cfg.nd2, cfg.ns2),
-        g1=_cgauss(rng, cfg.ne, cfg.ns1),
-        g2=_cgauss(rng, cfg.ne, cfg.ns2),
-    )
+    return pc._trusted(*(_cgauss(rng, rows, cols) for rows, cols in _shapes(cfg)))
 
 
 def los_channel(rows: int, cols: int, distance: float, c: float,
@@ -255,14 +262,19 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
     Gaussian scenarios draw the design set through
     :func:`gaussian_channels`; line-of-sight ones place the receivers (once
     per geometry and seed when the rings are not resampled), then draw the
-    four link phases and the two unit-magnitude eavesdropper estimates.
-    Without uncertainty the true set is the design set itself; with it,
-    only the true eavesdropper channels differ, and their error matrices
-    are drawn before any rank check.  Full-rank failures trigger a
-    complete redraw from the same stream, up to a small budget, after
-    which :class:`DegenerateDraw` is raised.
+    phases of the four links and of the two unit-magnitude eavesdropper
+    estimates in one call, in ``precoder._CHANNELS`` order and row-major
+    within each matrix: the values that :func:`los_channel` called link
+    by link would draw.  Without uncertainty the true set is the design
+    set itself; with it, only the true eavesdropper channels differ, and
+    their error matrices are drawn before any rank check.  Full-rank
+    failures trigger a complete redraw from the same stream, up to a small
+    budget, after which :class:`DegenerateDraw` is raised.  The channel
+    sets are built without :class:`precoder.ChannelSet`'s checks, which
+    the :class:`Scenario` and :class:`Geometry` checks make redundant.
     """
     cfg = scenario.config
+    shapes = _shapes(cfg)
     rng = _trial_rng(scenario.seed, trial_index)
     geo = scenario.geometry
     alpha = scenario.uncertainty_alpha
@@ -276,26 +288,24 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
         else:
             links = (_link_distances(geo, rng) if geo.resample_rings
                      else _fixed_link_distances(geo, scenario.seed))
-            h11 = los_channel(cfg.nd1, cfg.ns1, links["h11"], cexp, rng)
-            h12 = los_channel(cfg.nd1, cfg.ns2, links["h12"], cexp, rng)
-            h21 = los_channel(cfg.nd2, cfg.ns1, links["h21"], cexp, rng)
-            h22 = los_channel(cfg.nd2, cfg.ns2, links["h22"], cexp, rng)
+            unit = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, sum(r * c for r, c in shapes)))
+            phases, start = [], 0
+            for rows, cols in shapes:
+                phases.append(unit[start:start + rows * cols].reshape(rows, cols))
+                start += rows * cols
+            g1_est, g2_est = phases[4:]
             dist_g1, dist_g2 = links["g1"], links["g2"]
-            # unit-magnitude random-phase estimates; path loss applied below
-            g1_est = np.exp(1j * rng.uniform(0, 2 * np.pi, (cfg.ne, cfg.ns1)))
-            g2_est = np.exp(1j * rng.uniform(0, 2 * np.pi, (cfg.ne, cfg.ns2)))
-            design = pc.ChannelSet(h11=h11, h12=h12, h21=h21, h22=h22,
-                                   g1=dist_g1 ** (-cexp / 2.0) * g1_est,
-                                   g2=dist_g2 ** (-cexp / 2.0) * g2_est)
+            design = pc._trusted(*(links[name] ** (-cexp / 2.0) * phase
+                                   for name, phase in zip(pc._CHANNELS, phases)))
 
         if alpha == 0:
             actual = design
             true_eve_ok = True
         else:
-            actual = dataclasses.replace(
-                design,
-                g1=uncertain_eve_channel(g1_est, alpha, dist_g1, cexp, rng),
-                g2=uncertain_eve_channel(g2_est, alpha, dist_g2, cexp, rng),
+            actual = pc._trusted(
+                design.h11, design.h12, design.h21, design.h22,
+                uncertain_eve_channel(g1_est, alpha, dist_g1, cexp, rng),
+                uncertain_eve_channel(g2_est, alpha, dist_g2, cexp, rng),
             )
             true_eve_ok = pc._full_rank(actual.g1, actual.g2)
         if design.full_rank() and true_eve_ok:
@@ -325,55 +335,89 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     the design channels at the effective SNR, and score the rate pair on
     the true channels.  Trials whose draw or construction degenerates, or
     in which a LAPACK routine does not converge, are counted as failures
-    and excluded from the averages.  A target outside the region raises
+    and excluded from the averages; :class:`DegenerateDraw` is raised when
+    every trial fails.  A target outside the region raises
     :class:`TargetInfeasible`, as :func:`precoder.construct` does, at the
     first trial that draws.
 
-    Each trial is drawn alone, from its own stream; the drawn trials are
-    then built and scored in stacks of up to ``_STACK_TRIALS``, in one
-    pass per stack (:func:`_stack_rates` under :func:`matcore._per_item`):
-    trials that need a different path are split off, and a LAPACK error
-    re-runs build and score trial by trial, so every trial's outcome is
-    bitwise the one :func:`precoder.construct` and :func:`verifier.rates`
-    give it alone.  Within a stack each GSVD runs once, with only its
-    cosine-sine step taken trial by trial.
+    This is :func:`_run_points` on the one point: every trial's outcome
+    is bitwise the one :func:`precoder.construct` and
+    :func:`verifier.rates` give it alone.
+    """
+    return _run_points([scenario], target)[0]
+
+
+def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> list[PointStats]:
+    """:func:`run_point` of each of ``points``, which share their
+    configuration, as the points of a sweep do.
+
+    The (point, trial) pairs are drawn in order, each trial alone from its
+    own stream.  The drawn trials are then built and scored in stacks of
+    up to ``_STACK_TRIALS``, in one pass per stack (:func:`_stack_rates`
+    under :func:`matcore._per_item`).  A stack may span points, but not a
+    change of effective power, and it is drawn only when the one before it
+    has been scored, so memory does not grow with the trials.  Trials that
+    need a different path are split off, and a LAPACK error re-runs build
+    and score trial by trial.  Within a stack each GSVD runs once, with
+    only its cosine-sine step taken trial by trial.  Each outcome is
+    counted at its own point, and the first point whose trials all fail
+    raises as :func:`run_point` would.
     """
     target = SdofPoint(*target)
-    power = scenario.effective_power
-    rs1 = np.zeros(scenario.trials)
-    rs2 = np.zeros(scenario.trials)
-    used = 0
-    failures = 0
+    cfg = points[0].config
+    rs1, rs2 = [[] for _ in points], [[] for _ in points]
+    failures = [0] * len(points)
     wanted = None
-    for start in range(0, scenario.trials, _STACK_TRIALS):
-        drawn = []
-        for trial in range(start, min(start + _STACK_TRIALS, scenario.trials)):
+    owners, drawn = [], []  # the point index and channels of each drawn trial
+
+    def score(power: float) -> None:
+        outcomes = matcore._per_item(
+            lambda items: _stack_rates(items, cfg, target, wanted, power), drawn)
+        for i, triple in zip(owners, outcomes):
+            if isinstance(triple, Exception):
+                failures[i] += 1
+            else:
+                rs1[i].append(triple.rs1)
+                rs2[i].append(triple.rs2)
+        owners.clear()
+        drawn.clear()
+
+    power = None
+    for i, scenario in enumerate(points):
+        if drawn and scenario.effective_power != power:
+            score(power)
+        power = scenario.effective_power
+        for trial in range(scenario.trials):
             try:
                 drawn.append(draw_trial(scenario, trial))
             except (DegenerateDraw, np.linalg.LinAlgError):
-                failures += 1
+                failures[i] += 1
                 continue
+            owners.append(i)
             if wanted is None:
-                wanted = pc._plan(scenario.config, target, power)
-        outcomes = matcore._per_item(
-            lambda items: _stack_rates(items, scenario.config, target, wanted, power), drawn)
-        for triple in outcomes:
-            if isinstance(triple, Exception):
-                failures += 1
-                continue
-            rs1[used] = triple.rs1
-            rs2[used] = triple.rs2
-            used += 1
+                wanted = pc._plan(cfg, target, power)
+            if len(drawn) == _STACK_TRIALS:
+                score(power)
+        # a point whose trials have all failed raises before a later one draws
+        if failures[i] == scenario.trials:
+            raise DegenerateDraw("every trial failed")
+    score(power)
+    return [_point_stats(np.array(r1), np.array(r2), lost, scenario.trials)
+            for r1, r2, lost, scenario in zip(rs1, rs2, failures, points)]
+
+
+def _point_stats(r1: np.ndarray, r2: np.ndarray, failures: int, trials: int) -> PointStats:
+    """Means and standard errors of a point's trial rates."""
+    used = len(r1)
     if used == 0:
         raise DegenerateDraw("every trial failed")
-    r1, r2 = rs1[:used], rs2[:used]
     # numpy's pairwise summation keeps the aggregation order-insensitive
     se1 = float(np.std(r1, ddof=1) / math.sqrt(used)) if used > 1 else 0.0
     se2 = float(np.std(r2, ddof=1) / math.sqrt(used)) if used > 1 else 0.0
     return PointStats(
         mean_rs1=float(np.mean(r1)), se_rs1=se1,
         mean_rs2=float(np.mean(r2)), se_rs2=se2,
-        failures=failures, trials=scenario.trials,
+        failures=failures, trials=trials,
     )
 
 
@@ -389,15 +433,20 @@ def _apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scena
 
 
 def monte_carlo(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> list[CurveRecord]:
-    """Curve records over the scenario's sweep (a single record without one)."""
+    """Curve records over the scenario's sweep (a single record without one).
+
+    The sweep's points run as one :func:`_run_points`, so a stack of trials
+    spans the points that share an effective power, and each record holds
+    the :func:`run_point` of its point.
+    """
     if scenario.sweep is None:
         return [CurveRecord(variable="", x=0.0, stats=run_point(scenario, target))]
     variable, values = scenario.sweep.variable, scenario.sweep.values
     # every swept scenario is built, and so checked, before any point runs
     derived = [_apply_sweep_value(scenario, variable, value) for value in values]
     return [
-        CurveRecord(variable=variable, x=float(value), stats=run_point(point, target))
-        for value, point in zip(values, derived)
+        CurveRecord(variable=variable, x=float(value), stats=stats)
+        for value, stats in zip(values, _run_points(derived, target))
     ]
 
 

@@ -112,9 +112,22 @@ class ChannelSet:
         return _full_rank(*(getattr(self, name) for name in _CHANNELS))
 
 
+def _trusted(*mats: np.ndarray) -> ChannelSet:
+    """A :class:`ChannelSet` of six finite complex128 matrices of one
+    configuration, in ``_CHANNELS`` order, that the package drew itself:
+    built without ``__post_init__``'s coercion and checks."""
+    ch = object.__new__(ChannelSet)
+    ch.__dict__.update(zip(_CHANNELS, mats))
+    return ch
+
+
 def _full_rank(*mats: np.ndarray) -> bool:
-    """True when every matrix has rank ``min(m, n)`` under :func:`matcore.rank_tol`."""
-    return all(matcore.rank_tol(m) == min(m.shape) for m in mats)
+    """True when every matrix has rank ``min(m, n)`` under :func:`matcore.rank_tol`.
+
+    Calls the unchecked :func:`matcore._rank`: every matrix passed here
+    was checked when its :class:`ChannelSet` was built, or was drawn by
+    the package."""
+    return all(matcore._rank(m) == min(m.shape) for m in mats)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from sdofkit import chansim, matcore
+from sdofkit import precoder as pc
 from sdofkit.chansim import Geometry, Scenario, Sweep
 from sdofkit.errors import DegenerateDraw, TargetInfeasible
 from sdofkit.region import AntennaConfig
@@ -64,10 +65,77 @@ class TestUncertainEve:
 
 
 class TestScenario:
-    @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf")])
     def test_rejects_uncertainty_alpha(self, alpha):
         with pytest.raises(ValueError, match="uncertainty_alpha must be non-negative"):
             Scenario(config=CFG_SMALL, uncertainty_alpha=alpha)
+
+    # each failed mid-sweep before: -400 overflows the path loss of a 50 m
+    # link, and the others gave non-finite channel entries
+    @pytest.mark.parametrize("exponent", [0.0, -400.0, float("nan"), float("inf"),
+                                          float("-inf")])
+    def test_rejects_pathloss_exponent(self, exponent):
+        with pytest.raises(ValueError, match="pathloss_exponent must be positive and finite"):
+            Scenario(config=CFG_SMALL, geometry=small_geometry(), pathloss_exponent=exponent)
+
+    def test_bad_sweep_value_raises_before_any_point_runs(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(chansim, "draw_trial", lambda sc, trial: drawn.append(trial))
+        sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=2,
+                      sweep=Sweep("s1_s2_distance", (50.0, 0.5)))
+        with pytest.raises(ValueError, match="at least one meter apart"):
+            chansim.monte_carlo(sc, (1, 1))
+        assert drawn == []
+
+
+class TestGeometry:
+    # no placement passes sources closer than a meter: s1 = s2 spent
+    # seconds in rejection loops before every trial failed
+    @pytest.mark.parametrize("s1", [(0.0, 0.0), (0.6, 0.8 - 1e-9)],
+                             ids=["coincident", "just_under_a_meter"])
+    def test_rejects_sources_closer_than_one_meter(self, s1):
+        with pytest.raises(ValueError, match="sources must be at least one meter apart"):
+            Geometry(s1=s1, s2=(0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["s1", "s2"])
+    def test_rejects_non_finite_coordinates(self, field, bad):
+        points = {"s1": (50.0, 0.0), "s2": (0.0, 0.0)}
+        points[field] = (points[field][0], bad)
+        with pytest.raises(ValueError, match="source coordinates must be finite"):
+            Geometry(**points)
+
+    def test_accepts_sources_one_meter_apart(self):
+        Geometry(s1=(0.6, 0.8), s2=(0.0, 0.0))
+
+
+def replayed_draw(sc, trial):
+    """A line-of-sight trial's (design, actual) sets, drawn one link at a time."""
+    cfg, geo, c, alpha = sc.config, sc.geometry, sc.pathloss_exponent, sc.uncertainty_alpha
+    rng = chansim._trial_rng(sc.seed, trial)
+    for _ in range(chansim._MAX_RESAMPLES):
+        links = (chansim._link_distances(geo, rng) if geo.resample_rings
+                 else chansim._fixed_link_distances(geo, sc.seed))
+        h = dict(
+            h11=chansim.los_channel(cfg.nd1, cfg.ns1, links["h11"], c, rng),
+            h12=chansim.los_channel(cfg.nd1, cfg.ns2, links["h12"], c, rng),
+            h21=chansim.los_channel(cfg.nd2, cfg.ns1, links["h21"], c, rng),
+            h22=chansim.los_channel(cfg.nd2, cfg.ns2, links["h22"], c, rng),
+        )
+        g1_est = np.exp(1j * rng.uniform(0, 2 * np.pi, (cfg.ne, cfg.ns1)))
+        g2_est = np.exp(1j * rng.uniform(0, 2 * np.pi, (cfg.ne, cfg.ns2)))
+        design = pc.ChannelSet(**h, g1=links["g1"] ** (-c / 2.0) * g1_est,
+                               g2=links["g2"] ** (-c / 2.0) * g2_est)
+        actual = design
+        if alpha > 0:
+            actual = pc.ChannelSet(
+                **h,
+                g1=chansim.uncertain_eve_channel(g1_est, alpha, links["g1"], c, rng),
+                g2=chansim.uncertain_eve_channel(g2_est, alpha, links["g2"], c, rng),
+            )
+        if design.full_rank() and actual.full_rank():
+            return design, actual
+    raise AssertionError(f"trial {trial} never drew full-rank channels")
 
 
 class TestDrawTrial:
@@ -131,6 +199,23 @@ class TestDrawTrial:
         assert calls == [geo]
         assert point.mean_rs1.hex() == "0x1.bad2b6d670764p+1"
         assert point.mean_rs2.hex() == "0x1.236a5da714983p+3"
+
+    @pytest.mark.parametrize("resample_rings", [True, False], ids=["resampled", "fixed"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    @pytest.mark.parametrize("cfg", [(4, 2, 4, 2, 4), (6, 6, 5, 4, 5), (1, 1, 2, 2, 1)],
+                             ids=lambda cfg: ",".join(map(str, cfg)))
+    def test_rng_contract(self, cfg, alpha, resample_rings):
+        # differential: the draw equals a replay of each trial's stream
+        # link by link, through the public draws and checked channel sets
+        geo = dataclasses.replace(small_geometry(), resample_rings=resample_rings)
+        sc = Scenario(config=AntennaConfig(*cfg), geometry=geo, trials=1, seed=21,
+                      uncertainty_alpha=alpha)
+        for trial in range(20):
+            design, actual = replayed_draw(sc, trial)
+            drawn = chansim.draw_trial(sc, trial)
+            for name in pc._CHANNELS:
+                assert np.array_equal(getattr(drawn.design, name), getattr(design, name))
+                assert np.array_equal(getattr(drawn.actual, name), getattr(actual, name))
 
     def test_rank_deficient_true_eve_channel_is_redrawn(self, monkeypatch):
         # the design channels stay full rank; only the true eavesdropper
@@ -250,8 +335,15 @@ class TestMonteCarlo:
             assert rel_drop[n2] > 0
         assert rel_drop[6] < rel_drop[2]
 
-    @pytest.mark.parametrize("variable", chansim.SWEEP_VARIABLES)
-    def test_sweep_point_equals_scenario_built_directly(self, variable):
+    # stacks of 3 straddle the points of each sweep
+    @pytest.mark.parametrize("variable, stack_trials", [
+        pytest.param(v, n, id=v if n is None else f"{v}-stack{n}")
+        for n in (None, 3) for v in chansim.SWEEP_VARIABLES
+    ])
+    def test_sweep_point_equals_scenario_built_directly(self, monkeypatch, variable,
+                                                        stack_trials):
+        if stack_trials is not None:
+            monkeypatch.setattr(chansim, "_STACK_TRIALS", stack_trials)
         values = {
             "s1_s2_distance": (150.0, 50.0),
             "uncertainty_alpha": (0.0, 0.2),

@@ -262,6 +262,24 @@ class TestMalformedFiles:
         assert doc["error"] == "bad_input"
         assert doc["message"].endswith(f"{field} must be a finite number")
 
+    # settings no receiver placement can meet, directly and through a
+    # sweep, are refused before any trial is drawn
+    @pytest.mark.parametrize("setting", [
+        '"geometry": {"s1": [0, 0], "s2": [0, 0]}',
+        '"geometry": {"s1": [50, 0], "s2": [0, 0]}, '
+        '"sweep": {"variable": "s1_s2_distance", "values": [50, 0.5]}',
+    ], ids=["coincident_sources", "sweep_value"])
+    def test_unplaceable_sources_exit_2(self, capsys, tmp_path, setting):
+        spath = tmp_path / "scenario.json"
+        spath.write_text('{"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4}, '
+                         '"target": [1, 1], "trials": 50, ' + setting + "}")
+        code, doc = run_json(capsys, "simulate", "--scenario", str(spath),
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert doc["error"] == "bad_input"
+        assert doc["message"] == "sources must be at least one meter apart"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path):
         # Python refuses to convert integers of more than 4,300 digits
         bundle = tmp_path / "bundle.json"

@@ -286,6 +286,34 @@ def stats_without(scenario, target, lost):
     )
 
 
+def count_gsvd_calls(monkeypatch):
+    """Record the shape of every SVD that :func:`matcore.gsvd` runs and of
+    every cosine-sine step, in two lists that fill as the caller runs."""
+    svd, gsvd, cossin = np.linalg.svd, matcore.gsvd, matcore.cossin
+    inside, svds, steps = [False], [], []
+
+    def counting_svd(a, *args, **kwargs):
+        if inside[0]:
+            svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def counting_gsvd(a, b):
+        inside[0] = True
+        try:
+            return gsvd(a, b)
+        finally:
+            inside[0] = False
+
+    def counting_cossin(x, p, q, separate):
+        steps.append(x.shape)
+        return cossin(x, p, q, separate)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(matcore, "gsvd", counting_gsvd)
+    monkeypatch.setattr(matcore, "cossin", counting_cossin)
+    return svds, steps
+
+
 class TestRunPointStacks:
     @pytest.mark.parametrize("alpha", [0.0, 0.2])
     def test_equals_per_trial_functions(self, alpha):
@@ -449,30 +477,8 @@ class TestRunPointStacks:
         # counts that do not depend on the machine: on a 20-trial LoS point
         # the GSVD's two input rank checks and its stacked-pair SVD run once
         # for the stack, and the cosine-sine step once per trial
-        sc = small_scenario(trials=20, seed=1)
-        svd, gsvd, cossin = np.linalg.svd, matcore.gsvd, matcore.cossin
-        inside, svds, steps = [False], [], []
-
-        def counting_svd(a, *args, **kwargs):
-            if inside[0]:
-                svds.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        def counting_gsvd(a, b):
-            inside[0] = True
-            try:
-                return gsvd(a, b)
-            finally:
-                inside[0] = False
-
-        def counting_cossin(x, p, q, separate):
-            steps.append(x.shape)
-            return cossin(x, p, q, separate)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(matcore, "gsvd", counting_gsvd)
-        monkeypatch.setattr(matcore, "cossin", counting_cossin)
-        out = chansim.run_point(sc, (1, 1))
+        svds, steps = count_gsvd_calls(monkeypatch)
+        out = chansim.run_point(small_scenario(trials=20, seed=1), (1, 1))
         assert out.failures == 0
         assert len(svds) == 3 and all(shape[0] == 20 for shape in svds)
         assert len(steps) == 20
@@ -496,3 +502,109 @@ class TestRunPointStacks:
         monkeypatch.setattr(chansim, "draw_trial", no_draw)
         with pytest.raises(DegenerateDraw, match="every trial failed"):
             chansim.run_point(small_scenario(trials=5, seed=0), (4, 4))
+
+
+# the criterion-6 distance sweep of the montecarlo_los benchmark
+SWEEP_DISTANCES = (350.0, 300.0, 250.0, 200.0, 150.0, 100.0, 50.0, 20.0, 10.0)
+
+
+def sweep_scenario(trials, variable="s1_s2_distance", values=SWEEP_DISTANCES, seed=0):
+    return small_scenario(trials=trials, seed=seed, sweep=chansim.Sweep(variable, values))
+
+
+def points_of(scenario):
+    sweep = scenario.sweep
+    return [chansim._apply_sweep_value(scenario, sweep.variable, x) for x in sweep.values]
+
+
+class TestSweepStacks:
+    def test_sweep_of_one_power_is_one_stack(self, monkeypatch):
+        # counts that do not depend on the machine: the 9 x 20 distance
+        # sweep runs the GSVD's three SVDs once, on 180-trial stacks, and
+        # the cosine-sine step once per trial
+        svds, steps = count_gsvd_calls(monkeypatch)
+        records = chansim.monte_carlo(sweep_scenario(20, seed=1), (1, 1))
+        assert [rec.stats.failures for rec in records] == [0] * 9
+        assert len(svds) == 3 and all(shape[0] == 180 for shape in svds)
+        assert len(steps) == 180
+
+    @pytest.mark.parametrize("variable, values, stacks", [
+        ("power_dbm", (0.0, 0.0, 10.0), [10, 5]),
+        ("noise_power_dbm", (-60.0, -40.0, -40.0), [5, 10]),
+        ("uncertainty_alpha", (0.0, 0.2, 0.1), [15]),
+    ])
+    def test_stack_ends_where_power_changes(self, monkeypatch, variable, values, stacks):
+        sc = sweep_scenario(5, variable, values)
+        expected = [chansim.run_point(point, (1, 1)) for point in points_of(sc)]
+        svds, _ = count_gsvd_calls(monkeypatch)
+        records = chansim.monte_carlo(sc, (1, 1))
+        assert [rec.stats for rec in records] == expected
+        assert [shape[0] for shape in svds[::3]] == stacks
+
+    def test_failures_are_counted_at_their_point(self, monkeypatch):
+        # one stack of 15 spans the three points; trial 2 of the second
+        # point fails to draw, and the cosine-sine step of trial 0 of the
+        # third fails wherever it runs, in the stack and alone
+        sc = sweep_scenario(5, values=(150.0, 100.0, 50.0))
+        points = points_of(sc)
+        cossin, inputs = matcore.cossin, []
+
+        def recording(x, p, q, separate):
+            inputs.append(x.copy())
+            return cossin(x, p, q, separate)
+
+        monkeypatch.setattr(matcore, "cossin", recording)
+        precoder.construct(chansim.draw_trial(points[2], 0).design, (1, 1),
+                           power=sc.effective_power)
+        (marked,) = inputs
+
+        def planted(x, p, q, separate):
+            if np.array_equal(x, marked):
+                raise np.linalg.LinAlgError("zuncsd did not converge: 1")
+            return cossin(x, p, q, separate)
+
+        draw = chansim.draw_trial
+
+        def failing_draw(scenario, trial):
+            if scenario == points[1] and trial == 2:
+                raise DegenerateDraw("planted")
+            return draw(scenario, trial)
+
+        monkeypatch.setattr(matcore, "cossin", planted)
+        monkeypatch.setattr(chansim, "draw_trial", failing_draw)
+        records = chansim.monte_carlo(sc, (1, 1))
+        monkeypatch.undo()
+        assert [rec.stats for rec in records] == [
+            stats_without(points[0], (1, 1), set()),
+            stats_without(points[1], (1, 1), {2}),
+            stats_without(points[2], (1, 1), {0}),
+        ]
+
+    @pytest.mark.parametrize("stage", ["draw", "build"])
+    def test_point_whose_trials_all_fail_raises(self, monkeypatch, stage):
+        # the second of three points loses every trial; when its draws all
+        # fail, the third point draws nothing before the sweep raises
+        sc = sweep_scenario(4, values=(150.0, 100.0, 50.0))
+        points = points_of(sc)
+        draw, stack_rates = chansim.draw_trial, chansim._stack_rates
+        drawn, doomed = [], set()
+
+        def marking_draw(scenario, trial):
+            drawn.append(points.index(scenario))
+            if scenario == points[1] and stage == "draw":
+                raise DegenerateDraw("planted")
+            chans = draw(scenario, trial)
+            if scenario == points[1]:
+                doomed.add(id(chans))
+            return chans
+
+        def failing_stack(trials, *args):
+            if any(id(t) in doomed for t in trials):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return stack_rates(trials, *args)
+
+        monkeypatch.setattr(chansim, "draw_trial", marking_draw)
+        monkeypatch.setattr(chansim, "_stack_rates", failing_stack)
+        with pytest.raises(DegenerateDraw, match="every trial failed"):
+            chansim.monte_carlo(sc, (1, 1))
+        assert drawn == [0] * 4 + [1] * 4 + ([2] * 4 if stage == "build" else [])
