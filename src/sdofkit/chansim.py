@@ -113,6 +113,8 @@ class Scenario:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:  # NumPy's seeding would refuse it at the first draw
+            raise ValueError("seed must be non-negative")
         # both reject NaN as well
         if not 0 < self.pathloss_exponent < math.inf:
             raise ValueError("pathloss_exponent must be positive and finite")
@@ -324,7 +326,11 @@ def _stack_rates(trials: list[TrialChannels], cfg: AntennaConfig, target: SdofPo
     """One stack of trials, built on their design channels and scored on
     their true ones: raises for the whole stack, or
     :class:`matcore._StackSplit` when its items need different paths."""
-    v, w = pc._assemble(pc._stacked([t.design for t in trials]), cfg, target, wanted, power)
+    design = pc._stacked([t.design for t in trials])
+    v, w = pc._assemble(design, cfg, target, wanted, power)
+    # without uncertainty every trial is scored on its design set, already stacked
+    if all(t.actual is t.design for t in trials):
+        return verifier._score(design, v, w)
     return verifier._score(pc._stacked([t.actual for t in trials]), v, w)
 
 

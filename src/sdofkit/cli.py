@@ -99,6 +99,8 @@ def cmd_construct(args) -> int:
     power = chansim._db_to_linear(args.power_dbm)
 
     seed = args.seed
+    if seed is not None and seed < 0:
+        raise SchemaViolation(f"--seed must be a non-negative integer, got {seed}")
     if args.channels is not None:
         ch = serialize.channels_from_json(_section(serialize.load_json(args.channels), "channels"))
         if ch.config != cfg:

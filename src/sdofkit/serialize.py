@@ -5,12 +5,14 @@ matrices as ``{"rows": R, "data": [col, col, ...]}`` where each column is
 a list of ``[re, im]`` entries (vectors are columns throughout the
 package; the explicit row count keeps zero-column matrices unambiguous).
 Input documents are validated on load against the schemas shipped under
-``sdofkit/schemas``, with ``jsonschema`` imported at the first check, and
-every number read from them must be finite (``NaN`` and ``Infinity`` too).
+``sdofkit/schemas`` by :func:`validate_document`, which implements the few
+JSON Schema keywords those schemas use, and every number read from them
+must be finite (``NaN`` and ``Infinity`` too).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from importlib import resources
@@ -167,18 +169,82 @@ def scenario_from_json(obj: dict) -> tuple[Scenario, SdofPoint]:
     return scenario, target
 
 
+@functools.cache  # parsed once per process; no caller modifies it
 def _schema(name: str) -> dict:
     text = resources.files("sdofkit.schemas").joinpath(f"{name}.schema.json").read_text()
     return json.loads(text)
 
 
 def validate_document(obj, name: str) -> None:
-    """Validate a JSON document against a shipped schema."""
-    import jsonschema
-    try:
-        jsonschema.validate(obj, _schema(name))
-    except jsonschema.ValidationError as exc:
-        raise SchemaViolation(f"{name}: {exc.message}") from exc
+    """Validate a JSON document against a shipped schema.
+
+    Of the errors found, the one reported is the one ``jsonschema`` would
+    report, in its words: the least deep, then the one whose path sorts last.
+    """
+    schema = _schema(name)
+    error = max(_errors(obj, schema, schema, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if error is not None:
+        raise SchemaViolation(f"{name}: {error[1]}")
+
+
+# The JSON Schema (2020-12) keywords that _errors implements, and the
+# annotations it ignores; the shipped schemas use no others.
+_KEYWORDS = frozenset({"type", "properties", "required", "items", "minItems", "maxItems",
+                       "minimum", "maximum", "exclusiveMinimum", "const", "enum", "$ref"})
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "$defs"})
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None)}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's types: a bool is no number, and 1.0 is an integer."""
+    if name not in ("number", "integer"):
+        return isinstance(value, _JSON_TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return name == "number" or isinstance(value, int) or value.is_integer()
+
+
+def _errors(value, schema: dict, root: dict, path: tuple):
+    """Yield ``(path, message)`` for each keyword of ``schema`` that
+    ``value`` fails; object, array and numeric keywords apply only to
+    values of their type."""
+    for key, arg in schema.items():
+        if key == "$ref":  # local, "#/$defs/<name>"
+            yield from _errors(value, root["$defs"][arg.removeprefix("#/$defs/")], root, path)
+        elif key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_is_type(value, t) for t in types):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "const":
+            if value != arg:
+                yield path, f"{arg!r} was expected"
+        elif key == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif isinstance(value, dict):
+            if key == "required":
+                yield from ((path, f"{k!r} is a required property") for k in arg if k not in value)
+            elif key == "properties":
+                for k, sub in arg.items():
+                    if k in value:
+                        yield from _errors(value[k], sub, root, path + (k,))
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _errors(item, arg, root, path + (i,))
+            elif key == "minItems" and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+            elif key == "maxItems" and len(value) > arg:
+                yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif _is_type(value, "number"):
+            if key == "minimum" and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+            elif key == "maximum" and value > arg:
+                yield path, f"{value!r} is greater than the maximum of {arg!r}"
+            elif key == "exclusiveMinimum" and value <= arg:
+                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
 
 
 def _json_int(text: str, path) -> int:

@@ -78,6 +78,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="pathloss_exponent must be positive and finite"):
             Scenario(config=CFG_SMALL, geometry=small_geometry(), pathloss_exponent=exponent)
 
+    # NumPy's seeding refused it only at the first draw, naming no field
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            Scenario(config=CFG_SMALL, seed=-3)
+
     def test_bad_sweep_value_raises_before_any_point_runs(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(chansim, "draw_trial", lambda sc, trial: drawn.append(trial))

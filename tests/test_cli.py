@@ -129,6 +129,13 @@ class TestConstructCommand:
         assert code == 2
         assert doc["error"] == "bad_input"
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, doc = run_json(capsys, "construct", "--antennas", "6,6,5,4,5",
+                             "--target", "2,4", "--seed", "-1")
+        assert code == 2
+        assert doc["error"] == "bad_input"
+        assert doc["message"] == "--seed must be a non-negative integer, got -1"
+
     def test_channels_file_reproduces_bundle(self, capsys, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         run_json(capsys, "construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
@@ -413,6 +420,17 @@ class TestSimulateCommand:
                              "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps({"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2,
+                                                  "ne": 4},
+                                     "target": [1, 1], "trials": 2, "seed": -1}))
+        code, doc = run_json(capsys, "simulate", "--scenario", str(spath),
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert doc["error"] == "bad_input"
+        assert doc["message"] == "scenario: -1 is less than the minimum of 0"
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("setting", [
         {"power_dbm": 4000},
@@ -537,25 +555,34 @@ class TestClosedStdout:
         assert proc.stderr == b""
 
 
-# Prints, after each step, whether MODULE has been loaded.
+# Prints, after each step, whether MODULE has been loaded, and each
+# command's exit code, parsed output and stdout.  A repeated command is
+# labelled with its ordinal ("construct 2").  With BLOCK set, MODULE cannot
+# be imported.
 _MODULE_PROBE = """
 import contextlib, io, json, sys
-loaded = {}
+if BLOCK:
+    sys.modules[MODULE] = None
+loaded, seen = {}, []
 import sdofkit
-loaded["import sdofkit"] = MODULE in sys.modules
+loaded["import sdofkit"] = sys.modules.get(MODULE) is not None
 import sdofkit.cli
-loaded["import sdofkit.cli"] = MODULE in sys.modules
+loaded["import sdofkit.cli"] = sys.modules.get(MODULE) is not None
 for argv in ARGVS:
+    seen.append(argv[0])
+    label = argv[0] if seen.count(argv[0]) == 1 else f"{argv[0]} {seen.count(argv[0])}"
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = sdofkit.cli.main(argv)
-    loaded[argv[0]] = MODULE in sys.modules
-    loaded[argv[0] + " output"] = [code, json.loads(out.getvalue())]
+    loaded[label] = sys.modules.get(MODULE) is not None
+    loaded[label + " output"] = [code, json.loads(out.getvalue())]
+    loaded[label + " stdout"] = out.getvalue()
 print(json.dumps(loaded))
 """
 
 
-def module_probe(module, *argvs):
-    code = _MODULE_PROBE.replace("MODULE", repr(module)).replace("ARGVS", repr(list(argvs)))
+def module_probe(module, *argvs, block=False):
+    code = (_MODULE_PROBE.replace("MODULE", repr(module)).replace("ARGVS", repr(list(argvs)))
+            .replace("BLOCK", repr(block)))
     proc = run_python(code, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -565,9 +592,29 @@ def scipy_probe(*argvs):
     return module_probe("scipy.linalg", *argvs)
 
 
+# the steps of every_command, as module_probe labels them
+COMMAND_LABELS = ["region", "construct", "construct 2", "verify", "simulate"]
+
+
+def every_command(tmp_path):
+    """Each command once, and construct from a channel file as well."""
+    bundle, scenario = str(tmp_path / "bundle.json"), tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4},
+                                    "target": [1, 1], "trials": 3, "seed": 5}))
+    return [
+        ["region", "--antennas", "6,6,5,4,5"],
+        ["construct", "--antennas", "6,6,5,4,5", "--target", "2,4", "--seed", "7",
+         "--out", bundle],
+        ["construct", "--antennas", "6,6,5,4,5", "--target", "2,4", "--channels", bundle],
+        ["verify", "--channels", bundle, "--precoder", bundle],
+        ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "curve.csv")],
+    ]
+
+
 class TestImportCost:
     """SciPy serves only the cosine-sine step of a GSVD with a shared
-    block, so commands that compute none never load it."""
+    block, so commands that compute none never load it.  Input files are
+    checked inside ``sdofkit``, so no command loads ``jsonschema``."""
 
     def test_region_and_verify_load_no_scipy(self, capsys, tmp_path):
         bundle = str(tmp_path / "bundle.json")
@@ -590,20 +637,29 @@ class TestImportCost:
         assert code == 0
         assert doc["sdof"] == [2, 4]
 
-    def test_jsonschema_loads_with_the_first_input_file(self, tmp_path):
-        bundle = str(tmp_path / "bundle.json")
-        loaded = module_probe(
-            "jsonschema",
-            ["region", "--antennas", "6,6,5,4,5"],
-            ["construct", "--antennas", "6,6,5,4,5", "--target", "2,4", "--seed", "7",
-             "--out", bundle],
-            ["verify", "--channels", bundle, "--precoder", bundle],
-        )
-        codes = [loaded[command + " output"][0] for command in ("region", "construct", "verify")]
-        assert codes == [0, 0, 0]
+    def test_no_command_loads_jsonschema(self, tmp_path):
+        loaded = module_probe("jsonschema", *every_command(tmp_path))
+        assert [loaded[label + " output"][0] for label in COMMAND_LABELS] == [0] * 5
         assert loaded["verify output"][1]["sdof"] == [2, 4]
-        steps = ["import sdofkit", "import sdofkit.cli", "region", "construct", "verify"]
-        assert [loaded[step] for step in steps] == [False, False, False, False, True]
+        steps = ["import sdofkit", "import sdofkit.cli", *COMMAND_LABELS]
+        assert {step: loaded[step] for step in steps} == dict.fromkeys(steps, False)
+
+    def test_commands_run_with_jsonschema_blocked(self, tmp_path):
+        argvs = every_command(tmp_path)
+        free = module_probe("jsonschema", *argvs)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4}, '
+                       '"target": [1, 1], "trials": true}')
+        blocked = module_probe("jsonschema", *argvs,
+                               ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "x.csv")],
+                               block=True)
+        for label in COMMAND_LABELS:
+            assert blocked[label + " output"][0] == 0
+            assert blocked[label + " stdout"] == free[label + " stdout"]
+        code, doc = blocked["simulate 2 output"]
+        assert code == 2
+        assert doc["error"] == "bad_input"
+        assert doc["message"] == "scenario: True is not of type 'integer'"
 
 
 class TestResultSchemas:

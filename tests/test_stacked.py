@@ -608,3 +608,32 @@ class TestSweepStacks:
         with pytest.raises(DegenerateDraw, match="every trial failed"):
             chansim.monte_carlo(sc, (1, 1))
         assert drawn == [0] * 4 + [1] * 4 + ([2] * 4 if stage == "build" else [])
+
+    # a stack of 10 over an α sweep's two points; without uncertainty every
+    # trial is scored on its design set, already stacked for the build
+    @pytest.mark.parametrize("values, builds", [((0.0, 0.0), [10]), ((0.0, 0.2), [10, 10])],
+                             ids=["alpha_zero", "alpha_zero_and_positive"])
+    def test_true_sets_are_stacked_only_when_they_differ(self, monkeypatch, values, builds):
+        sc = sweep_scenario(5, "uncertainty_alpha", values)
+        trials = [chansim.draw_trial(point, t) for point in points_of(sc) for t in range(5)]
+        assert [t.actual is t.design for t in trials] == [x == 0.0 for x in values for _ in range(5)]
+        target, power = region.SdofPoint(1, 1), sc.effective_power
+        wanted = precoder._plan(CFG_SMALL, target, power)
+        # the true sets stacked apart from the design sets, as before
+        v, w = precoder._assemble(precoder._stacked([t.design for t in trials]), CFG_SMALL,
+                                  target, wanted, power)
+        expected = verifier._score(precoder._stacked([t.actual for t in trials]), v, w)
+        stacked, sizes = precoder._stacked, []
+
+        def counting(chs):
+            sizes.append(len(chs))
+            return stacked(chs)
+
+        monkeypatch.setattr(precoder, "_stacked", counting)
+        got = chansim._stack_rates(trials, CFG_SMALL, target, wanted, power)
+        assert sizes == builds
+
+        def hexes(triples):
+            return [[x.hex() for x in dataclasses.astuple(t)] for t in triples]
+
+        assert hexes(got) == hexes(expected)
