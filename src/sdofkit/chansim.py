@@ -184,8 +184,28 @@ def _shapes(cfg: AntennaConfig) -> tuple[tuple[int, int], ...]:
 
 
 def gaussian_channels(cfg: AntennaConfig, rng: np.random.Generator) -> pc.ChannelSet:
-    """One unit-variance complex Gaussian channel set."""
-    return pc._trusted(*(_cgauss(rng, rows, cols) for rows, cols in _shapes(cfg)))
+    """One unit-variance complex Gaussian channel set.
+
+    The values come from one call, in ``_shapes`` order: each matrix's
+    real parts, then its imaginary parts, row-major, which is what
+    :func:`_cgauss` called matrix by matrix would draw.  Their complex
+    values are formed in one pass, and the six matrices are views of it.
+    """
+    shapes = _shapes(cfg)
+    re, im, start = [], [], 0
+    for rows, cols in shapes:
+        n = rows * cols
+        re.extend(range(start, start + n))
+        im.extend(range(start + n, start + 2 * n))
+        start += 2 * n
+    z = rng.standard_normal(start)
+    # _cgauss's arithmetic, element by element
+    flat = (z[re] + 1j * z[im]) / np.sqrt(2)
+    mats, start = [], 0
+    for rows, cols in shapes:
+        mats.append(flat[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return pc._trusted(*mats)
 
 
 def los_channel(rows: int, cols: int, distance: float, c: float,

@@ -23,6 +23,19 @@ of a stack needs one width, and a GSVD of a stack one path, so items
 whose ranks or checks differ raise :class:`_StackSplit`, and
 :func:`_per_item` runs such a stack as smaller ones.
 
+Inputs are checked at the public edge and trusted inside.  Every public
+function here coerces its matrix arguments to complex and rejects
+non-finite entries with ``ValueError``: NumPy's SVD of such a matrix
+raises ``LinAlgError`` for NaN, prints a LAPACK error to stdout for inf,
+and in a loop of such calls has failed to return.  The public rank,
+basis and quotient functions each have a private body (``_rank``,
+``_null_basis``, ``_orth_complement``, ``_image_quotient``) that skips
+the check.  The bodies take complex128 matrices or stacks that have
+passed :func:`_as_matrices`, or that the package built from such
+matrices; the other layers call them only on channels checked when their
+:class:`~sdofkit.precoder.ChannelSet` was built (or drawn by the package),
+on precoders they have checked, and on products and bases of those.
+
 The cosine-sine step of a GSVD whose spans share a block is LAPACK's
 ``zuncsd``, one item at a time, through SciPy's ``lapack`` module: SciPy
 is imported at the first such step, so importing this module (and
@@ -132,7 +145,10 @@ def _frobenius(m: np.ndarray):
     ``matmul`` is, makes the same dots as one batched call.
     """
     if m.ndim == 2:
-        return np.linalg.norm(m)
+        # the two dots np.linalg.norm makes, without its dispatch
+        flat = m.ravel(order="K")
+        re, im = flat.real, flat.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
     flat = m.reshape(len(m), 1, -1)
     re, im = flat.real, flat.imag
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
@@ -187,7 +203,11 @@ def null_basis(a) -> np.ndarray:
     zero-column matrix.  A (T, m, n) stack gives a stack of bases; its
     items must share their rank (:func:`_agreed`).
     """
-    m = _as_matrices(a)
+    return _null_basis(_as_matrices(a))
+
+
+def _null_basis(m: np.ndarray) -> np.ndarray:
+    """:func:`null_basis` of a matrix or stack that has passed :func:`_as_matrices`."""
     rows, n = m.shape[-2:]
     if n == 0:
         return np.zeros(m.shape[:-2] + (0, 0), dtype=np.complex128)
@@ -205,7 +225,11 @@ def orth_complement(a) -> np.ndarray:
     width is ``rows - rank``.  Stacks are taken as :func:`null_basis`
     takes them.
     """
-    m = _as_matrices(a)
+    return _orth_complement(_as_matrices(a))
+
+
+def _orth_complement(m: np.ndarray) -> np.ndarray:
+    """:func:`orth_complement` of a matrix or stack that has passed :func:`_as_matrices`."""
     rows, n = m.shape[-2:]
     if rows == 0:
         return np.zeros(m.shape[:-2] + (0, 0), dtype=np.complex128)
@@ -231,15 +255,27 @@ def image_quotient(x, y=None):
     Factors given as (T, m, n) stacks give one dimension per item, each
     with its own cutoff.
     """
-    factors = [(_as_matrices(a), _as_matrices(b)) for a, b in ((x,) if y is None else (x, y))]
+    checked = [(_as_matrices(a), _as_matrices(b)) for a, b in ((x,) if y is None else (x, y))]
+    return _image_quotient(*checked)
+
+
+def _image_quotient(x, y=None, norms=None):
+    """:func:`image_quotient` of factors that have passed :func:`_as_matrices`.
+
+    ``norms``, when given, holds the factors' :func:`_frobenius` norms in
+    the order |A|, |B|, |C|, |D|, so that a caller whose quotients share a
+    factor takes its norm once; the result is the same int either way.
+    """
+    factors = (x,) if y is None else (x, y)
     scale = None
     dim = 1
-    for ma, mb in factors:
+    for i, (ma, mb) in enumerate(factors):
         if ma.size and mb.size:
-            norms = _frobenius(ma) * _frobenius(mb)
+            na, nb = (_frobenius(ma), _frobenius(mb)) if norms is None else norms[2 * i:2 * i + 2]
+            product = na * nb
             # max() for one matrix's norms: np.maximum on scalars costs ~1 us
-            scale = (norms if scale is None else np.maximum(scale, norms) if norms.ndim
-                     else max(scale, norms))
+            scale = (product if scale is None else np.maximum(scale, product) if product.ndim
+                     else max(scale, product))
             dim = max(dim, ma.shape[-2], ma.shape[-1], mb.shape[-1])
     images = [ma @ mb for ma, mb in factors]
     cutoff = _PRODUCT_MARGIN * dim * _EPS * (0.0 if scale is None else scale)

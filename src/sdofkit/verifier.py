@@ -60,11 +60,21 @@ def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     leakage outside the jamming span (clipped at zero).
     The public link scores the part of its signal span outside the
     confidential interference at its receiver.
+
+    Raises ``ValueError`` when V or W has a non-finite entry.  The channels
+    were checked when their set was built, so only V and W are checked
+    here; each of the eight factors is normed once, and the three
+    quotients run unchecked, each equal to :func:`matcore.image_quotient`
+    of its factors.
     """
-    leak = matcore.image_quotient((ch.g1, pair.v), (ch.g2, pair.w))
+    v, w = matcore._as_matrices(pair.v, "v"), matcore._as_matrices(pair.w, "w")
+    norm = matcore._frobenius
+    nv, nw = norm(v), norm(w)
+    quotient = matcore._image_quotient
+    leak = quotient((ch.g1, v), (ch.g2, w), (norm(ch.g1), nv, norm(ch.g2), nw))
     # rank(H11 V) less its overlap with span(H12 W) is the quotient dimension
-    d1 = max(matcore.image_quotient((ch.h11, pair.v), (ch.h12, pair.w)) - leak, 0)
-    d2 = matcore.image_quotient((ch.h22, pair.w), (ch.h21, pair.v))
+    d1 = max(quotient((ch.h11, v), (ch.h12, w), (norm(ch.h11), nv, norm(ch.h12), nw)) - leak, 0)
+    d2 = quotient((ch.h22, w), (ch.h21, v), (norm(ch.h22), nw, norm(ch.h21), nv))
     return SdofPoint(d1, d2)
 
 

@@ -38,6 +38,27 @@ class TestLosChannel:
             chansim.los_channel(2, 2, 0.5, 3.5, rng)
 
 
+class TestGaussianChannels:
+    # differential: one draw of every value equals the twelve draws that
+    # _cgauss makes matrix by matrix, real parts before imaginary ones
+    @pytest.mark.parametrize("cfg", [(1, 1, 1, 1, 1), (4, 2, 4, 2, 4), (6, 6, 5, 4, 5),
+                                     (2, 7, 3, 1, 10)], ids=lambda cfg: ",".join(map(str, cfg)))
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_equals_matrix_by_matrix_draw(self, cfg, seed):
+        cfg = AntennaConfig(*cfg)
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            ch = chansim.gaussian_channels(cfg, rng)
+            for name, (rows, cols) in zip(pc._CHANNELS, chansim._shapes(cfg)):
+                re = replay.standard_normal((rows, cols))
+                im = replay.standard_normal((rows, cols))
+                expected = (re + 1j * im) / np.sqrt(2)
+                got = getattr(ch, name)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        # both streams end at the same place
+        assert rng.standard_normal() == replay.standard_normal()
+
+
 class TestUncertainEve:
     def test_zero_uncertainty_exact(self, rng):
         gbar = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
@@ -188,8 +209,8 @@ class TestDrawTrial:
 
     def test_fixed_rings_are_placed_once(self, monkeypatch):
         # without resampling every trial reuses trial 0's placement, so a
-        # 200-trial point places its receivers once; the stats are pinned
-        # bitwise to those of placing them anew for every trial and redraw
+        # 200-trial point places its receivers once; the stats equal,
+        # bitwise, those of placing them anew for every trial and redraw
         geo = dataclasses.replace(small_geometry(), resample_rings=False)
         sc = Scenario(config=CFG_SMALL, geometry=geo, trials=200, seed=9, uncertainty_alpha=0.1)
         place, calls = chansim._link_distances, []
@@ -202,8 +223,14 @@ class TestDrawTrial:
         chansim._fixed_link_distances.cache_clear()
         point = chansim.run_point(sc, (1, 1))
         assert calls == [geo]
-        assert point.mean_rs1.hex() == "0x1.bad2b6d670764p+1"
-        assert point.mean_rs2.hex() == "0x1.236a5da714983p+3"
+
+        monkeypatch.setattr(chansim, "_fixed_link_distances",
+                            lambda geo, seed: counting(geo, chansim._trial_rng(seed, 0)))
+        replayed = chansim.run_point(sc, (1, 1))
+        assert len(calls) > 200
+        assert point.mean_rs1.hex() == replayed.mean_rs1.hex()
+        assert point.mean_rs2.hex() == replayed.mean_rs2.hex()
+        assert point == replayed
 
     @pytest.mark.parametrize("resample_rings", [True, False], ids=["resampled", "fixed"])
     @pytest.mark.parametrize("alpha", [0.0, 0.2])

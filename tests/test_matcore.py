@@ -193,6 +193,45 @@ class TestProductCutoff:
             assert matcore.image_quotient((c * x[0], c * x[1]), scaled_y) == expected
 
 
+class TestUncheckedBodies:
+    """The private bodies skip only the public checks: with the factors'
+    norms supplied or not, they give the public entry's dimensions."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (3,)]), st.integers(0, 6),
+           st.lists(st.integers(0, 4), min_size=4, max_size=4), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_quotient_with_norms_matches_public(self, seed, lead, rows, widths, shared):
+        # (A, B) and (C, D) with zero-width factors among them, B of low
+        # rank, and D sharing up to ``shared`` columns with B so that the
+        # images overlap
+        r = np.random.default_rng(seed)
+        ka, cb, kc, cd = widths
+
+        def gauss(m, n):
+            return (r.standard_normal(lead + (m, n))
+                    + 1j * r.standard_normal(lead + (m, n))) / np.sqrt(2)
+
+        a = gauss(rows, ka)
+        b = gauss(ka, 1) @ gauss(1, cb) if ka and cb else gauss(ka, cb)
+        c = a if kc == ka else gauss(rows, kc)
+        d = gauss(kc, cd)
+        if c is a:
+            d = np.concatenate([b[..., :shared], d], axis=-1)
+        norms = tuple(matcore._frobenius(m) for m in (a, b, c, d))
+        for x, y, given_norms in (((a, b), (c, d), norms), ((a, b), None, norms[:2]),
+                                  ((c, d), None, norms[2:])):
+            public = matcore.image_quotient(x, y)
+            assert np.array_equal(matcore._image_quotient(x, y), public)
+            assert np.array_equal(matcore._image_quotient(x, y, given_norms), public)
+
+    @pytest.mark.parametrize("view", ["c", "fortran", "strided", "stack item"])
+    def test_frobenius_is_numpy_norm_bitwise(self, rng, view):
+        m = cstd(rng, 7, 5)
+        m = {"c": m, "fortran": np.asfortranarray(m), "strided": m[::2, 1:],
+             "stack item": np.stack([m, 2 * m])[1]}[view]
+        assert matcore._frobenius(m).hex() == np.linalg.norm(m).hex()
+
+
 class TestAlignedPairs:
     @pytest.mark.parametrize("shape", [(6, 4, 5), (4, 4, 4), (3, 5, 4), (10, 3, 8), (5, 1, 5)])
     def test_shared_image(self, rng, shape):

@@ -215,6 +215,34 @@ class TestConstruct:
                 assert used <= cfg.nd1, (tup, tuple(target))
 
 
+class TestPlanCache:
+    CFG = AntennaConfig(*EX2)
+
+    def test_checks_run_on_every_call(self):
+        # lru_cache stores no exception, and the power is checked outside it
+        target = region.SdofPoint(2, 4)
+        assert precoder._plan(self.CFG, target, 1.0) == precoder._plan(self.CFG, target, 1.0)
+        hits = precoder._streams.cache_info().hits
+        assert precoder._plan(self.CFG, target, 2.0)[Subset.III] >= 0
+        assert precoder._streams.cache_info().hits == hits + 1
+        for power in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="power must be positive and finite"):
+                precoder._plan(self.CFG, target, power)
+        for _ in range(2):
+            with pytest.raises(TargetInfeasible):
+                precoder._plan(self.CFG, region.SdofPoint(3, 4), 1.0)
+
+    def test_plan_is_read_only(self):
+        target = region.SdofPoint(3, 3)
+        plan = precoder._plan(self.CFG, target, 1.0)
+        expected = dict(zip(Subset, region.select_streams(self.CFG, 3)))
+        with pytest.raises(TypeError):
+            plan[Subset.I] = 9
+        with pytest.raises(AttributeError):
+            plan.clear()
+        assert dict(precoder._plan(self.CFG, target, 1.0)) == expected
+
+
 class TestRandomize:
     def test_identity_factors_are_noop(self, rng):
         ch = channels_for(EX2, rng)

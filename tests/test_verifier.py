@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdofkit import matcore, precoder, verifier
 from sdofkit.chansim import gaussian_channels
+from sdofkit.errors import ConstructionDeficit, DegenerateInput
 from sdofkit.precoder import PrecoderPair
 from sdofkit.region import AntennaConfig, boundary
 
@@ -68,6 +71,39 @@ class TestSdofOf:
                 if achieved != target:
                     misses.append((tuple(target), tuple(achieved)))
         assert misses == []
+
+
+# sdof_of checks V and W once and trusts the channel set, which was
+# checked when it was built; membership goes through the public matcore
+# entries, which check every factor
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", ["v", "w"])
+@pytest.mark.parametrize("check", [verifier.sdof_of, verifier.membership],
+                         ids=["sdof_of", "membership"])
+def test_rejects_nonfinite_precoder(rng, check, slot, value):
+    ch = channels_for(EX2, rng)
+    pair = precoder.construct(ch, (2, 4), power=1.0)
+    bad = getattr(pair, slot).copy()
+    bad[1, 0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        check(ch, dataclasses.replace(pair, **{slot: bad}))
+
+
+class TestConstructThenVerify:
+    # criterion 4 sweeps counts 1..4; wider arrays at unit scale either
+    # score exactly or fail construction with a categorized error
+    @given(st.tuples(*[st.integers(1, 10)] * 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_wide_antenna_counts(self, counts, seed):
+        cfg = AntennaConfig(*counts)
+        r = np.random.default_rng(seed)
+        for target in boundary(cfg).strict:
+            ch = gaussian_channels(cfg, r)
+            try:
+                pair = precoder.construct(ch, target, power=10.0)
+            except (ConstructionDeficit, DegenerateInput):
+                continue
+            assert verifier.sdof_of(ch, pair) == target
 
 
 class TestMembership:
