@@ -177,35 +177,23 @@ def _cgauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
 
-def _shapes(cfg: AntennaConfig) -> tuple[tuple[int, int], ...]:
-    """The shapes of a channel set's matrices, in ``precoder._CHANNELS`` order."""
-    return ((cfg.nd1, cfg.ns1), (cfg.nd1, cfg.ns2), (cfg.nd2, cfg.ns1),
-            (cfg.nd2, cfg.ns2), (cfg.ne, cfg.ns1), (cfg.ne, cfg.ns2))
-
-
 def gaussian_channels(cfg: AntennaConfig, rng: np.random.Generator) -> pc.ChannelSet:
     """One unit-variance complex Gaussian channel set.
 
-    The values come from one call, in ``_shapes`` order: each matrix's
-    real parts, then its imaginary parts, row-major, which is what
+    The values come from one call, in channel order: each matrix's real
+    parts, then its imaginary parts, row-major, which is what
     :func:`_cgauss` called matrix by matrix would draw.  Their complex
     values are formed in one pass, and the six matrices are views of it.
     """
-    shapes = _shapes(cfg)
     re, im, start = [], [], 0
-    for rows, cols in shapes:
+    for rows, cols in pc._shapes(cfg):
         n = rows * cols
         re.extend(range(start, start + n))
         im.extend(range(start + n, start + 2 * n))
         start += 2 * n
     z = rng.standard_normal(start)
     # _cgauss's arithmetic, element by element
-    flat = (z[re] + 1j * z[im]) / np.sqrt(2)
-    mats, start = [], 0
-    for rows, cols in shapes:
-        mats.append(flat[start:start + rows * cols].reshape(rows, cols))
-        start += rows * cols
-    return pc._trusted(*mats)
+    return pc._trusted(*pc._split((z[re] + 1j * z[im]) / np.sqrt(2), cfg))
 
 
 def los_channel(rows: int, cols: int, distance: float, c: float,
@@ -296,7 +284,6 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
     the :class:`Scenario` and :class:`Geometry` checks make redundant.
     """
     cfg = scenario.config
-    shapes = _shapes(cfg)
     rng = _trial_rng(scenario.seed, trial_index)
     geo = scenario.geometry
     alpha = scenario.uncertainty_alpha
@@ -310,11 +297,8 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
         else:
             links = (_link_distances(geo, rng) if geo.resample_rings
                      else _fixed_link_distances(geo, scenario.seed))
-            unit = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, sum(r * c for r, c in shapes)))
-            phases, start = [], 0
-            for rows, cols in shapes:
-                phases.append(unit[start:start + rows * cols].reshape(rows, cols))
-                start += rows * cols
+            size = sum(r * c for r, c in pc._shapes(cfg))
+            phases = pc._split(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size)), cfg)
             g1_est, g2_est = phases[4:]
             dist_g1, dist_g2 = links["g1"], links["g2"]
             design = pc._trusted(*(links[name] ** (-cexp / 2.0) * phase

@@ -30,11 +30,9 @@ raises ``LinAlgError`` for NaN, prints a LAPACK error to stdout for inf,
 and in a loop of such calls has failed to return.  The public rank,
 basis and quotient functions each have a private body (``_rank``,
 ``_null_basis``, ``_orth_complement``, ``_image_quotient``) that skips
-the check.  The bodies take complex128 matrices or stacks that have
-passed :func:`_as_matrices`, or that the package built from such
-matrices; the other layers call them only on channels checked when their
-:class:`~sdofkit.precoder.ChannelSet` was built (or drawn by the package),
-on precoders they have checked, and on products and bases of those.
+the check.  The other layers call the bodies only on the matrices of
+channel sets and precoder pairs, which check themselves where they are
+built (or were drawn by the package), and on products and bases of those.
 
 The cosine-sine step of a GSVD whose spans share a block is LAPACK's
 ``zuncsd``, one item at a time, through SciPy's ``lapack`` module: SciPy
@@ -45,6 +43,7 @@ commands that compute no such GSVD) never loads it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,22 +135,33 @@ def _per_item(run, items: list) -> list:
 
 
 def _frobenius(m: np.ndarray):
-    """Frobenius norm of a matrix, or of each item of a stack, bitwise
-    ``np.linalg.norm`` of the matrix.
+    """Frobenius norm of a finite matrix (a float), or of each item of a
+    stack, bitwise ``np.linalg.norm`` of the matrix wherever that is finite.
 
     That call sums a matrix as one strided BLAS dot over its real parts
     plus one over its imaginary parts, in memory order; a C-contiguous
     stack, as every stack built by ``np.stack``, ``np.concatenate`` or
-    ``matmul`` is, makes the same dots as one batched call.
+    ``matmul`` is, makes the same dots as one batched call.  A sum of
+    squares that overflows (entries above about 1e154) is taken again, on
+    the matrix scaled by its largest entry modulus.
     """
     if m.ndim == 2:
-        # the two dots np.linalg.norm makes, without its dispatch
+        # np.linalg.norm's two dots without its dispatch: np.vdot makes ndarray.dot's
+        # BLAS ddot without its overflow warning; math.sqrt rounds as np.sqrt does
         flat = m.ravel(order="K")
         re, im = flat.real, flat.imag
-        return np.sqrt(re.dot(re) + im.dot(im))
+        norm = math.sqrt(np.vdot(re, re) + np.vdot(im, im))
+        if norm == math.inf:
+            peak = float(np.abs(m).max())
+            norm = peak * _frobenius(m / peak)
+        return norm
     flat = m.reshape(len(m), 1, -1)
     re, im = flat.real, flat.imag
-    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
+    for i in np.flatnonzero(norms == np.inf):
+        norms[i] = _frobenius(m[i])
+    return norms
 
 
 def _count(sv: np.ndarray, cutoff):
@@ -274,8 +284,8 @@ def _image_quotient(x, y=None, norms=None):
             na, nb = (_frobenius(ma), _frobenius(mb)) if norms is None else norms[2 * i:2 * i + 2]
             product = na * nb
             # max() for one matrix's norms: np.maximum on scalars costs ~1 us
-            scale = (product if scale is None else np.maximum(scale, product) if product.ndim
-                     else max(scale, product))
+            scale = (product if scale is None else max(scale, product)
+                     if isinstance(product, float) else np.maximum(scale, product))
             dim = max(dim, ma.shape[-2], ma.shape[-1], mb.shape[-1])
     images = [ma @ mb for ma, mb in factors]
     cutoff = _PRODUCT_MARGIN * dim * _EPS * (0.0 if scale is None else scale)
@@ -443,13 +453,11 @@ def _uncsd(m: int, p: int, q: int):
     return (csd, *lapack._compute_lwork(csd_lwork, m=m, p=p, q=q))
 
 
-def cossin(x, p, q, separate):
+def cossin(x, p, q):
     """Cosine-sine decomposition of the unitary ``x`` split at row ``p`` and
-    column ``q``, bitwise ``scipy.linalg.cossin(x, p=p, q=q, separate=True)``
-    (only the separate form is computed), from LAPACK ``zuncsd`` without
-    that wrapper's checks.  SciPy is imported on the first call."""
-    if not separate:
-        raise ValueError("only the separate form is computed")
+    column ``q``, bitwise ``scipy.linalg.cossin(x, p=p, q=q, separate=True)``,
+    from LAPACK ``zuncsd`` without that wrapper's checks.  SciPy is
+    imported on the first call."""
     csd, lwork, lrwork = _uncsd(x.shape[0], p, q)
     *_, theta, u1, u2, v1h, v2h, info = csd(x[:p, :q], x[:p, q:], x[p:, :q], x[p:, q:],
                                             lwork=lwork, lrwork=lrwork)
@@ -467,9 +475,9 @@ def _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p) -> GsvdResult:
     # Only the diagonal blocks of the unitary factors are used, so they are
     # taken unassembled, one item of a stack at a time.
     if uz.ndim == 2:
-        (psi1, psi2), theta, (v1h, _) = cossin(uz, p=m, q=k, separate=True)
+        (psi1, psi2), theta, (v1h, _) = cossin(uz, p=m, q=k)
     else:
-        parts = [cossin(u, p=m, q=k, separate=True) for u in uz]
+        parts = [cossin(u, p=m, q=k) for u in uz]
         psi1, psi2, theta, v1h = (np.stack(block) for block in zip(
             *[(u1, u2, th, v1) for (u1, u2), th, (v1, _) in parts]))
     # With k = N columns of a unitary split at row m, the identity blocks

@@ -60,13 +60,43 @@ class Subset(enum.IntEnum):
 _CHANNELS = ("h11", "h12", "h21", "h22", "g1", "g2")
 
 
+def _shapes(cfg: AntennaConfig) -> tuple[tuple[int, int], ...]:
+    """The shapes of a channel set's matrices, in ``_CHANNELS`` order."""
+    return ((cfg.nd1, cfg.ns1), (cfg.nd1, cfg.ns2), (cfg.nd2, cfg.ns1),
+            (cfg.nd2, cfg.ns2), (cfg.ne, cfg.ns1), (cfg.ne, cfg.ns2))
+
+
+def _split(flat: np.ndarray, cfg: AntennaConfig) -> list[np.ndarray]:
+    """The six matrices, in ``_CHANNELS`` order, that fill ``flat`` one
+    after another, each row-major: views of ``flat``."""
+    mats, start = [], 0
+    for rows, cols in _shapes(cfg):
+        mats.append(flat[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return mats
+
+
+def _check_matrices(obj, names: tuple[str, ...], columns: bool = False) -> None:
+    """Set each named field of ``obj`` to a complex matrix (a 1-D value a column
+    when ``columns``), or raise ``ValueError`` if it is not 2-D or not finite."""
+    for name in names:
+        m = np.asarray(getattr(obj, name), dtype=np.complex128)
+        m = m.reshape(-1, 1) if columns and m.ndim == 1 else m
+        if m.ndim != 2:
+            raise ValueError(f"{name} must be a 2-D matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        object.__setattr__(obj, name, m)
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
     """The six channel matrices of the two-user wiretap interference network.
 
     ``hij`` maps source j to destination i; ``gj`` maps source j to the
-    eavesdropper.  Shapes must be mutually consistent with a single
-    antenna configuration.
+    eavesdropper.  Where the set is built, each must be a finite 2-D
+    matrix of the shape ``_shapes`` gives for one antenna configuration,
+    or ``ValueError`` names it.
     """
 
     h11: np.ndarray
@@ -77,37 +107,17 @@ class ChannelSet:
     g2: np.ndarray
 
     def __post_init__(self):
-        mats = {}
-        for name in _CHANNELS:
-            m = np.asarray(getattr(self, name), dtype=np.complex128)
-            if m.ndim != 2:
-                raise ValueError(f"{name} must be a 2-D matrix, got shape {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            mats[name] = m
-            object.__setattr__(self, name, m)
-        nd1, ns1 = mats["h11"].shape
-        nd2, ns2 = mats["h22"].shape
-        ne = mats["g1"].shape[0]
-        expect = {
-            "h12": (nd1, ns2),
-            "h21": (nd2, ns1),
-            "g1": (ne, ns1),
-            "g2": (ne, ns2),
-        }
-        for name, shape in expect.items():
-            if mats[name].shape != shape:
-                raise ValueError(f"{name} has shape {mats[name].shape}, expected {shape}")
+        _check_matrices(self, _CHANNELS)
+        # the configuration refuses an empty dimension before any shape is compared
+        for name, shape in zip(_CHANNELS, _shapes(self.config)):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape}")
 
     @property
     def config(self) -> AntennaConfig:
-        return AntennaConfig(
-            ns1=self.h11.shape[1],
-            ns2=self.h22.shape[1],
-            nd1=self.h11.shape[0],
-            nd2=self.h22.shape[0],
-            ne=self.g1.shape[0],
-        )
+        (nd1, ns1), (nd2, ns2) = self.h11.shape, self.h22.shape
+        return AntennaConfig(ns1, ns2, nd1, nd2, self.g1.shape[0])
 
     def full_rank(self) -> bool:
         """True when all six matrices are full rank under the default tolerance."""
@@ -140,6 +150,8 @@ class PrecoderPair:
     normalized; ``None`` marks a raw, unnormalized pair.  Power is split
     equally across the nonzero columns of each matrix; structurally zero
     columns (paired with null-space confidential streams) carry none.
+    Each matrix is checked where the pair is built, as a channel set's
+    are, except that a 1-D vector is taken as a column.
     """
 
     v: np.ndarray
@@ -147,8 +159,7 @@ class PrecoderPair:
     power: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=np.complex128))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=np.complex128))
+        _check_matrices(self, ("v", "w"), columns=True)
 
     @property
     def kv(self) -> int:
@@ -364,10 +375,8 @@ def _plan(cfg: AntennaConfig, target: SdofPoint, power: float) -> Mapping[Subset
     return _streams(cfg, target)
 
 
-# the acceptance criterion-4 sweep, every config in {1..4}^5 with every
-# strict-boundary point, has 1,573 (config, target) pairs and cycles
-# through them config-major, which a smaller LRU would never hit
-@functools.lru_cache(maxsize=4096)
+# unbounded: a key is a config and a target that a caller asked for
+@functools.cache
 def _streams(cfg: AntennaConfig, target: SdofPoint) -> Mapping[Subset, int]:
     """The read-only stream plan of a feasible target; raises
     :class:`TargetInfeasible` (never cached) on every call for one outside
@@ -442,9 +451,7 @@ def _assemble(ch: ChannelSet | SimpleNamespace, cfg: AntennaConfig, target: Sdof
 
 def right_multiply(pair: PrecoderPair, a: np.ndarray, b: np.ndarray) -> PrecoderPair:
     """Apply invertible right factors to both precoders (span preserving)."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != (pair.kv, pair.kv) or b.shape != (pair.kw, pair.kw):
+    if np.shape(a) != (pair.kv, pair.kv) or np.shape(b) != (pair.kw, pair.kw):
         raise ValueError("right factors must be square and match the column counts")
     return PrecoderPair(v=pair.v @ a, w=pair.w @ b, power=pair.power)
 

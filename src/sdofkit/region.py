@@ -105,11 +105,10 @@ def subset_dims(cfg: AntennaConfig) -> SubsetDims:
     return _subset_dims(cfg)
 
 
-# Memoized on the frozen, hashable config.  The repeats come from the
-# several region queries one construct or boundary call makes on a single
-# config, so a small cache catches them.  The public names stay plain
+# Memoized on the frozen, hashable config, without a bound, which a sweep
+# cycling through many configs needs.  The public names stay plain
 # functions that delegate here, so callers and wrappers see a function.
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _subset_dims(cfg: AntennaConfig) -> SubsetDims:
     ns1h = _pos(cfg.ns1 - cfg.nd2)  # null(S1 -> D2 channel) dimension
     ns2h = _pos(cfg.ns2 - cfg.nd1)  # null(S2 -> D1 channel) dimension
@@ -140,7 +139,7 @@ def su1(cfg: AntennaConfig) -> int:
     return _su1(cfg)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _su1(cfg: AntennaConfig) -> int:
     d = _subset_dims(cfg)
     d_a1 = d.d1 + d.d2 + d.d3 + d.d4

@@ -12,6 +12,7 @@ must be finite (``NaN`` and ``Infinity`` too).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -64,7 +65,7 @@ def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
 
 def channels_to_json(ch: ChannelSet) -> dict:
     doc = {name: matrix_to_json(getattr(ch, name)) for name in _CHANNELS}
-    doc["antennas"] = _antennas_to_json(ch.config)
+    doc["antennas"] = dataclasses.asdict(ch.config)
     return doc
 
 
@@ -99,12 +100,8 @@ def precoder_from_json(obj: dict) -> PrecoderPair:
     )
 
 
-def _antennas_to_json(cfg: AntennaConfig) -> dict:
-    return {"ns1": cfg.ns1, "ns2": cfg.ns2, "nd1": cfg.nd1, "nd2": cfg.nd2, "ne": cfg.ne}
-
-
 def _antennas_from_json(obj: dict) -> AntennaConfig:
-    return AntennaConfig(**{k: int(obj[k]) for k in ("ns1", "ns2", "nd1", "nd2", "ne")})
+    return AntennaConfig(**{f.name: int(obj[f.name]) for f in dataclasses.fields(AntennaConfig)})
 
 
 def _finite(value, field: str) -> float:
@@ -180,11 +177,15 @@ def validate_document(obj, name: str) -> None:
 
     Of the errors found, the one reported is the one ``jsonschema`` would
     report, in its words: the least deep, then the one whose path sorts last.
+    An error below the root names its field as a JSON Pointer, as in
+    ``scenario: -1 is less than the minimum of 0 (at /seed)``.
     """
     schema = _schema(name)
     error = max(_errors(obj, schema, schema, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
     if error is not None:
-        raise SchemaViolation(f"{name}: {error[1]}")
+        # no property name in the shipped schemas holds a "~" or "/" to escape
+        at = "".join(f"/{p}" for p in error[0])
+        raise SchemaViolation(f"{name}: {error[1]}" + (f" (at {at})" if at else ""))
 
 
 # The JSON Schema (2020-12) keywords that _errors implements, and the

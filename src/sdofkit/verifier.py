@@ -61,13 +61,12 @@ def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     The public link scores the part of its signal span outside the
     confidential interference at its receiver.
 
-    Raises ``ValueError`` when V or W has a non-finite entry.  The channels
-    were checked when their set was built, so only V and W are checked
-    here; each of the eight factors is normed once, and the three
-    quotients run unchecked, each equal to :func:`matcore.image_quotient`
-    of its factors.
+    The channels and the precoders were checked when their set and their
+    pair were built, so each of the eight factors is normed once, and the
+    three quotients run unchecked, each equal to
+    :func:`matcore.image_quotient` of its factors.
     """
-    v, w = matcore._as_matrices(pair.v, "v"), matcore._as_matrices(pair.w, "w")
+    v, w = pair.v, pair.w
     norm = matcore._frobenius
     nv, nw = norm(v), norm(w)
     quotient = matcore._image_quotient
@@ -104,11 +103,12 @@ def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
         ok_w = pair.kw == 0 or abs(pw - pair.power) <= _POWER_RTOL * pair.power
         in_i = ok_v and ok_w
 
+    # unchecked: the channels and precoders were checked when their set and pair were built
     signal, interference = (ch.h11, pair.v), (ch.h12, pair.w)
     in_ibar = (
-        matcore.image_quotient((ch.g1, pair.v), (ch.g2, pair.w)) == 0
+        matcore._image_quotient((ch.g1, pair.v), (ch.g2, pair.w)) == 0
         # disjoint: no signal dimension lies inside the interference span
-        and matcore.image_quotient(signal, interference) == matcore.image_quotient(signal)
+        and matcore._image_quotient(signal, interference) == matcore._image_quotient(signal)
     )
 
     # image columns below this are zero up to round-off of the matrix products

@@ -49,7 +49,7 @@ class TestGaussianChannels:
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
             ch = chansim.gaussian_channels(cfg, rng)
-            for name, (rows, cols) in zip(pc._CHANNELS, chansim._shapes(cfg)):
+            for name, (rows, cols) in zip(pc._CHANNELS, pc._shapes(cfg)):
                 re = replay.standard_normal((rows, cols))
                 im = replay.standard_normal((rows, cols))
                 expected = (re + 1j * im) / np.sqrt(2)

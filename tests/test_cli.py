@@ -429,7 +429,7 @@ class TestSimulateCommand:
                              "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert doc["error"] == "bad_input"
-        assert doc["message"] == "scenario: -1 is less than the minimum of 0"
+        assert doc["message"] == "scenario: -1 is less than the minimum of 0 (at /seed)"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("setting", [
@@ -659,7 +659,7 @@ class TestImportCost:
         code, doc = blocked["simulate 2 output"]
         assert code == 2
         assert doc["error"] == "bad_input"
-        assert doc["message"] == "scenario: True is not of type 'integer'"
+        assert doc["message"] == "scenario: True is not of type 'integer' (at /trials)"
 
 
 class TestResultSchemas:

@@ -52,6 +52,19 @@ class TestRank:
     def test_empty(self):
         assert matcore.rank_tol(np.zeros((4, 0))) == 0
 
+    def test_vector_is_a_column(self):
+        assert matcore.rank_tol([0.0, 1j, 0.0]) == 1
+        assert matcore.null_basis(np.ones(3)).shape == (1, 0)
+        assert matcore.orth_complement(np.ones(3)).shape == (3, 2)
+
+    @pytest.mark.parametrize("shape", [(), (1, 2, 3, 4)], ids=["0-d", "4-d"])
+    @pytest.mark.parametrize("call", [matcore.rank_tol, matcore.null_basis,
+                                      matcore.orth_complement],
+                             ids=["rank_tol", "null_basis", "orth_complement"])
+    def test_rejects_input_that_is_neither_2d_nor_a_stack(self, call, shape):
+        with pytest.raises(ValueError, match="must be 2-D or a stack of 2-D"):
+            call(np.zeros(shape))
+
     # every public entry, with the bad matrix in each of its matrix slots;
     # without the check an SVD of such a matrix raises LinAlgError (a
     # ValueError too) for NaN and prints a LAPACK error to stdout for inf
@@ -106,6 +119,18 @@ class TestNullAndComplement:
         assert n.shape == (6, 2)
         assert np.linalg.norm(a @ n) <= 1e-10 * np.linalg.norm(a)
         assert np.linalg.norm(n.conj().T @ n - np.eye(2)) <= 1e-10
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("call, shape, expected", [
+        (matcore.null_basis, (3, 0), (0, 0)),  # no columns: nothing to annihilate
+        (matcore.null_basis, (0, 3), (3, 3)),  # no rows: the whole space
+        (matcore.orth_complement, (0, 2), (0, 0)),  # no rows: no space to complete
+        (matcore.orth_complement, (3, 0), (3, 3)),  # no columns: the whole space
+    ], ids=["null_no_columns", "null_no_rows", "complement_no_rows", "complement_no_columns"])
+    def test_empty_sides(self, call, shape, expected, lead):
+        basis = call(np.zeros(lead + shape))
+        assert basis.shape == lead + expected
+        assert np.array_equal(basis, np.broadcast_to(np.eye(*expected), lead + expected))
 
     def test_complement_of_identity(self):
         assert matcore.orth_complement(np.eye(3)).shape == (3, 0)
@@ -230,6 +255,18 @@ class TestUncheckedBodies:
         m = {"c": m, "fortran": np.asfortranarray(m), "strided": m[::2, 1:],
              "stack item": np.stack([m, 2 * m])[1]}[view]
         assert matcore._frobenius(m).hex() == np.linalg.norm(m).hex()
+
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e306])
+    def test_frobenius_of_an_overflowing_sum_of_squares(self, rng, scale):
+        # the squares overflow; the norm itself is finite, and a stack item
+        # whose squares do not overflow keeps the bitwise np.linalg.norm
+        m = cstd(rng, 6, 5)
+        big = scale * m
+        got = matcore._frobenius(big)
+        assert abs(got / scale - np.linalg.norm(m)) <= 1e-14 * np.linalg.norm(m)
+        norms = matcore._frobenius(np.stack([big, m]))
+        assert norms[0] == got and norms[1].hex() == np.linalg.norm(m).hex()
 
 
 class TestAlignedPairs:
@@ -364,7 +401,7 @@ class TestGsvdMatchesAssembledCosineSine:
 def assert_cossin_matches_scipy(n, p, q):
     rng = np.random.default_rng([n, p, q])
     u = np.linalg.qr(cstd(rng, n, n))[0]
-    got = matcore.cossin(u, p, q, separate=True)
+    got = matcore.cossin(u, p, q)
     ref = cossin(u, p=p, q=q, separate=True)
     assert np.array_equal(got[1], ref[1])
     for got_pair, ref_pair in ((got[0], ref[0]), (got[2], ref[2])):

@@ -40,6 +40,37 @@ class TestChannelSet:
         with pytest.raises(ValueError, match=r"^h21 must be a 2-D matrix, got shape \(1, 4, 6\)$"):
             dataclasses.replace(ch, h21=ch.h21[None])
 
+    def test_refuses_an_empty_dimension_where_built(self, rng):
+        # the configuration's own message, raised by the set and not at its first use
+        ch = channels_for(EX2, rng)
+        with pytest.raises(ValueError, match=r"^antenna count nd1=0 must be a positive integer$"):
+            dataclasses.replace(ch, h11=ch.h11[:0], h12=ch.h12[:0])
+
+
+class TestPrecoderPair:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["v", "w"])
+    def test_rejects_nonfinite_entry(self, rng, name, value):
+        pair = PrecoderPair(v=cstd(rng, 6, 2), w=cstd(rng, 6, 3), power=1.0)
+        bad = getattr(pair, name).copy()
+        bad[0, -1] = value
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            dataclasses.replace(pair, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["v", "w"])
+    def test_rejects_matrix_that_is_not_2d(self, rng, name):
+        mats = {"v": cstd(rng, 6, 2), "w": cstd(rng, 6, 2)}
+        mats[name] = mats[name][None]
+        message = rf"^{name} must be a 2-D matrix, got shape \(1, 6, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            PrecoderPair(**mats)
+
+    def test_vector_is_a_column(self):
+        pair = PrecoderPair(v=np.ones(4), w=[1.0, 2.0])
+        assert pair.v.shape == (4, 1) and pair.w.shape == (2, 1)
+        assert (pair.kv, pair.kw) == (1, 1)
+        assert pair.v.dtype == pair.w.dtype == np.complex128
+
 
 class TestSubsetBasis:
     def test_widths_match_counts(self, rng):
@@ -219,7 +250,7 @@ class TestPlanCache:
     CFG = AntennaConfig(*EX2)
 
     def test_checks_run_on_every_call(self):
-        # lru_cache stores no exception, and the power is checked outside it
+        # functools.cache stores no exception, and the power is checked outside it
         target = region.SdofPoint(2, 4)
         assert precoder._plan(self.CFG, target, 1.0) == precoder._plan(self.CFG, target, 1.0)
         hits = precoder._streams.cache_info().hits

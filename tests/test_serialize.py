@@ -25,9 +25,13 @@ ORACLES = {name: jsonschema.validators.validator_for(serialize._schema(name))(
 
 
 def oracle(doc, name: str) -> str | None:
-    """``jsonschema.validate``'s message for ``doc``, or None if it passes."""
+    """``jsonschema.validate``'s message for ``doc``, with the JSON Pointer
+    of the failing field below the root, or None if it passes."""
     error = jsonschema.exceptions.best_match(ORACLES[name].iter_errors(doc))
-    return None if error is None else f"{name}: {error.message}"
+    if error is None:
+        return None
+    at = "".join(f"/{p}" for p in error.path)
+    return f"{name}: {error.message}" + (f" (at {at})" if at else "")
 
 
 def verdict(doc, name: str) -> str | None:
@@ -210,26 +214,34 @@ class TestValidator:
 
     @pytest.mark.parametrize("doc, message", [
         ({"target": [1.0, 0]}, None),  # 1.0 is an integer
-        ({"target": [True, 0]}, "True is not of type 'integer'"),
+        ({"target": [True, 0]}, "True is not of type 'integer' (at /target/0)"),
         ({"geometry": None, "sweep": None}, None),  # null skips the object keywords
-        ({"geometry": {"s1": [0, 0], "s2": [9, False]}}, "False is not of type 'number'"),
+        ({"geometry": {"s1": [0, 0], "s2": [9, False]}},
+         "False is not of type 'number' (at /geometry/s2/1)"),
         ({"geometry": {"s1": [0, 0], "s2": [9, 0], "ring_radius": 10.5}},
-         "10.5 is greater than the maximum of 10"),
-        ({"pathloss_exponent": 0}, "0 is less than or equal to the minimum of 0"),
-        ({"seed": -1}, "-1 is less than the minimum of 0"),
-        ({"sweep": {"variable": "power_dbm", "values": []}}, "[] should be non-empty"),
-        ({"target": [1, 1, 1]}, "[1, 1, 1] is too long"),
+         "10.5 is greater than the maximum of 10 (at /geometry/ring_radius)"),
+        ({"pathloss_exponent": 0},
+         "0 is less than or equal to the minimum of 0 (at /pathloss_exponent)"),
+        ({"seed": -1}, "-1 is less than the minimum of 0 (at /seed)"),
+        ({"sweep": {"variable": "power_dbm", "values": []}},
+         "[] should be non-empty (at /sweep/values)"),
+        ({"target": [1, 1, 1]}, "[1, 1, 1] is too long (at /target)"),
         ({"sweep": {"variable": "distance", "values": [1]}},
          "'distance' is not one of ['s1_s2_distance', 'uncertainty_alpha', 'power_dbm', "
-         "'noise_power_dbm']"),
+         "'noise_power_dbm'] (at /sweep/variable)"),
         # the least deep error is reported, as jsonschema reports it
-        ({"trials": 0, "antennas": {"ns1": 0}}, "0 is less than the minimum of 1"),
+        ({"trials": 0, "antennas": {"ns1": 0}}, "0 is less than the minimum of 1 (at /trials)"),
     ], ids=["1.0_is_integer", "bool_is_no_integer", "null_object", "bool_is_no_number",
             "maximum", "exclusive_minimum", "negative_seed", "min_items", "max_items", "enum",
             "least_deep"])
     def test_scenario(self, doc, message):
         doc = {**self.SCENARIO, **doc}
         expected = None if message is None else f"scenario: {message}"
+        assert verdict(doc, "scenario") == oracle(doc, "scenario") == expected
+
+    def test_root_error_names_no_field(self):
+        doc = {"antennas": self.SCENARIO["antennas"]}
+        expected = "scenario: 'target' is a required property"
         assert verdict(doc, "scenario") == oracle(doc, "scenario") == expected
 
     def test_each_schema_is_parsed_once(self):

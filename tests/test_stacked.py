@@ -165,9 +165,9 @@ class TestMatcoreStacks:
         b = np.stack([cstd(rng, 6, 5) for _ in range(3)])
         cossin, calls = matcore.cossin, []
 
-        def planted(x, p, q, separate):
+        def planted(x, p, q):
             calls.append(len(calls))
-            u, theta, vh = cossin(x, p, q, separate)
+            u, theta, vh = cossin(x, p, q)
             if len(calls) == 2:
                 theta = np.concatenate([[0.0], theta[1:]])
             return u, theta, vh
@@ -304,9 +304,9 @@ def count_gsvd_calls(monkeypatch):
         finally:
             inside[0] = False
 
-    def counting_cossin(x, p, q, separate):
+    def counting_cossin(x, p, q):
         steps.append(x.shape)
-        return cossin(x, p, q, separate)
+        return cossin(x, p, q)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(matcore, "gsvd", counting_gsvd)
@@ -428,20 +428,20 @@ class TestRunPointStacks:
         sc = small_scenario(trials=8, seed=0)
         cossin, inputs = matcore.cossin, []
 
-        def recording(x, p, q, separate):
+        def recording(x, p, q):
             inputs.append(x.copy())
-            return cossin(x, p, q, separate)
+            return cossin(x, p, q)
 
         monkeypatch.setattr(matcore, "cossin", recording)
         precoder.construct(chansim.draw_trial(sc, 3).design, (1, 1), power=sc.effective_power)
         (marked,) = inputs
         hits = []
 
-        def planted(x, p, q, separate):
+        def planted(x, p, q):
             if np.array_equal(x, marked):
                 hits.append(True)
                 raise np.linalg.LinAlgError("zuncsd did not converge: 1")
-            return cossin(x, p, q, separate)
+            return cossin(x, p, q)
 
         monkeypatch.setattr(matcore, "cossin", planted)
         out = chansim.run_point(sc, (1, 1))
@@ -456,11 +456,11 @@ class TestRunPointStacks:
         expected = chansim.run_point(sc, (1, 1))
         cossin, gsvd, calls = matcore.cossin, matcore.gsvd, []
 
-        def once(x, p, q, separate):
+        def once(x, p, q):
             calls.append(x.shape)
             if len(calls) == 2:
                 raise np.linalg.LinAlgError("zuncsd did not converge: 1")
-            return cossin(x, p, q, separate)
+            return cossin(x, p, q)
 
         def stack_sizes(a, b):
             calls.append(a.shape[:-2])
@@ -549,19 +549,19 @@ class TestSweepStacks:
         points = points_of(sc)
         cossin, inputs = matcore.cossin, []
 
-        def recording(x, p, q, separate):
+        def recording(x, p, q):
             inputs.append(x.copy())
-            return cossin(x, p, q, separate)
+            return cossin(x, p, q)
 
         monkeypatch.setattr(matcore, "cossin", recording)
         precoder.construct(chansim.draw_trial(points[2], 0).design, (1, 1),
                            power=sc.effective_power)
         (marked,) = inputs
 
-        def planted(x, p, q, separate):
+        def planted(x, p, q):
             if np.array_equal(x, marked):
                 raise np.linalg.LinAlgError("zuncsd did not converge: 1")
-            return cossin(x, p, q, separate)
+            return cossin(x, p, q)
 
         draw = chansim.draw_trial
 

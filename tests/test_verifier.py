@@ -73,13 +73,15 @@ class TestSdofOf:
         assert misses == []
 
 
-# sdof_of checks V and W once and trusts the channel set, which was
-# checked when it was built; membership goes through the public matcore
-# entries, which check every factor
+# every verifier entry trusts the channel set and the precoder pair, which
+# check their matrices where they are built, so a non-finite V or W is
+# refused before any of them runs
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("slot", ["v", "w"])
-@pytest.mark.parametrize("check", [verifier.sdof_of, verifier.membership],
-                         ids=["sdof_of", "membership"])
+@pytest.mark.parametrize("check", [
+    verifier.sdof_of, verifier.membership, verifier.rates,
+    lambda ch, pair: verifier.slope_estimate(ch, pair, [1e6, 1e12]),
+], ids=["sdof_of", "membership", "rates", "slope_estimate"])
 def test_rejects_nonfinite_precoder(rng, check, slot, value):
     ch = channels_for(EX2, rng)
     pair = precoder.construct(ch, (2, 4), power=1.0)
@@ -104,6 +106,16 @@ class TestConstructThenVerify:
             except (ConstructionDeficit, DegenerateInput):
                 continue
             assert verifier.sdof_of(ch, pair) == target
+
+    # the channels' squared entries overflow above about 1e154; each image
+    # cutoff scales with the channels and stays finite
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e306])
+    def test_huge_channels(self, scale):
+        cfg = AntennaConfig(*EX2)
+        ch = gaussian_channels(cfg, np.random.default_rng(0))
+        ch = precoder.ChannelSet(*(scale * getattr(ch, name) for name in precoder._CHANNELS))
+        for target in [(3, 3), (2, 4), (0, 4)]:
+            assert verifier.sdof_of(ch, precoder.construct(ch, target, power=1.0)) == target
 
 
 class TestMembership:
