@@ -97,8 +97,9 @@ def canonicalize(v, w, g1, g2) -> PrecoderPair:
     bmat = np.linalg.lstsq(g2w, g1v, rcond=None)[0]
     wstar = np.hstack([w @ bmat, w @ matcore.orth_complement(bmat)])
 
-    resid = np.linalg.norm(g1v - (g2 @ wstar)[:, : v.shape[1]])
-    scale = np.linalg.norm(g1v) + np.linalg.norm(g2w)
+    norm = matcore._frobenius
+    resid = norm(g1v - (g2 @ wstar)[:, : v.shape[1]])
+    scale = norm(g1v) + norm(g2w)
     if scale > 0 and resid > _RESIDUAL_RTOL * scale:
         raise NotAligned(f"canonical form residual {resid:.2e} exceeds tolerance")
     return PrecoderPair(v=v.copy(), w=wstar, power=None)

@@ -152,11 +152,6 @@ def _section(doc, key: str):
 def cmd_verify(args) -> int:
     ch = serialize.channels_from_json(_section(serialize.load_json(args.channels), "channels"))
     pair = serialize.precoder_from_json(_section(serialize.load_json(args.precoder), "precoder"))
-    if pair.v.shape[0] != ch.config.ns1 or pair.w.shape[0] != ch.config.ns2:
-        raise SchemaViolation(
-            f"precoder rows ({pair.v.shape[0]}, {pair.w.shape[0]}) do not match "
-            f"antenna counts ({ch.config.ns1}, {ch.config.ns2})"
-        )
     p_grid = _DEFAULT_P_GRID
     if args.p_grid is not None:
         p_grid = tuple(float(p) for p in args.p_grid.split(","))

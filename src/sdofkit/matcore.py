@@ -34,6 +34,16 @@ the check.  The other layers call the bodies only on the matrices of
 channel sets and precoder pairs, which check themselves where they are
 built (or were drawn by the package), and on products and bases of those.
 
+This module is the one owner of magnitudes: the Frobenius norms
+(:func:`_frobenius`), column norms (:func:`_column_norms`) and log-dets
+of ``I + X X^H`` (:func:`_log2det_gram`) that the other layers take, and
+the image cutoffs.  Each is computed as NumPy computes it, so a result
+that NumPy gives finite keeps its bits; only one that overflows is
+taken again on a rescaled input, so a magnitude whose true value lies in
+the float range comes out finite, with no overflow warning.  An image
+cutoff multiplies eps into each norm product as it forms it: eps is a
+power of two, so that changes no finite cutoff's bits.
+
 The cosine-sine step of a GSVD whose spans share a block is LAPACK's
 ``zuncsd``, one item at a time, through SciPy's ``lapack`` module: SciPy
 is imported at the first such step, so importing this module (and
@@ -135,8 +145,9 @@ def _per_item(run, items: list) -> list:
 
 
 def _frobenius(m: np.ndarray):
-    """Frobenius norm of a finite matrix (a float), or of each item of a
-    stack, bitwise ``np.linalg.norm`` of the matrix wherever that is finite.
+    """Frobenius norm of a finite matrix or vector (a float), or of each
+    item of a stack, bitwise ``np.linalg.norm`` of the matrix wherever that
+    is finite.
 
     That call sums a matrix as one strided BLAS dot over its real parts
     plus one over its imaginary parts, in memory order; a C-contiguous
@@ -145,7 +156,7 @@ def _frobenius(m: np.ndarray):
     squares that overflows (entries above about 1e154) is taken again, on
     the matrix scaled by its largest entry modulus.
     """
-    if m.ndim == 2:
+    if m.ndim < 3:
         # np.linalg.norm's two dots without its dispatch: np.vdot makes ndarray.dot's
         # BLAS ddot without its overflow warning; math.sqrt rounds as np.sqrt does
         flat = m.ravel(order="K")
@@ -162,6 +173,36 @@ def _frobenius(m: np.ndarray):
     for i in np.flatnonzero(norms == np.inf):
         norms[i] = _frobenius(m[i])
     return norms
+
+
+def _column_norms(m: np.ndarray) -> np.ndarray:
+    """2-norm of each column of a finite matrix, or of each item of a stack,
+    bitwise ``np.linalg.norm(m, axis=-2)`` wherever that is finite; a column
+    whose sum of squares overflows is taken again by :func:`_frobenius`."""
+    # np.linalg.norm's own sum for one axis, without its dispatch; a square
+    # can overflow, and the imaginary part of its product then be inf - inf
+    with np.errstate(all="ignore"):  # cheaper to enter than over= and invalid=
+        norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2))
+    # a list test: an array comparison costs ~4 us on a few columns
+    if math.inf in norms.ravel().tolist():
+        for i in np.flatnonzero(norms == np.inf):
+            *lead, col = np.unravel_index(i, norms.shape)
+            norms[(*lead, col)] = _frobenius(m[(*lead, slice(None), col)])
+    return norms
+
+
+def _log2det_gram(x: np.ndarray) -> np.ndarray:
+    """log2 det(I + X X^H) of a matrix, or of each item of a stack, summed
+    from the singular values of X.  A term log(1 + sigma^2) whose square
+    overflows (sigma above about 1e154) is taken as 2 log(sigma), which
+    equals it to rounding there."""
+    sv = np.linalg.svd(x, compute_uv=False)
+    with np.errstate(over="ignore"):
+        terms = np.log1p(sv * sv)
+    over = terms == np.inf
+    if over.any():
+        terms[over] = 2.0 * np.log(sv[over])
+    return np.sum(terms, axis=-1) / math.log(2.0)
 
 
 def _count(sv: np.ndarray, cutoff):
@@ -282,13 +323,15 @@ def _image_quotient(x, y=None, norms=None):
     for i, (ma, mb) in enumerate(factors):
         if ma.size and mb.size:
             na, nb = (_frobenius(ma), _frobenius(mb)) if norms is None else norms[2 * i:2 * i + 2]
-            product = na * nb
+            # eps, a power of two, scales the product exactly: the bits of a finite
+            # cutoff do not change, and one whose norm product overflows stays finite
+            product = _EPS * na * nb
             # max() for one matrix's norms: np.maximum on scalars costs ~1 us
             scale = (product if scale is None else max(scale, product)
                      if isinstance(product, float) else np.maximum(scale, product))
             dim = max(dim, ma.shape[-2], ma.shape[-1], mb.shape[-1])
     images = [ma @ mb for ma, mb in factors]
-    cutoff = _PRODUCT_MARGIN * dim * _EPS * (0.0 if scale is None else scale)
+    cutoff = _PRODUCT_MARGIN * dim * (0.0 if scale is None else scale)
     if y is None:
         return _count_above(images[0], cutoff)
     return _count_above(np.concatenate(images, axis=-1), cutoff) - _count_above(images[1], cutoff)

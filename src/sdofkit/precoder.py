@@ -17,7 +17,7 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -116,8 +116,9 @@ class ChannelSet:
 
     @property
     def config(self) -> AntennaConfig:
-        (nd1, ns1), (nd2, ns2) = self.h11.shape, self.h22.shape
-        return AntennaConfig(ns1, ns2, nd1, nd2, self.g1.shape[0])
+        # the last two axes, so a stack of sets (see _stacked) has its items' config
+        (nd1, ns1), (nd2, ns2) = self.h11.shape[-2:], self.h22.shape[-2:]
+        return AntennaConfig(ns1, ns2, nd1, nd2, self.g1.shape[-2])
 
     def full_rank(self) -> bool:
         """True when all six matrices are full rank under the default tolerance."""
@@ -125,9 +126,10 @@ class ChannelSet:
 
 
 def _trusted(*mats: np.ndarray) -> ChannelSet:
-    """A :class:`ChannelSet` of six finite complex128 matrices of one
-    configuration, in ``_CHANNELS`` order, that the package drew itself:
-    built without ``__post_init__``'s coercion and checks."""
+    """A :class:`ChannelSet` of six finite complex128 matrices, or stacks of
+    them, of one configuration, in ``_CHANNELS`` order, that the package
+    drew or checked itself: built without ``__post_init__``'s coercion and
+    checks, which refuse a stack."""
     ch = object.__new__(ChannelSet)
     ch.__dict__.update(zip(_CHANNELS, mats))
     return ch
@@ -192,12 +194,12 @@ class SubsetBasis:
 # one is the matrix itself, so the T = 1 case runs on plain matrices.
 
 
-def _stacked(chs: list[ChannelSet]) -> ChannelSet | SimpleNamespace:
-    """The channel sets of one configuration as six stacks; one set is its own."""
+def _stacked(chs: list[ChannelSet]) -> ChannelSet:
+    """The channel sets of one configuration as one set of six stacks; one
+    set is its own."""
     if len(chs) == 1:
         return chs[0]
-    return SimpleNamespace(**{name: np.stack([getattr(c, name) for c in chs])
-                              for name in _CHANNELS})
+    return _trusted(*(np.stack([getattr(c, name) for c in chs]) for name in _CHANNELS))
 
 
 def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
@@ -223,7 +225,7 @@ _GSVD_SUBSETS = (
 )
 
 
-def _build_bases(ch: ChannelSet | SimpleNamespace, cfg: AntennaConfig,
+def _build_bases(ch: ChannelSet, cfg: AntennaConfig,
                  needed: Mapping[Subset, int]) -> dict[Subset, SubsetBasis]:
     """Construct the requested subset bases of a channel stack, sharing
     intermediates; each basis is a stack of the same size.
@@ -308,7 +310,7 @@ def _equal_power_columns(m: np.ndarray, total: float) -> np.ndarray:
     """
     if m.shape[-1] == 0:
         return m.copy()
-    norms = np.linalg.norm(m, axis=-2)
+    norms = matcore._column_norms(m)
     nz = norms > 0
     if m.ndim == 3:
         nz = matcore._agreed(nz)
@@ -387,7 +389,7 @@ def _streams(cfg: AntennaConfig, target: SdofPoint) -> Mapping[Subset, int]:
     return MappingProxyType(dict(zip(Subset, region.select_streams(cfg, d1))))
 
 
-def _assemble(ch: ChannelSet | SimpleNamespace, cfg: AntennaConfig, target: SdofPoint,
+def _assemble(ch: ChannelSet, cfg: AntennaConfig, target: SdofPoint,
               wanted: Mapping[Subset, int], power: float) -> tuple[np.ndarray, np.ndarray]:
     """One stack of :func:`construct` on the :func:`_stacked` channels ``ch``
     of one configuration, with ``wanted`` the :func:`_plan` of the target:

@@ -5,6 +5,10 @@ channel images of a precoder pair, and empirical high-SNR slope
 estimation from the finite-power rate formulas.  Also checks membership
 of a pair in the power set, the span-aligned set, and the
 columnwise-aligned set.
+
+The channel set and the precoder pair check their own matrices;
+``sdof_of``, ``membership`` and ``rates`` (and so ``slope_estimate``)
+first check only that V and W have a row per antenna of their source.  Every norm and log-det comes from :mod:`matcore`.
 """
 
 from __future__ import annotations
@@ -52,6 +56,15 @@ class Membership:
     in_ihat: bool
 
 
+def _check_rows(ch: ChannelSet, pair: PrecoderPair) -> None:
+    """Raise ``ValueError`` unless V has a row per antenna of source 1 and W
+    one per antenna of source 2."""
+    ns1, ns2 = ch.h11.shape[1], ch.h22.shape[1]
+    if pair.v.shape[0] != ns1 or pair.w.shape[0] != ns2:
+        raise ValueError(f"precoder rows ({pair.v.shape[0]}, {pair.w.shape[0]}) do not match "
+                         f"antenna counts ({ns1}, {ns2})")
+
+
 def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     """Achieved S.D.o.F. pair by exact subspace-rank arithmetic.
 
@@ -66,6 +79,7 @@ def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     three quotients run unchecked, each equal to
     :func:`matcore.image_quotient` of its factors.
     """
+    _check_rows(ch, pair)
     v, w = pair.v, pair.w
     norm = matcore._frobenius
     nv, nw = norm(v), norm(w)
@@ -95,12 +109,12 @@ def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
     gain that power normalization applies (exactly aligned pairs have
     gain one), to a relative ``1e-8``.
     """
+    _check_rows(ch, pair)
+    nv, nw = matcore._frobenius(pair.v), matcore._frobenius(pair.w)
     in_i = False
     if pair.power is not None:
-        pv = float(np.sum(np.abs(pair.v) ** 2))
-        pw = float(np.sum(np.abs(pair.w) ** 2))
-        ok_v = pair.kv == 0 or abs(pv - pair.power) <= _POWER_RTOL * pair.power
-        ok_w = pair.kw == 0 or abs(pw - pair.power) <= _POWER_RTOL * pair.power
+        ok_v = pair.kv == 0 or abs(nv * nv - pair.power) <= _POWER_RTOL * pair.power
+        ok_w = pair.kw == 0 or abs(nw * nw - pair.power) <= _POWER_RTOL * pair.power
         in_i = ok_v and ok_w
 
     # unchecked: the channels and precoders were checked when their set and pair were built
@@ -110,40 +124,39 @@ def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
         # disjoint: no signal dimension lies inside the interference span
         and matcore._image_quotient(signal, interference) == matcore._image_quotient(signal)
     )
-
-    # image columns below this are zero up to round-off of the matrix products
-    ztol = _ALIGN_RTOL * max(
-        np.linalg.norm(ch.g1) * np.linalg.norm(pair.v),
-        np.linalg.norm(ch.g2) * np.linalg.norm(pair.w),
-    )
-    in_ihat = in_ibar and _columnwise_aligned(
-        ch.g1 @ pair.v, ch.g2 @ pair.w, _ALIGN_RTOL, ztol
-    )
+    in_ihat = in_ibar and _columnwise_aligned(ch, pair, nv, nw)
     return Membership(in_i=in_i, in_ibar=in_ibar, in_ihat=in_ihat)
 
 
-def _columnwise_aligned(g1v: np.ndarray, g2w: np.ndarray, rtol: float, ztol: float) -> bool:
-    """Column i of g1v equals a positive multiple of column i of g2w."""
+def _columnwise_aligned(ch: ChannelSet, pair: PrecoderPair, nv: float, nw: float) -> bool:
+    """Column i of G1 V equals a positive multiple of column i of G2 W, to a
+    relative ``_ALIGN_RTOL``; ``nv`` and ``nw`` are the norms of V and W.
+
+    Image columns below ``_ALIGN_RTOL`` times the larger factor-norm
+    product are zero up to round-off of the matrix products.  Both images,
+    and that bound, are first divided by the power of two just above the
+    larger image norm: the division is exact, so it changes no decision,
+    and it keeps every square in the float range.
+    """
+    norm = matcore._frobenius
+    g1v, g2w = ch.g1 @ pair.v, ch.g2 @ pair.w
+    scale = math.ldexp(1.0, -math.frexp(max(norm(g1v), norm(g2w)))[1])
+    ztol = _ALIGN_RTOL * max(scale * norm(ch.g1) * nv, scale * norm(ch.g2) * nw)
+    g1v, g2w = scale * g1v, scale * g2w
     for i in range(g1v.shape[1]):
         a = g1v[:, i]
         b = g2w[:, i] if i < g2w.shape[1] else np.zeros_like(a)
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        na, nb = norm(a), norm(b)
         if na <= ztol and nb <= ztol:
             continue
         if na <= ztol or nb <= ztol:
             return False
         alpha = (b.conj() @ a) / (nb * nb)
-        if np.linalg.norm(a - alpha * b) > rtol * na:
+        if norm(a - alpha * b) > _ALIGN_RTOL * na:
             return False
-        if alpha.real <= 0 or abs(alpha.imag) > rtol * abs(alpha):
+        if alpha.real <= 0 or abs(alpha.imag) > _ALIGN_RTOL * abs(alpha):
             return False
     return True
-
-
-def _log2det_gram(x: np.ndarray) -> np.ndarray:
-    """log2 det(I + X X^H) of each item, summed from the singular values of X."""
-    sv = np.linalg.svd(x, compute_uv=False)
-    return np.sum(np.log1p(sv * sv), axis=-1) / math.log(2.0)
 
 
 def rates(ch: ChannelSet, pair: PrecoderPair) -> RateTriple:
@@ -157,6 +170,7 @@ def rates(ch: ChannelSet, pair: PrecoderPair) -> RateTriple:
     and accurate at any power.  The scoring is :func:`_score` on a stack
     of one.
     """
+    _check_rows(ch, pair)
     (triple,) = _score(ch, pair.v, pair.w)
     return triple
 
@@ -167,7 +181,8 @@ def _score(ch, v: np.ndarray, w: np.ndarray) -> list[RateTriple]:
     matrices), one triple per item."""
     def pairwise(hs: np.ndarray, ps: np.ndarray, hi: np.ndarray, pi: np.ndarray) -> np.ndarray:
         interf = hi @ pi
-        return _log2det_gram(np.concatenate([hs @ ps, interf], axis=-1)) - _log2det_gram(interf)
+        log2det = matcore._log2det_gram
+        return log2det(np.concatenate([hs @ ps, interf], axis=-1)) - log2det(interf)
 
     triples = zip(np.atleast_1d(pairwise(ch.h11, v, ch.h12, w)),
                   np.atleast_1d(pairwise(ch.h22, w, ch.h21, v)),
@@ -192,6 +207,7 @@ def slope_estimate(ch: ChannelSet, pair: PrecoderPair, p_grid) -> tuple[float, f
     p_lo, p_hi = grid[-2], grid[-1]
     if p_lo == p_hi:
         raise ValueError("the two largest p_grid powers must differ")
+    # rates checks the rows, which renormalizing keeps
     r_lo = rates(ch, with_power(pair, p_lo))
     r_hi = rates(ch, with_power(pair, p_hi))
     dlog = math.log2(p_hi) - math.log2(p_lo)

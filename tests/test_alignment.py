@@ -116,3 +116,19 @@ class TestCanonicalize:
         w = cstd(rng, 6, 2)
         with pytest.raises(NotAligned):
             alignment.canonicalize(v, w, ch.g1, ch.g2)
+
+    # the squares of images above about 1e154 overflow: at every scale an
+    # aligned pair passes the residual test, and a pair whose images lie in
+    # the null spaces but for a relative 1e-7, with an unaligned part a
+    # relative 1e-13 that falls under the rank cutoff, fails it
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
+    def test_residual_test_at_any_scale(self, rng, scale):
+        ch, v, w = self.build_aligned(rng, (6, 6, 5, 4, 5), 3, 3)
+        g1, g2 = scale * ch.g1, scale * ch.g2
+        out = alignment.canonicalize(v, w, g1, g2)
+        resid = (g1 @ out.v - (g2 @ out.w)[:, :3]) / scale
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(ch.g1 @ v)
+        near_v = matcore.null_basis(ch.g1) + 1e-7 * v[:, :1] + 1e-13 * cstd(rng, 6, 1)
+        near_w = matcore.null_basis(ch.g2) + 1e-7 * w[:, :1]
+        with pytest.raises(NotAligned, match="residual"):
+            alignment.canonicalize(near_v, near_w, g1, g2)

@@ -99,6 +99,19 @@ class TestScenario:
         with pytest.raises(ValueError, match="pathloss_exponent must be positive and finite"):
             Scenario(config=CFG_SMALL, geometry=small_geometry(), pathloss_exponent=exponent)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            Scenario(config=CFG_SMALL, trials=trials)
+
+    @pytest.mark.parametrize("variable, values, message", [
+        ("distance", (50.0,), "unknown sweep variable 'distance'"),
+        ("power_dbm", (), "sweep needs at least one value"),
+    ], ids=["unknown_variable", "empty"])
+    def test_rejects_sweep(self, variable, values, message):
+        with pytest.raises(ValueError, match=message):
+            Sweep(variable, values)
+
     # NumPy's seeding refused it only at the first draw, naming no field
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -133,6 +146,18 @@ class TestGeometry:
 
     def test_accepts_sources_one_meter_apart(self):
         Geometry(s1=(0.6, 0.8), s2=(0.0, 0.0))
+
+    @pytest.mark.parametrize("radius", [0.5, 10.5, float("nan")])
+    def test_rejects_ring_radius_outside_1_to_10(self, radius):
+        with pytest.raises(ValueError, match=r"ring radius must lie in \[1, 10\] meters"):
+            Geometry(s1=(50.0, 0.0), s2=(0.0, 0.0), ring_radius=radius)
+
+    def test_unplaceable_receivers_raise(self):
+        # sources one meter apart: a receiver lies within the spacing of its
+        # own source only at exactly 1 m, so no placement passes
+        sc = Scenario(config=CFG_SMALL, geometry=Geometry(s1=(1.0, 0.0), s2=(0.0, 0.0)))
+        with pytest.raises(DegenerateDraw, match="could not place receivers"):
+            chansim.draw_trial(sc, 0)
 
 
 def replayed_draw(sc, trial):

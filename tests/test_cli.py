@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdofkit import cli, serialize
+from sdofkit import cli, precoder, serialize
 from sdofkit.chansim import Geometry, Scenario, Sweep, gaussian_channels
 from sdofkit.errors import SchemaViolation
 from sdofkit.precoder import PrecoderPair
@@ -208,7 +208,7 @@ class TestChannelAntennas:
 
 
 class TestMalformedFiles:
-    @pytest.mark.parametrize("value", ["5", "null", "true"])
+    @pytest.mark.parametrize("value", ["5", "null", "true", pytest.param("{", id="not_json")])
     @pytest.mark.parametrize("command", ["verify", "construct"])
     def test_non_object_document_exits_2(self, capsys, tmp_path, command, value):
         path = tmp_path / "value.json"
@@ -343,6 +343,29 @@ class TestVerifyCommand:
                              "--precoder", str(prec_path))
         assert code == 2
         assert doc["error"] == "bad_input"
+        assert doc["message"] == "precoder rows (5, 2) do not match antenna counts (4, 2)"
+
+    # the images' singular values pass 1e154 at the top of the default grid,
+    # where their squares overflow: the output is still strict JSON with
+    # finite slopes, and nothing is written to stderr
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_huge_channels_give_strict_json(self, tmp_path, scale):
+        ch = gaussian_channels(AntennaConfig(6, 6, 5, 4, 5), np.random.default_rng(7))
+        ch = precoder.ChannelSet(*(scale * getattr(ch, name) for name in precoder._CHANNELS))
+        pair = precoder.construct(ch, (2, 4), power=1.0)
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({"channels": serialize.channels_to_json(ch),
+                                      "precoder": serialize.precoder_to_json(pair)}))
+        argv = ["verify", "--channels", str(bundle), "--precoder", str(bundle)]
+        proc = run_python(f"import sys; from sdofkit.cli import main; sys.exit(main({argv!r}))",
+                          capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def refuse(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        doc = json.loads(proc.stdout, parse_constant=refuse)
+        assert np.isfinite(doc["slopes"]).all()
 
     @pytest.mark.parametrize("grid", ["1e6,1e12,1e12", "1e6,nan,1e12", "1e6,1e12,inf"])
     def test_bad_p_grid_exits_2(self, capsys, tmp_path, grid):
@@ -458,6 +481,12 @@ class TestSerialization:
         assert doc["rows"] == 4 and len(doc["data"]) == 3
         back = serialize.matrix_from_json(doc)
         assert np.allclose(back, m)
+
+    def test_text_that_is_not_json_is_a_schema_violation(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        with pytest.raises(SchemaViolation, match=r"bad\.json: invalid JSON \("):
+            serialize.load_json(path)
 
     def test_empty_matrix_round_trip(self):
         doc = serialize.matrix_to_json(np.zeros((5, 0), dtype=complex))

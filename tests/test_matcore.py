@@ -249,13 +249,12 @@ class TestUncheckedBodies:
             assert np.array_equal(matcore._image_quotient(x, y), public)
             assert np.array_equal(matcore._image_quotient(x, y, given_norms), public)
 
-    @pytest.mark.parametrize("view", ["c", "fortran", "strided", "stack item"])
+    @pytest.mark.parametrize("view", ["c", "fortran", "strided", "stack item", "column"])
     def test_frobenius_is_numpy_norm_bitwise(self, rng, view):
         m = cstd(rng, 7, 5)
         m = {"c": m, "fortran": np.asfortranarray(m), "strided": m[::2, 1:],
-             "stack item": np.stack([m, 2 * m])[1]}[view]
+             "stack item": np.stack([m, 2 * m])[1], "column": m[:, 1]}[view]
         assert matcore._frobenius(m).hex() == np.linalg.norm(m).hex()
-
 
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e306])
     def test_frobenius_of_an_overflowing_sum_of_squares(self, rng, scale):
@@ -267,6 +266,61 @@ class TestUncheckedBodies:
         assert abs(got / scale - np.linalg.norm(m)) <= 1e-14 * np.linalg.norm(m)
         norms = matcore._frobenius(np.stack([big, m]))
         assert norms[0] == got and norms[1].hex() == np.linalg.norm(m).hex()
+
+    @pytest.mark.parametrize("view", ["c", "fortran", "strided", "stack"])
+    def test_column_norms_are_numpy_norms_bitwise(self, rng, view):
+        m = cstd(rng, 7, 5)
+        m = {"c": m, "fortran": np.asfortranarray(m), "strided": m[::2, 1:],
+             "stack": np.stack([m, 2 * m, m[::-1]])}[view]
+        assert matcore._column_norms(m).tobytes() == np.linalg.norm(m, axis=-2).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e306])
+    def test_column_norms_of_overflowing_columns(self, rng, scale):
+        # one column's squares overflow; the other columns, and the other
+        # item of a stack, keep np.linalg.norm's bits
+        m = cstd(rng, 6, 3)
+        big = m.copy()
+        big[:, 1] *= scale
+        exact = np.linalg.norm(m, axis=0)
+        got = matcore._column_norms(big)
+        assert abs(got[1] / scale - exact[1]) <= 1e-14 * exact[1]
+        assert got[[0, 2]].tobytes() == exact[[0, 2]].tobytes()
+        stacked = matcore._column_norms(np.stack([m, big]))
+        assert stacked[0].tobytes() == exact.tobytes() and stacked[1].tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_log2det_gram_of_overflowing_squares(self, rng, scale):
+        # log2(1 + sigma^2) of an overflowing square is 2 log2(sigma) to
+        # rounding; the other terms, and an item whose squares are finite,
+        # keep the sum of log1p's bits
+        x = cstd(rng, 4, 3)
+        sv = np.linalg.svd(x, compute_uv=False)
+        exact = np.sum(np.log1p(sv * sv)) / np.log(2.0)
+        assert matcore._log2det_gram(x).hex() == exact.hex()
+        big = np.diag([scale, 1.0, 2.0])
+        expected = 2 * np.log2(scale) + np.log2(2.0) + np.log2(5.0)
+        assert abs(matcore._log2det_gram(big) - expected) <= 1e-13 * expected
+        both = matcore._log2det_gram(np.stack([x[:3], big]))
+        assert np.isfinite(both).all() and both[1] == matcore._log2det_gram(big)
+
+    def test_quotient_cutoff_of_an_overflowing_norm_product(self, rng):
+        # |A| * |B| overflows while the image A @ B is finite: eps inside
+        # the product keeps the cutoff finite, for a matrix and for one
+        # item of a stack
+        big = cstd(rng, 4, 5)
+        big *= 1e308 / np.linalg.norm(big)
+        b = cstd(rng, 5, 3)
+        b *= 2 / np.linalg.norm(b)
+        null = 4 * matcore.null_basis(big[:2])
+        assert matcore._frobenius(big) * matcore._frobenius(b) == np.inf
+        assert np.isfinite(big @ b).all() and np.isfinite(big[:2] @ null).all()
+        assert matcore.image_quotient((big, b)) == 3
+        assert matcore.image_quotient((big[:2], null)) == 0
+        assert matcore.image_quotient((big, b), (big, b[:, :1])) == 2
+        small = cstd(rng, 4, 5)
+        assert list(matcore.image_quotient((np.stack([big, small]), np.stack([b, b])))) == [3, 3]
+        assert list(matcore.image_quotient(
+            (np.stack([big[:2], small[:2]]), np.stack([null, null])))) == [0, 2]
 
 
 class TestAlignedPairs:

@@ -40,6 +40,14 @@ class TestChannelSet:
         with pytest.raises(ValueError, match=r"^h21 must be a 2-D matrix, got shape \(1, 4, 6\)$"):
             dataclasses.replace(ch, h21=ch.h21[None])
 
+    def test_stack_of_sets_is_a_set(self, rng):
+        # the stack a Monte-Carlo point builds on, with its items' config
+        chs = [channels_for(EX2, rng) for _ in range(3)]
+        stacked = precoder._stacked(chs)
+        assert isinstance(stacked, precoder.ChannelSet)
+        assert stacked.config == AntennaConfig(*EX2) and stacked.h21.shape == (3, 4, 6)
+        assert precoder._stacked(chs[:1]) is chs[0]
+
     def test_refuses_an_empty_dimension_where_built(self, rng):
         # the configuration's own message, raised by the set and not at its first use
         ch = channels_for(EX2, rng)
@@ -315,6 +323,15 @@ class TestWithPower:
         pair = precoder.with_power(PrecoderPair(v=np.eye(2, dtype=complex),
                                                 w=np.zeros((2, 3), dtype=complex)), 1.0)
         assert pair.kw == 0
+
+    def test_huge_entries(self):
+        # the columns' squares overflow; each nonzero column still gets sqrt(P / n)
+        w = np.zeros((4, 3), dtype=complex)
+        w[:, 0], w[:, 2] = 1e160, [3e200, 1e200, 0, 1]
+        pair = precoder.with_power(PrecoderPair(v=1e160 * np.ones((4, 2)), w=w), 8.0)
+        np.testing.assert_allclose(np.linalg.norm(pair.v, axis=0), 2.0, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(np.linalg.norm(pair.w, axis=0), [2.0, 0.0, 2.0],
+                                   rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("power", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_unusable_power(self, rng, power):

@@ -73,15 +73,24 @@ class TestSdofOf:
         assert misses == []
 
 
+def scaled_channels(scale, seed):
+    """The seeded (6,6,5,4,5) Gaussian set with every entry times ``scale``."""
+    ch = gaussian_channels(AntennaConfig(*EX2), np.random.default_rng(seed))
+    return precoder.ChannelSet(*(scale * getattr(ch, name) for name in precoder._CHANNELS))
+
+
+EVERY_ENTRY = pytest.mark.parametrize("check", [
+    verifier.sdof_of, verifier.membership, verifier.rates,
+    lambda ch, pair: verifier.slope_estimate(ch, pair, [1e6, 1e12]),
+], ids=["sdof_of", "membership", "rates", "slope_estimate"])
+
+
 # every verifier entry trusts the channel set and the precoder pair, which
 # check their matrices where they are built, so a non-finite V or W is
 # refused before any of them runs
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("slot", ["v", "w"])
-@pytest.mark.parametrize("check", [
-    verifier.sdof_of, verifier.membership, verifier.rates,
-    lambda ch, pair: verifier.slope_estimate(ch, pair, [1e6, 1e12]),
-], ids=["sdof_of", "membership", "rates", "slope_estimate"])
+@EVERY_ENTRY
 def test_rejects_nonfinite_precoder(rng, check, slot, value):
     ch = channels_for(EX2, rng)
     pair = precoder.construct(ch, (2, 4), power=1.0)
@@ -89,6 +98,19 @@ def test_rejects_nonfinite_precoder(rng, check, slot, value):
     bad[1, 0] = value
     with pytest.raises(ValueError, match="non-finite"):
         check(ch, dataclasses.replace(pair, **{slot: bad}))
+
+
+# each entry checks the rows against the channel set before any product,
+# which would raise NumPy's core-dimension mismatch
+@pytest.mark.parametrize("slot, rows", [("v", "5, 6"), ("w", "6, 5")])
+@EVERY_ENTRY
+def test_rejects_precoder_a_row_short(rng, check, slot, rows):
+    ch = channels_for(EX2, rng)
+    pair = precoder.construct(ch, (2, 4), power=1.0)
+    short = dataclasses.replace(pair, **{slot: getattr(pair, slot)[:-1]})
+    with pytest.raises(ValueError, match=rf"^precoder rows \({rows}\) do not match "
+                                         r"antenna counts \(6, 6\)$"):
+        check(ch, short)
 
 
 class TestConstructThenVerify:
@@ -107,13 +129,20 @@ class TestConstructThenVerify:
                 continue
             assert verifier.sdof_of(ch, pair) == target
 
-    # the channels' squared entries overflow above about 1e154; each image
-    # cutoff scales with the channels and stays finite
-    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e306])
+    # the channels' squared entries overflow above about 1e154, and the
+    # product of an image's factor norms near 1e307; each image cutoff
+    # scales with the channels and stays finite
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e306, 1e307])
     def test_huge_channels(self, scale):
-        cfg = AntennaConfig(*EX2)
-        ch = gaussian_channels(cfg, np.random.default_rng(0))
-        ch = precoder.ChannelSet(*(scale * getattr(ch, name) for name in precoder._CHANNELS))
+        ch = scaled_channels(scale, 0)
+        for target in [(3, 3), (2, 4), (0, 4)]:
+            assert verifier.sdof_of(ch, precoder.construct(ch, target, power=1.0)) == target
+
+    # the edge of the range: every channel's own norm is still finite, but
+    # the products of its images' factor norms overflow
+    def test_channels_at_the_edge_of_the_float_range(self):
+        ch = scaled_channels(3e307, 7)
+        assert max(matcore._frobenius(getattr(ch, name)) for name in precoder._CHANNELS) < np.inf
         for target in [(3, 3), (2, 4), (0, 4)]:
             assert verifier.sdof_of(ch, precoder.construct(ch, target, power=1.0)) == target
 
@@ -153,6 +182,32 @@ class TestMembership:
             assert mem.in_ibar
             stayed += mem.in_ihat
         assert stayed == 0  # columnwise pairing generically destroyed
+
+    # each breaks one paired column and keeps both spans, so the pair stays
+    # in Ibar: a zero public column against a nonzero image, and a gain
+    # that is negative or complex
+    @pytest.mark.parametrize("target, mend", [
+        ((3, 3), lambda w: w[:, [2, 1, 0, 3]]),
+        ((2, 4), lambda w: w * [-1, 1, 1, 1]),
+        ((2, 4), lambda w: w * [np.exp(0.25j * np.pi), 1, 1, 1]),
+    ], ids=["zero_against_nonzero", "negative_gain", "complex_gain"])
+    def test_misaligned_column_leaves_ihat(self, rng, target, mend):
+        ch = channels_for(EX2, rng)
+        pair = precoder.construct(ch, target, power=3.0)
+        if target == (3, 3):
+            assert not pair.w[:, 2].any() and np.linalg.norm(ch.g1 @ pair.v[:, 0]) > 1
+        mem = verifier.membership(ch, dataclasses.replace(pair, w=mend(pair.w)))
+        assert mem.in_i and mem.in_ibar and not mem.in_ihat
+
+    # the squares of the norms overflow above about 1e154: the constructed
+    # pair stays in every set, and its randomized copy leaves Ihat
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200, 1e300])
+    def test_huge_channels(self, scale):
+        ch = scaled_channels(scale, 7)
+        pair = precoder.construct(ch, (2, 4), power=3.0)
+        assert verifier.membership(ch, pair) == verifier.Membership(True, True, True)
+        mem = verifier.membership(ch, precoder.randomize(pair, np.random.default_rng(1)))
+        assert mem.in_ibar and not mem.in_ihat
 
     def test_unnormalized_pair_not_in_i(self, rng):
         ch = channels_for(EX2, rng)
@@ -263,6 +318,14 @@ class TestSlopeEstimate:
             slopes = verifier.slope_estimate(ch, pair, self.GRID)
             point = verifier.sdof_of(ch, pair)
             assert round(slopes[0]) == point.d1 and round(slopes[1]) == point.d2
+
+    # the images' singular values pass 1e154 at the top of the grid, where
+    # their squares overflow; a slope is finite while the images are
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_huge_channels_give_finite_slopes(self, scale):
+        ch = scaled_channels(scale, 7)
+        pair = precoder.construct(ch, (2, 4), power=1.0)
+        assert np.isfinite(verifier.slope_estimate(ch, pair, self.GRID)).all()
 
     def test_grid_validation(self, rng):
         ch = channels_for(EX2, rng)
