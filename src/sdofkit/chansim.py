@@ -24,7 +24,7 @@ import numpy as np
 from . import matcore
 from . import precoder as pc
 from . import verifier
-from .errors import DegenerateDraw
+from .errors import ConstructionDeficit, DegenerateDraw
 from .region import AntennaConfig, SdofPoint
 
 __all__ = [
@@ -167,6 +167,11 @@ class CurveRecord:
 
 
 CSV_COLUMNS = ("x", "mean_rs1", "se_rs1", "mean_rs2", "se_rs2", "failures")
+
+
+def _curve_fields(rec: CurveRecord) -> dict:
+    """A record's ``CSV_COLUMNS`` by name: its x, then its stats' fields."""
+    return {name: rec.x if name == "x" else getattr(rec.stats, name) for name in CSV_COLUMNS}
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -338,6 +343,29 @@ def _stack_rates(trials: list[TrialChannels], cfg: AntennaConfig, target: SdofPo
     return verifier._score(pc._stacked([t.actual for t in trials]), v, w)
 
 
+def _stack_outcomes(trials: list[TrialChannels], cfg: AntennaConfig, target: SdofPoint,
+                    wanted: dict[pc.Subset, int], power: float) -> list:
+    """One outcome per trial: its rate triple, or the
+    :class:`ConstructionDeficit` or ``LinAlgError`` that it raises alone.
+
+    The trials run as one :func:`_stack_rates` stack; if that raises,
+    each trial runs alone, as :func:`precoder.construct` and
+    :func:`verifier.rates` would run it.
+    """
+    if len(trials) > 1:
+        try:
+            return _stack_rates(trials, cfg, target, wanted, power)
+        except (matcore._StackSplit, ConstructionDeficit, np.linalg.LinAlgError):
+            pass
+    outcomes = []
+    for trial in trials:
+        try:
+            outcomes.append(_stack_rates([trial], cfg, target, wanted, power)[0])
+        except (ConstructionDeficit, np.linalg.LinAlgError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointStats:
     """Average secrecy rates over the scenario's trials at one target.
 
@@ -363,15 +391,15 @@ def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> 
 
     The (point, trial) pairs are drawn in order, each trial alone from its
     own stream.  The drawn trials are then built and scored in stacks of
-    up to ``_STACK_TRIALS``, in one pass per stack (:func:`_stack_rates`
-    under :func:`matcore._per_item`).  A stack may span points, but not a
-    change of effective power, and it is drawn only when the one before it
-    has been scored, so memory does not grow with the trials.  Trials that
-    need a different path are split off, and a LAPACK error re-runs build
-    and score trial by trial.  Within a stack each GSVD runs once, with
-    only its cosine-sine step taken trial by trial.  Each outcome is
-    counted at its own point, and the first point whose trials all fail
-    raises as :func:`run_point` would.
+    up to ``_STACK_TRIALS`` (:func:`_stack_outcomes`).  A stack may span
+    points, but not a change of effective power, and it is drawn only when
+    the one before it has been scored, so memory does not grow with the
+    trials.  A stack runs in one pass, or, when its trials need different
+    paths, one of them fails, or a LAPACK routine does not converge, trial
+    by trial.  Within a stack each GSVD runs once, with only its
+    cosine-sine step taken trial by trial.  Each outcome is counted at its
+    own point, and the first point whose trials all fail raises as
+    :func:`run_point` would.
     """
     target = SdofPoint(*target)
     cfg = points[0].config
@@ -381,9 +409,7 @@ def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> 
     owners, drawn = [], []  # the point index and channels of each drawn trial
 
     def score(power: float) -> None:
-        outcomes = matcore._per_item(
-            lambda items: _stack_rates(items, cfg, target, wanted, power), drawn)
-        for i, triple in zip(owners, outcomes):
+        for i, triple in zip(owners, _stack_outcomes(drawn, cfg, target, wanted, power)):
             if isinstance(triple, Exception):
                 failures[i] += 1
             else:
@@ -466,5 +492,4 @@ def write_curve_csv(path, records: list[CurveRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            st = rec.stats
-            writer.writerow([rec.x, st.mean_rs1, st.se_rs1, st.mean_rs2, st.se_rs2, st.failures])
+            writer.writerow(_curve_fields(rec).values())

@@ -179,18 +179,8 @@ def cmd_simulate(args) -> int:
             "status": "ok",
             "target": list(target),
             "out_csv": args.out,
-            "records": [
-                {
-                    "variable": rec.variable,
-                    "x": rec.x,
-                    "mean_rs1": rec.stats.mean_rs1,
-                    "se_rs1": rec.stats.se_rs1,
-                    "mean_rs2": rec.stats.mean_rs2,
-                    "se_rs2": rec.stats.se_rs2,
-                    "failures": rec.stats.failures,
-                }
-                for rec in records
-            ],
+            "records": [{"variable": rec.variable, **chansim._curve_fields(rec)}
+                        for rec in records],
         }
     )
     return 0

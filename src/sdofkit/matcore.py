@@ -20,8 +20,8 @@ The public functions also take (T, m, n) stacks of matrices of one shape
 and decide each item as the 2-D call decides it, bitwise; a 2-D input
 runs as a plain matrix and gives the same int or matrix as ever.  A basis
 of a stack needs one width, and a GSVD of a stack one path, so items
-whose ranks or checks differ raise :class:`_StackSplit`, and
-:func:`_per_item` runs such a stack as smaller ones.
+whose ranks or checks differ raise :class:`_StackSplit`; what runs
+instead is the caller's choice.
 
 Inputs are checked at the public edge and trusted inside.  Every public
 function here coerces its matrix arguments to complex and rejects
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionDeficit, DegenerateInput
+from .errors import DegenerateInput
 
 __all__ = [
     "GsvdResult",
@@ -89,65 +89,28 @@ def _as_matrices(a, name: str = "matrix") -> np.ndarray:
 
 
 class _StackSplit(Exception):
-    """The items of a stack need different paths; ``agree`` marks the items
-    that take the first item's path."""
-
-    def __init__(self, agree: np.ndarray):
-        super().__init__("the items of a stack disagree")
-        self.agree = agree
+    """The items of a stack need different paths."""
 
 
 def _agreed(keys):
     """The key that every item of a stack shares, one row of ``keys`` per
-    item; a key that is neither a list nor an array is a single matrix's.
+    item; a key that is not an array is a single matrix's.
 
     Raises :class:`_StackSplit` when some item's key differs from the first
-    item's, so that :func:`_per_item` can run the two groups apart.
+    item's.
     """
-    if not isinstance(keys, (list, np.ndarray)):
+    if not isinstance(keys, np.ndarray):
         return keys
-    keys = np.asarray(keys)
-    if len(keys) > 1:
-        agree = (keys == keys[0]).reshape(len(keys), -1).all(axis=1)
-        if not agree.all():
-            raise _StackSplit(agree)
+    if (keys != keys[0]).any():
+        raise _StackSplit("the items of a stack disagree")
     return keys[0]
-
-
-def _per_item(run, items: list) -> list:
-    """One outcome per item of ``run(items)``: the item's result, or the
-    :class:`ConstructionDeficit` or ``LinAlgError`` that running the item
-    alone raises.
-
-    ``run`` maps a list of items to a list of results, computed as one
-    stack.  A :class:`_StackSplit` re-runs the agreeing items and the rest
-    as two stacks; a ``LinAlgError`` re-runs every item alone, so a real
-    non-convergence costs only its own item.  A ``ConstructionDeficit``
-    raised for the whole stack is every item's outcome.
-    """
-    if not items:
-        return []
-    try:
-        return run(items)
-    except _StackSplit as split:
-        groups = [np.flatnonzero(split.agree), np.flatnonzero(~split.agree)]
-    except np.linalg.LinAlgError as exc:
-        if len(items) == 1:
-            return [exc]
-        groups = [[i] for i in range(len(items))]
-    except ConstructionDeficit as exc:
-        return [exc] * len(items)
-    out = [None] * len(items)
-    for group in groups:
-        for i, outcome in zip(group, _per_item(run, [items[i] for i in group])):
-            out[i] = outcome
-    return out
 
 
 def _frobenius(m: np.ndarray):
     """Frobenius norm of a finite matrix or vector (a float), or of each
     item of a stack, bitwise ``np.linalg.norm`` of the matrix wherever that
-    is finite.
+    is finite.  A matrix or vector with a non-finite entry gives NaN, with
+    no warning, so that one call both checks and sizes it.
 
     That call sums a matrix as one strided BLAS dot over its real parts
     plus one over its imaginary parts, in memory order; a C-contiguous
@@ -164,7 +127,8 @@ def _frobenius(m: np.ndarray):
         norm = math.sqrt(np.vdot(re, re) + np.vdot(im, im))
         if norm == math.inf:
             peak = float(np.abs(m).max())
-            norm = peak * _frobenius(m / peak)
+            with np.errstate(invalid="ignore"):  # an infinite entry over peak is NaN
+                norm = peak * _frobenius(m / peak)
         return norm
     flat = m.reshape(len(m), 1, -1)
     re, im = flat.real, flat.imag

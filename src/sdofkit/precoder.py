@@ -78,14 +78,20 @@ def _split(flat: np.ndarray, cfg: AntennaConfig) -> list[np.ndarray]:
 
 def _check_matrices(obj, names: tuple[str, ...], columns: bool = False) -> None:
     """Set each named field of ``obj`` to a complex matrix (a 1-D value a column
-    when ``columns``), or raise ``ValueError`` if it is not 2-D or not finite."""
+    when ``columns``), or raise ``ValueError`` if it is not 2-D, not finite,
+    or has a Frobenius norm beyond the float range, which every cutoff and
+    power test takes."""
     for name in names:
         m = np.asarray(getattr(obj, name), dtype=np.complex128)
         m = m.reshape(-1, 1) if columns and m.ndim == 1 else m
         if m.ndim != 2:
             raise ValueError(f"{name} must be a 2-D matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        # one pass for both tests: NaN when an entry is not finite
+        norm = matcore._frobenius(m)
+        if math.isnan(norm):
             raise ValueError(f"{name} contains non-finite entries")
+        if norm == math.inf:
+            raise ValueError(f"{name} has a Frobenius norm beyond the float range")
         object.__setattr__(obj, name, m)
 
 

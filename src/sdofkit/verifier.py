@@ -8,7 +8,8 @@ columnwise-aligned set.
 
 The channel set and the precoder pair check their own matrices;
 ``sdof_of``, ``membership`` and ``rates`` (and so ``slope_estimate``)
-first check only that V and W have a row per antenna of their source.  Every norm and log-det comes from :mod:`matcore`.
+first check only that V and W have a row per antenna of their source.
+Every norm and log-det comes from :mod:`matcore`.
 """
 
 from __future__ import annotations
@@ -178,11 +179,16 @@ def rates(ch: ChannelSet, pair: PrecoderPair) -> RateTriple:
 def _score(ch, v: np.ndarray, w: np.ndarray) -> list[RateTriple]:
     """One stack of :func:`rates`: the six channel stacks of ``ch`` with the
     precoder stacks ``v`` and ``w`` (or one channel set with its two
-    matrices), one triple per item."""
+    matrices), one triple per item.  A received image that overflows the
+    float range raises ``LinAlgError`` before any SVD takes it."""
     def pairwise(hs: np.ndarray, ps: np.ndarray, hi: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        interf = hi @ pi
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            interf = hi @ pi
+            both = np.concatenate([hs @ ps, interf], axis=-1)
+        if not np.isfinite(both).all():
+            raise np.linalg.LinAlgError("a received image H P overflows the float range")
         log2det = matcore._log2det_gram
-        return log2det(np.concatenate([hs @ ps, interf], axis=-1)) - log2det(interf)
+        return log2det(both) - log2det(interf)
 
     triples = zip(np.atleast_1d(pairwise(ch.h11, v, ch.h12, w)),
                   np.atleast_1d(pairwise(ch.h22, w, ch.h21, v)),

@@ -347,9 +347,11 @@ class TestVerifyCommand:
 
     # the images' singular values pass 1e154 at the top of the default grid,
     # where their squares overflow: the output is still strict JSON with
-    # finite slopes, and nothing is written to stderr
-    @pytest.mark.parametrize("scale", [1e150, 1e300])
-    def test_huge_channels_give_strict_json(self, tmp_path, scale):
+    # finite slopes, and nothing is written to stderr.  At 1e306 the images
+    # themselves overflow there, and verify exits 4, again with no warning
+    @pytest.mark.parametrize("scale, code", [(1e150, 0), (1e300, 0), (1e306, 4)],
+                             ids=["1e+150", "1e+300", "1e+306"])
+    def test_huge_channels_give_strict_json(self, tmp_path, scale, code):
         ch = gaussian_channels(AntennaConfig(6, 6, 5, 4, 5), np.random.default_rng(7))
         ch = precoder.ChannelSet(*(scale * getattr(ch, name) for name in precoder._CHANNELS))
         pair = precoder.construct(ch, (2, 4), power=1.0)
@@ -359,13 +361,29 @@ class TestVerifyCommand:
         argv = ["verify", "--channels", str(bundle), "--precoder", str(bundle)]
         proc = run_python(f"import sys; from sdofkit.cli import main; sys.exit(main({argv!r}))",
                           capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (proc.returncode, proc.stderr) == (code, "")
 
         def refuse(name):
             raise ValueError(f"{name} is not strict JSON")
 
         doc = json.loads(proc.stdout, parse_constant=refuse)
-        assert np.isfinite(doc["slopes"]).all()
+        if code:
+            assert doc["error"] == "construction_failed"
+            assert doc["message"] == "a received image H P overflows the float range"
+        else:
+            assert np.isfinite(doc["slopes"]).all()
+
+    def test_channel_norm_beyond_the_float_range_exits_2(self, capsys, tmp_path):
+        # every entry finite, but |h12| is not
+        ch = gaussian_channels(AntennaConfig(6, 6, 5, 4, 5), np.random.default_rng(3))
+        doc = serialize.channels_to_json(ch)
+        doc["h12"]["data"] = [[[3e307 * x for x in e] for e in col] for col in doc["h12"]["data"]]
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, "verify", "--channels", str(path), "--precoder", str(path))
+        assert code == 2
+        assert out["error"] == "bad_input"
+        assert out["message"] == "h12 has a Frobenius norm beyond the float range"
 
     @pytest.mark.parametrize("grid", ["1e6,1e12,1e12", "1e6,nan,1e12", "1e6,1e12,inf"])
     def test_bad_p_grid_exits_2(self, capsys, tmp_path, grid):

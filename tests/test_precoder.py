@@ -35,6 +35,14 @@ class TestChannelSet:
         with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
             dataclasses.replace(ch, **{name: bad})
 
+    @pytest.mark.parametrize("name", precoder._CHANNELS)
+    def test_rejects_norm_beyond_float_range(self, rng, name):
+        # every entry finite, but the sum of their squares is above 1.8e308
+        ch = channels_for(EX2, rng)
+        bad = np.full(getattr(ch, name).shape, 1e308, dtype=complex)
+        with pytest.raises(ValueError, match=f"^{name} has a Frobenius norm beyond the float range$"):
+            dataclasses.replace(ch, **{name: bad})
+
     def test_rejects_matrix_that_is_not_2d(self, rng):
         ch = channels_for(EX2, rng)
         with pytest.raises(ValueError, match=r"^h21 must be a 2-D matrix, got shape \(1, 4, 6\)$"):
@@ -63,6 +71,14 @@ class TestPrecoderPair:
         bad = getattr(pair, name).copy()
         bad[0, -1] = value
         with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            dataclasses.replace(pair, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["v", "w"])
+    def test_rejects_norm_beyond_float_range(self, rng, name):
+        pair = PrecoderPair(v=cstd(rng, 6, 2), w=cstd(rng, 6, 3), power=1.0)
+        bad = getattr(pair, name).copy()
+        bad[:2, 0] = 1.5e308
+        with pytest.raises(ValueError, match=f"^{name} has a Frobenius norm beyond the float range$"):
             dataclasses.replace(pair, **{name: bad})
 
     @pytest.mark.parametrize("name", ["v", "w"])

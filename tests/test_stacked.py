@@ -68,12 +68,11 @@ def single_outcome(trial, target, power):
 
 def stack_outcomes(trials, target, power):
     """run_point's one pass over a stack of trials: built and scored as one
-    stack, split and re-run by _per_item."""
+    stack, or else trial by trial."""
     target = region.SdofPoint(*target)
     cfg = trials[0].design.config
     wanted = precoder._plan(cfg, target, power)
-    return matcore._per_item(
-        lambda items: chansim._stack_rates(items, cfg, target, wanted, power), trials)
+    return chansim._stack_outcomes(trials, cfg, target, wanted, power)
 
 
 def assert_same_outcome(got, expected):
@@ -112,9 +111,8 @@ class TestMatcoreStacks:
 
     def test_disagreeing_ranks_split(self, rng):
         stack = np.stack([cstd(rng, 3, 5), low_rank(rng, 3, 5, 2), cstd(rng, 3, 5)])
-        with pytest.raises(matcore._StackSplit) as info:
+        with pytest.raises(matcore._StackSplit):
             matcore.null_basis(stack)
-        assert info.value.agree.tolist() == [True, False, True]
 
     # every shape with a shared block (s > 0), then shapes with s == 0,
     # including an empty side
@@ -150,9 +148,8 @@ class TestMatcoreStacks:
             a[1] = low_rank(rng, n, m, m - 1)
         else:
             b[1] = a[1] @ cstd(rng, m, kc)
-        with pytest.raises(matcore._StackSplit) as info:
+        with pytest.raises(matcore._StackSplit):
             matcore.gsvd(a, b)
-        assert info.value.agree.tolist() == [True, False, True]
         with pytest.raises(DegenerateInput, match=message):
             matcore.gsvd(a[1], b[1])
         with pytest.raises(DegenerateInput, match=message):
@@ -173,9 +170,8 @@ class TestMatcoreStacks:
             return u, theta, vh
 
         monkeypatch.setattr(matcore, "cossin", planted)
-        with pytest.raises(matcore._StackSplit) as info:
+        with pytest.raises(matcore._StackSplit):
             matcore.gsvd(a, b)
-        assert info.value.agree.tolist() == [True, False, True]
         calls.clear()
         matcore.gsvd(a[0], b[0])
         with pytest.raises(DegenerateInput, match="cosine-sine angles"):
@@ -223,6 +219,26 @@ class TestConstructStack:
         assert str(outcomes[1]).startswith(message)
         for i in (0, 2):
             assert_same_outcome(outcomes[i], single_outcome(trials[i], target, 1.0))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_failed_stack_runs_trial_by_trial(self, rng, monkeypatch, position):
+        # one stack of three, then each trial alone, wherever the deficient
+        # trial sits; never a smaller stack of the trials that agree
+        chs = [channels_for((6, 6, 5, 4, 5), rng) for _ in range(3)]
+        chs[position] = dataclasses.replace(chs[position], h22=low_rank(rng, 4, 6, 2))
+        trials = [chansim.TrialChannels(design=ch, actual=ch) for ch in chs]
+        stack_rates, sizes = chansim._stack_rates, []
+
+        def counting(items, *args):
+            sizes.append(len(items))
+            return stack_rates(items, *args)
+
+        monkeypatch.setattr(chansim, "_stack_rates", counting)
+        outcomes = stack_outcomes(trials, (2, 4), 1.0)
+        assert sizes == [3, 1, 1, 1]
+        assert isinstance(outcomes[position], ConstructionDeficit)
+        for trial, got in zip(trials, outcomes):
+            assert_same_outcome(got, single_outcome(trial, (2, 4), 1.0))
 
 
 class TestExclusionStack:

@@ -146,6 +146,12 @@ class TestConstructThenVerify:
         for target in [(3, 3), (2, 4), (0, 4)]:
             assert verifier.sdof_of(ch, precoder.construct(ch, target, power=1.0)) == target
 
+    # past the edge: |h12| is infinite, so every image cutoff would be, and
+    # sdof_of would score this set's (3, 3) pair as (0, 3); the set is refused
+    def test_channel_norm_beyond_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="^h12 has a Frobenius norm beyond the float range$"):
+            scaled_channels(3e307, 3)
+
 
 class TestMembership:
     def test_construct_output_in_all_sets(self, rng):
