@@ -201,12 +201,18 @@ def gaussian_channels(cfg: AntennaConfig, rng: np.random.Generator) -> pc.Channe
     return pc._trusted(*pc._split((z[re] + 1j * z[im]) / np.sqrt(2), cfg))
 
 
+def _check_distance(distance: float) -> None:
+    """Raise ``ValueError`` unless a link distance is finite and at least
+    one meter, as every path loss here assumes (rejects NaN as well)."""
+    if not 1.0 <= distance < math.inf:
+        raise ValueError("distance must be at least one meter")
+
+
 def los_channel(rows: int, cols: int, distance: float, c: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Line-of-sight channel: every entry has magnitude ``distance**(-c/2)``
     and an independent phase uniform on [0, 2*pi)."""
-    if distance < 1.0:
-        raise ValueError("distance must be at least one meter")
+    _check_distance(distance)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(rows, cols))
     return distance ** (-c / 2.0) * np.exp(1j * phase)
 
@@ -218,10 +224,11 @@ def uncertain_eve_channel(gbar: np.ndarray, alpha: float, distance: float,
     Mixes the estimate with an independent standard complex Gaussian error
     at weights ``(1+alpha)**-0.5`` and ``sqrt(alpha/(1+alpha))``, then
     applies the path loss; ``alpha = 0`` returns the scaled estimate
-    exactly.
+    exactly.  ``distance`` is checked as :func:`los_channel` checks it.
     """
     if not alpha >= 0:  # rejects NaN as well
         raise ValueError("alpha must be non-negative")
+    _check_distance(distance)
     gbar = np.asarray(gbar, dtype=np.complex128)
     if alpha == 0:
         mix = gbar
@@ -271,7 +278,7 @@ def _fixed_link_distances(geo: Geometry, seed: int) -> dict[str, float]:
 
 
 def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
-    """Deterministic channel draw for one trial.
+    """A trial's first channel draw, from its own stream, not yet checked.
 
     The same (scenario, trial index) always produces identical matrices.
     Gaussian scenarios draw the design set through
@@ -282,46 +289,88 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
     within each matrix: the values that :func:`los_channel` called link
     by link would draw.  Without uncertainty the true set is the design
     set itself; with it, only the true eavesdropper channels differ, and
-    their error matrices are drawn before any rank check.  Full-rank
-    failures trigger a complete redraw from the same stream, up to a small
-    budget, after which :class:`DegenerateDraw` is raised.  The channel
-    sets are built without :class:`precoder.ChannelSet`'s checks, which
-    the :class:`Scenario` and :class:`Geometry` checks make redundant.
+    their error matrices are drawn last.  The channel sets are built
+    without :class:`precoder.ChannelSet`'s checks, which the
+    :class:`Scenario` and :class:`Geometry` checks make redundant.
+
+    :func:`run_point` checks the draws of a point for full rank as one
+    stack and redraws a trial that fails (:func:`_redraw`).
     """
+    return _draw(scenario, _trial_rng(scenario.seed, trial_index))
+
+
+def _draw(scenario: Scenario, rng: np.random.Generator) -> TrialChannels:
+    """One channel draw of :func:`draw_trial` from ``rng``."""
     cfg = scenario.config
-    rng = _trial_rng(scenario.seed, trial_index)
     geo = scenario.geometry
     alpha = scenario.uncertainty_alpha
     cexp = scenario.pathloss_exponent
+    if geo is None:
+        design = gaussian_channels(cfg, rng)
+        g1_est, g2_est = design.g1, design.g2
+        dist_g1 = dist_g2 = 1.0
+    else:
+        links = (_link_distances(geo, rng) if geo.resample_rings
+                 else _fixed_link_distances(geo, scenario.seed))
+        size = sum(r * c for r, c in pc._shapes(cfg))
+        phases = pc._split(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size)), cfg)
+        g1_est, g2_est = phases[4:]
+        dist_g1, dist_g2 = links["g1"], links["g2"]
+        design = pc._trusted(*(links[name] ** (-cexp / 2.0) * phase
+                               for name, phase in zip(pc._CHANNELS, phases)))
+    if alpha == 0:
+        return TrialChannels(design=design, actual=design)
+    actual = pc._trusted(
+        design.h11, design.h12, design.h21, design.h22,
+        uncertain_eve_channel(g1_est, alpha, dist_g1, cexp, rng),
+        uncertain_eve_channel(g2_est, alpha, dist_g2, cexp, rng),
+    )
+    return TrialChannels(design=design, actual=actual)
 
+
+def _redraw(scenario: Scenario, trial_index: int) -> TrialChannels:
+    """A trial's first draw that passes the full-rank check alone, in
+    draws from its own stream, starting over from the first.
+
+    The true eavesdropper channels are checked before the design set.
+    After ``_MAX_RESAMPLES`` failed draws :class:`DegenerateDraw` is raised.
+    """
+    rng = _trial_rng(scenario.seed, trial_index)
     for _ in range(_MAX_RESAMPLES):
-        if geo is None:
-            design = gaussian_channels(cfg, rng)
-            g1_est, g2_est = design.g1, design.g2
-            dist_g1 = dist_g2 = 1.0
-        else:
-            links = (_link_distances(geo, rng) if geo.resample_rings
-                     else _fixed_link_distances(geo, scenario.seed))
-            size = sum(r * c for r, c in pc._shapes(cfg))
-            phases = pc._split(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size)), cfg)
-            g1_est, g2_est = phases[4:]
-            dist_g1, dist_g2 = links["g1"], links["g2"]
-            design = pc._trusted(*(links[name] ** (-cexp / 2.0) * phase
-                                   for name, phase in zip(pc._CHANNELS, phases)))
-
-        if alpha == 0:
-            actual = design
-            true_eve_ok = True
-        else:
-            actual = pc._trusted(
-                design.h11, design.h12, design.h21, design.h22,
-                uncertain_eve_channel(g1_est, alpha, dist_g1, cexp, rng),
-                uncertain_eve_channel(g2_est, alpha, dist_g2, cexp, rng),
-            )
-            true_eve_ok = pc._full_rank(actual.g1, actual.g2)
-        if design.full_rank() and true_eve_ok:
-            return TrialChannels(design=design, actual=actual)
+        chans = _draw(scenario, rng)
+        true_eve_ok = (scenario.uncertainty_alpha == 0
+                       or pc._full_rank(chans.actual.g1, chans.actual.g2))
+        if chans.design.full_rank() and true_eve_ok:
+            return chans
     raise DegenerateDraw(f"trial {trial_index}: full-rank check failed repeatedly")
+
+
+def _checked_draws(scenario: Scenario, draws: list[tuple[int, TrialChannels]]) -> list:
+    """One outcome per (trial index, :func:`draw_trial`) of a scenario:
+    the draw if it is full rank, else the trial's :func:`_redraw`, or the
+    :class:`DegenerateDraw` or ``LinAlgError`` that that raises.
+
+    The draws are checked as one stack: six SVD calls on the stacked
+    design sets, and two more on the true eavesdropper channels when they
+    differ.  If one of them raises, every trial runs :func:`_redraw`,
+    which checks its draws alone.
+    """
+    try:
+        ok = pc._stacked([chans.design for _, chans in draws]).full_rank()
+        if scenario.uncertainty_alpha > 0:
+            ok = ok & pc._full_rank(np.stack([chans.actual.g1 for _, chans in draws]),
+                                    np.stack([chans.actual.g2 for _, chans in draws]))
+    except np.linalg.LinAlgError:
+        ok = False
+    outcomes = []
+    for (trial, chans), passed in zip(draws, np.broadcast_to(ok, len(draws))):
+        if not passed:
+            try:
+                chans = _redraw(scenario, trial)
+            except (DegenerateDraw, np.linalg.LinAlgError) as exc:
+                chans = exc
+        outcomes.append(chans)
+    return outcomes
 
 
 # trials assembled and scored as one stack, so memory does not grow with
@@ -369,7 +418,8 @@ def _stack_outcomes(trials: list[TrialChannels], cfg: AntennaConfig, target: Sdo
 def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointStats:
     """Average secrecy rates over the scenario's trials at one target.
 
-    Per trial: draw channels, build the precoder pair for the target on
+    Per trial: draw channels until they are full rank, up to
+    ``_MAX_RESAMPLES`` draws, build the precoder pair for the target on
     the design channels at the effective SNR, and score the rate pair on
     the true channels.  Trials whose draw or construction degenerates, or
     in which a LAPACK routine does not converge, are counted as failures
@@ -378,8 +428,9 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     :class:`TargetInfeasible`, as :func:`precoder.construct` does, at the
     first trial that draws.
 
-    This is :func:`_run_points` on the one point: every trial's outcome
-    is bitwise the one :func:`precoder.construct` and
+    This is :func:`_run_points` on the one point: the full-rank check runs
+    once over the point's first draws, and every trial's outcome is
+    bitwise the one that :func:`_redraw`, :func:`precoder.construct` and
     :func:`verifier.rates` give it alone.
     """
     return _run_points([scenario], target)[0]
@@ -390,23 +441,37 @@ def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> 
     configuration, as the points of a sweep do.
 
     The (point, trial) pairs are drawn in order, each trial alone from its
-    own stream.  The drawn trials are then built and scored in stacks of
-    up to ``_STACK_TRIALS`` (:func:`_stack_outcomes`).  A stack may span
-    points, but not a change of effective power, and it is drawn only when
-    the one before it has been scored, so memory does not grow with the
-    trials.  A stack runs in one pass, or, when its trials need different
-    paths, one of them fails, or a LAPACK routine does not converge, trial
-    by trial.  Within a stack each GSVD runs once, with only its
-    cosine-sine step taken trial by trial.  Each outcome is counted at its
-    own point, and the first point whose trials all fail raises as
-    :func:`run_point` would.
+    own stream (:func:`draw_trial`).  A point's draws not yet checked for
+    full rank are checked as one stack (:func:`_checked_draws`) when the
+    point ends and before any stack is scored; a draw that fails is
+    replaced by its trial's redraw, or counted as a failure.  The checked
+    trials are then built and scored in stacks of up to ``_STACK_TRIALS``
+    (:func:`_stack_outcomes`).  A stack may span points, but not a change
+    of effective power, and it is drawn only when the one before it has
+    been scored, so memory does not grow with the trials.  A stack runs in
+    one pass, or, when its trials need different paths, one of them fails,
+    or a LAPACK routine does not converge, trial by trial.  Within a stack
+    each GSVD runs once, with only its cosine-sine step taken trial by
+    trial.  Each outcome is counted at its own point, and the first point
+    whose trials all fail raises as :func:`run_point` would.
     """
     target = SdofPoint(*target)
     cfg = points[0].config
     rs1, rs2 = [[] for _ in points], [[] for _ in points]
     failures = [0] * len(points)
     wanted = None
-    owners, drawn = [], []  # the point index and channels of each drawn trial
+    owners, drawn = [], []  # the point index and channels of each checked trial
+    fresh = []  # the trial index and first draw of the point's unchecked trials
+
+    def check(i: int, scenario: Scenario) -> None:
+        if fresh:
+            for chans in _checked_draws(scenario, fresh):
+                if isinstance(chans, Exception):
+                    failures[i] += 1
+                else:
+                    owners.append(i)
+                    drawn.append(chans)
+            fresh.clear()
 
     def score(power: float) -> None:
         for i, triple in zip(owners, _stack_outcomes(drawn, cfg, target, wanted, power)):
@@ -425,15 +490,18 @@ def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> 
         power = scenario.effective_power
         for trial in range(scenario.trials):
             try:
-                drawn.append(draw_trial(scenario, trial))
-            except (DegenerateDraw, np.linalg.LinAlgError):
+                fresh.append((trial, draw_trial(scenario, trial)))
+            except DegenerateDraw:  # no receiver placement; the draw runs no LAPACK
                 failures[i] += 1
                 continue
-            owners.append(i)
             if wanted is None:
                 wanted = pc._plan(cfg, target, power)
-            if len(drawn) == _STACK_TRIALS:
-                score(power)
+            if len(drawn) + len(fresh) == _STACK_TRIALS:
+                check(i, scenario)
+                # a trial lost to the check leaves room for the next draw
+                if len(drawn) == _STACK_TRIALS:
+                    score(power)
+        check(i, scenario)
         # a point whose trials have all failed raises before a later one draws
         if failures[i] == scenario.trials:
             raise DegenerateDraw("every trial failed")

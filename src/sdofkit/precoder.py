@@ -126,8 +126,9 @@ class ChannelSet:
         (nd1, ns1), (nd2, ns2) = self.h11.shape[-2:], self.h22.shape[-2:]
         return AntennaConfig(ns1, ns2, nd1, nd2, self.g1.shape[-2])
 
-    def full_rank(self) -> bool:
-        """True when all six matrices are full rank under the default tolerance."""
+    def full_rank(self):
+        """True when all six matrices are full rank under the default
+        tolerance; a stacked set (see :func:`_stacked`) gives one bool per item."""
         return _full_rank(*(getattr(self, name) for name in _CHANNELS))
 
 
@@ -141,13 +142,16 @@ def _trusted(*mats: np.ndarray) -> ChannelSet:
     return ch
 
 
-def _full_rank(*mats: np.ndarray) -> bool:
-    """True when every matrix has rank ``min(m, n)`` under :func:`matcore.rank_tol`.
+def _full_rank(*mats: np.ndarray):
+    """True when every matrix has rank ``min(m, n)`` under :func:`matcore.rank_tol`;
+    stacks of one size give one bool per item, from one SVD call per stack.
 
     Calls the unchecked :func:`matcore._rank`: every matrix passed here
     was checked when its :class:`ChannelSet` was built, or was drawn by
     the package."""
-    return all(matcore._rank(m) == min(m.shape) for m in mats)
+    if mats[0].ndim == 2:  # stops at the first deficient matrix
+        return all(matcore._rank(m) == min(m.shape) for m in mats)
+    return np.all([matcore._rank(m) == min(m.shape[-2:]) for m in mats], axis=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,6 +37,12 @@ class TestLosChannel:
         with pytest.raises(ValueError):
             chansim.los_channel(2, 2, 0.5, 3.5, rng)
 
+    # NaN passed the old `distance < 1.0` test and gave NaN entries
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
+    def test_rejects_non_finite_distance(self, rng, distance):
+        with pytest.raises(ValueError, match="distance must be at least one meter"):
+            chansim.los_channel(2, 2, distance, 3.5, rng)
+
 
 class TestGaussianChannels:
     # differential: one draw of every value equals the twelve draws that
@@ -78,6 +84,13 @@ class TestUncertainEve:
         gbar = np.ones((300, 300), dtype=complex)
         g = chansim.uncertain_eve_channel(gbar, 1e9, 1.0, 3.5, rng)
         assert abs(np.var(g) - 1.0) < 2e-2  # per-entry variance -> d**-c
+
+    # 0 raised ZeroDivisionError, -3 gave complex path losses, NaN NaN entries
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    @pytest.mark.parametrize("distance", [0.0, -3.0, 0.5, float("nan"), float("inf")])
+    def test_rejects_distance(self, rng, alpha, distance):
+        with pytest.raises(ValueError, match="distance must be at least one meter"):
+            chansim.uncertain_eve_channel(np.ones((2, 2), dtype=complex), alpha, distance, 3.5, rng)
 
     @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
     def test_rejects_alpha(self, rng, alpha):
@@ -186,7 +199,13 @@ def replayed_draw(sc, trial):
             )
         if design.full_rank() and actual.full_rank():
             return design, actual
-    raise AssertionError(f"trial {trial} never drew full-rank channels")
+    raise DegenerateDraw(f"trial {trial} never drew full-rank channels")
+
+
+def checked_draws(sc, trials):
+    """run_point's checked draws of the given trials: one stacked check,
+    then a redraw of each trial that fails it."""
+    return chansim._checked_draws(sc, [(trial, chansim.draw_trial(sc, trial)) for trial in trials])
 
 
 class TestDrawTrial:
@@ -207,8 +226,7 @@ class TestDrawTrial:
 
     def test_full_rank_always(self):
         sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=1, seed=2)
-        for trial in range(25):
-            chans = chansim.draw_trial(sc, trial)
+        for chans in checked_draws(sc, range(25)):
             assert chans.actual.full_rank() and chans.design.full_rank()
 
     def test_pathloss_scale_tracks_distance(self):
@@ -262,21 +280,22 @@ class TestDrawTrial:
     @pytest.mark.parametrize("cfg", [(4, 2, 4, 2, 4), (6, 6, 5, 4, 5), (1, 1, 2, 2, 1)],
                              ids=lambda cfg: ",".join(map(str, cfg)))
     def test_rng_contract(self, cfg, alpha, resample_rings):
-        # differential: the draw equals a replay of each trial's stream
-        # link by link, through the public draws and checked channel sets
+        # differential: the checked draws equal a replay of each trial's
+        # stream link by link, through the public draws and checked channel sets
         geo = dataclasses.replace(small_geometry(), resample_rings=resample_rings)
         sc = Scenario(config=AntennaConfig(*cfg), geometry=geo, trials=1, seed=21,
                       uncertainty_alpha=alpha)
-        for trial in range(20):
+        for trial, drawn in enumerate(checked_draws(sc, range(20))):
             design, actual = replayed_draw(sc, trial)
-            drawn = chansim.draw_trial(sc, trial)
             for name in pc._CHANNELS:
                 assert np.array_equal(getattr(drawn.design, name), getattr(design, name))
                 assert np.array_equal(getattr(drawn.actual, name), getattr(actual, name))
 
     def test_rank_deficient_true_eve_channel_is_redrawn(self, monkeypatch):
         # the design channels stay full rank; only the true eavesdropper
-        # channels, scored but never designed on, are rank one
+        # channels, scored but never designed on, are rank one.  The point's
+        # stacked check fails the first draw, and the trial's redraw loop
+        # replays that draw before each of its other draws
         calls = []
 
         def rank_one(gbar, alpha, distance, c, rng):
@@ -286,9 +305,9 @@ class TestDrawTrial:
         monkeypatch.setattr(chansim, "uncertain_eve_channel", rank_one)
         sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=1, seed=4,
                       uncertainty_alpha=0.3)
-        with pytest.raises(DegenerateDraw):
-            chansim.draw_trial(sc, 0)
-        assert len(calls) == 2 * chansim._MAX_RESAMPLES
+        with pytest.raises(DegenerateDraw, match="every trial failed"):
+            chansim.run_point(sc, (1, 1))
+        assert len(calls) == 2 * (1 + chansim._MAX_RESAMPLES)
 
 
 class TestRunPoint:
@@ -312,18 +331,26 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("failing_call", ["first", "gsvd_of_trial_0"])
     def test_lapack_failure_costs_one_trial(self, monkeypatch, failing_call):
-        # "first" fails the first SVD, which is in trial 0's channel draw.
-        # "gsvd_of_trial_0" fails the SVD of trial 0's stacked GSVD pair
-        # [A^H; B^H] wherever it runs: in the stack's GSVD, which is then
-        # re-run trial by trial, and in trial 0's GSVD alone.
+        # each case fails an SVD of trial 0's wherever it runs: in a stack,
+        # which is then re-run trial by trial, and in trial 0 alone.
+        # "first" is the first SVD of a one-trial point, the full-rank check
+        # of trial 0's H11: the point's stacked check fails, and trial 0's
+        # redraw loop checks the draw alone.  "gsvd_of_trial_0" is the SVD
+        # of trial 0's stacked GSVD pair [A^H; B^H]: the stack's GSVD fails,
+        # and then trial 0's GSVD alone.
         sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=6, seed=0)
         svd = np.linalg.svd
         if failing_call == "first":
-            calls = [0]
+            inputs = []
 
-            def fails(a):
-                calls[0] += 1
-                return calls[0] == 1
+            def recording_svd(a, *args, **kwargs):
+                inputs.append(a.copy())
+                return svd(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "svd", recording_svd)
+            chansim.run_point(dataclasses.replace(sc, trials=1), (1, 1))
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            marked = inputs[0]
         else:
             gsvd, pairs = matcore.gsvd, []
 
@@ -336,22 +363,18 @@ class TestRunPoint:
             monkeypatch.setattr(matcore, "gsvd", gsvd)
             a, b = pairs[0]
             marked = np.vstack([a.conj().T, b.conj().T])
-
-            def fails(m):
-                items = m.reshape((-1,) + m.shape[-2:])
-                return m.shape[-2:] == marked.shape and any(np.array_equal(x, marked) for x in items)
-
         hits = []
 
         def failing_svd(a, *args, **kwargs):
-            if fails(a):
+            items = a.reshape((-1,) + a.shape[-2:])
+            if a.shape[-2:] == marked.shape and any(np.array_equal(x, marked) for x in items):
                 hits.append(a.ndim)
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         out = chansim.run_point(sc, (1, 1))
-        assert hits == ([2] if failing_call == "first" else [3, 2])
+        assert hits == [3, 2]
         assert out.failures == 1
         assert out.trials == 6
         assert np.isfinite([out.mean_rs1, out.se_rs1, out.mean_rs2, out.se_rs2]).all()

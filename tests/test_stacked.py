@@ -15,6 +15,7 @@ from sdofkit.errors import ConstructionDeficit, DegenerateDraw, DegenerateInput,
 from sdofkit.region import AntennaConfig
 
 from conftest import channels_for, cstd, low_rank
+from test_chansim import replayed_draw
 from test_matcore import gsvd_shapes_with_shared_block
 
 CFG_SMALL = AntennaConfig(4, 2, 4, 2, 4)
@@ -284,22 +285,41 @@ def small_scenario(**kwargs):
 def stats_without(scenario, target, lost):
     """PointStats from the public per-trial functions, with the trials in
     ``lost`` counted as failures."""
-    rs1, rs2 = [], []
+    triples = []
     for trial in range(scenario.trials):
         if trial in lost:
             continue
         chans = chansim.draw_trial(scenario, trial)
         pair = precoder.construct(chans.design, target, power=scenario.effective_power)
-        triple = verifier.rates(chans.actual, pair)
-        rs1.append(triple.rs1)
-        rs2.append(triple.rs2)
-    r1, r2 = np.array(rs1), np.array(rs2)
+        triples.append(verifier.rates(chans.actual, pair))
+    return point_stats(triples, len(lost), scenario.trials)
+
+
+def point_stats(triples, failures, trials):
+    """PointStats of the rate triples of a point's scored trials."""
+    r1, r2 = np.array([t.rs1 for t in triples]), np.array([t.rs2 for t in triples])
     root = np.sqrt(len(r1))
     return chansim.PointStats(
         mean_rs1=float(np.mean(r1)), se_rs1=float(np.std(r1, ddof=1) / root),
         mean_rs2=float(np.mean(r2)), se_rs2=float(np.std(r2, ddof=1) / root),
-        failures=len(lost), trials=scenario.trials,
+        failures=failures, trials=trials,
     )
+
+
+def flag_draw_checks(monkeypatch):
+    """A one-item list that holds True while run_point checks draws for
+    full rank."""
+    checked, inside = chansim._checked_draws, [False]
+
+    def flagging(*args):
+        inside[0] = True
+        try:
+            return checked(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(chansim, "_checked_draws", flagging)
+    return inside
 
 
 def count_gsvd_calls(monkeypatch):
@@ -347,14 +367,16 @@ class TestRunPointStacks:
         assert chansim.run_point(sc, target) == whole
 
     def test_planted_failure_costs_its_trial(self, monkeypatch):
-        # the matrix of trial 3 in the first stacked SVD fails wherever it
-        # goes, so the stack is re-run trial by trial and trial 3 is lost
+        # the matrix of trial 3 in the first stacked SVD after the draw
+        # check fails wherever it goes, so the stack is re-run trial by
+        # trial and trial 3 is lost
         sc = small_scenario(trials=8, seed=0)
         svd = np.linalg.svd
         marked = []
+        checking = flag_draw_checks(monkeypatch)
 
         def recording_svd(a, *args, **kwargs):
-            if a.ndim == 3 and len(a) > 1 and not marked:
+            if a.ndim == 3 and len(a) > 1 and not checking[0] and not marked:
                 marked.append(a[3].copy())
             return svd(a, *args, **kwargs)
 
@@ -373,13 +395,15 @@ class TestRunPointStacks:
         assert out == stats_without(sc, (1, 1), {3})
 
     def test_one_shot_stack_failure_costs_no_trial(self, monkeypatch):
+        # the first stacked SVD after the draw check fails once
         sc = small_scenario(trials=8, seed=0)
         expected = chansim.run_point(sc, (1, 1))
         svd = np.linalg.svd
         failed = []
+        checking = flag_draw_checks(monkeypatch)
 
         def once_svd(a, *args, **kwargs):
-            if a.ndim == 3 and len(a) > 1 and not failed:
+            if a.ndim == 3 and len(a) > 1 and not checking[0] and not failed:
                 failed.append(True)
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
@@ -518,6 +542,93 @@ class TestRunPointStacks:
         monkeypatch.setattr(chansim, "draw_trial", no_draw)
         with pytest.raises(DegenerateDraw, match="every trial failed"):
             chansim.run_point(small_scenario(trials=5, seed=0), (4, 4))
+
+
+class TestCheckedDraws:
+    def test_stacked_full_rank_per_item(self, rng):
+        chs = [channels_for(CFG_SMALL.as_tuple(), rng) for _ in range(4)]
+        chs[1] = dataclasses.replace(chs[1], h12=low_rank(rng, 4, 2, 1))
+        chs[3] = dataclasses.replace(chs[3], g1=low_rank(rng, 4, 4, 3))
+        got = precoder._stacked(chs).full_rank()
+        assert got.tolist() == [ch.full_rank() for ch in chs] == [True, False, True, False]
+
+    def test_planted_redraws_equal_per_trial_replay(self, monkeypatch):
+        # differential: a true eavesdropper draw that consumes the stream and
+        # comes out rank one at random, so trials are redrawn and some run
+        # out of draws; the sweep's stats equal, bitwise, a replay of each
+        # trial's draw loop alone, built and scored by the public functions
+        real, calls = chansim.uncertain_eve_channel, []
+
+        def sometimes_rank_one(gbar, alpha, distance, c, rng):
+            calls.append(alpha)
+            g = real(gbar, alpha, distance, c, rng)
+            return np.outer(g[:, 0], np.ones(g.shape[1])) if rng.uniform() < 0.55 else g
+
+        monkeypatch.setattr(chansim, "uncertain_eve_channel", sometimes_rank_one)
+        sc = small_scenario(trials=20, seed=2, uncertainty_alpha=0.2,
+                            sweep=chansim.Sweep("s1_s2_distance", (150.0, 100.0, 50.0)))
+        records = chansim.monte_carlo(sc, (1, 1))
+        assert len(calls) > 2 * 3 * 20  # some trials were redrawn
+        expected = []
+        for point in points_of(sc):
+            triples, lost = [], 0
+            for trial in range(point.trials):
+                try:
+                    design, actual = replayed_draw(point, trial)
+                except DegenerateDraw:
+                    lost += 1
+                    continue
+                outcome = single_outcome(chansim.TrialChannels(design=design, actual=actual),
+                                         (1, 1), point.effective_power)
+                assert not isinstance(outcome, Exception)
+                triples.append(outcome)
+            expected.append(point_stats(triples, lost, point.trials))
+        assert all(stats.failures > 0 for stats in expected)
+        assert [rec.stats for rec in records] == expected
+
+    def test_draws_are_checked_once_per_point(self, monkeypatch):
+        # counts that do not depend on the machine: the 9 x 20 distance
+        # sweep checks its draws for full rank in six SVD calls per point,
+        # each on the point's 20-trial stack
+        svd, full_rank = np.linalg.svd, precoder._full_rank
+        inside, shapes = [False], []
+
+        def counting_svd(a, *args, **kwargs):
+            if inside[0]:
+                shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        def counting_full_rank(*mats):
+            inside[0] = True
+            try:
+                return full_rank(*mats)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(precoder, "_full_rank", counting_full_rank)
+        records = chansim.monte_carlo(sweep_scenario(20, seed=1), (1, 1))
+        assert [rec.stats.failures for rec in records] == [0] * 9
+        assert len(shapes) == 6 * 9 and all(shape[0] == 20 for shape in shapes)
+
+    def test_one_shot_check_failure_costs_no_trial(self, monkeypatch):
+        # the point's stacked check raises once; each trial then replays its
+        # own draw loop, which checks the draw alone, and no trial is lost
+        sc = small_scenario(trials=8, seed=0, uncertainty_alpha=0.2)
+        expected = chansim.run_point(sc, (1, 1))
+        full_rank, calls = precoder._full_rank, []
+
+        def once(*mats):
+            calls.append(mats[0].shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return full_rank(*mats)
+
+        monkeypatch.setattr(precoder, "_full_rank", once)
+        assert chansim.run_point(sc, (1, 1)) == expected
+        # the stack of 8, then each trial's true eavesdropper and design checks
+        assert calls[0] == (8, 4, 4)
+        assert calls[1:] == [(4, 4), (4, 4)] * 8
 
 
 # the criterion-6 distance sweep of the montecarlo_los benchmark
