@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,6 @@ __all__ = [
     "PointStats",
     "TrialChannels",
     "gaussian_channels",
-    "los_channel",
-    "uncertain_eve_channel",
     "draw_trial",
     "run_point",
     "monte_carlo",
@@ -45,6 +44,12 @@ __all__ = [
 ]
 
 SWEEP_VARIABLES = ("s1_s2_distance", "uncertainty_alpha", "power_dbm", "noise_power_dbm")
+
+
+def _is(value, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` number (say ``numbers.Integral``)
+    and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,8 @@ class Geometry:
     lands farther from its source than the source-source spacing, so the
     sources must be at least one meter apart.  ``resample_rings`` redraws
     positions every trial; otherwise the trial index 0 positions are
-    reused throughout.
+    reused throughout.  Each source position is stored as a pair of
+    floats, so a list gives the geometry that its tuple gives.
     """
 
     s1: tuple[float, float]
@@ -67,6 +73,12 @@ class Geometry:
     resample_rings: bool = True
 
     def __post_init__(self):
+        for name in ("s1", "s2"):
+            point = getattr(self, name)
+            point = tuple(point) if np.iterable(point) else ()
+            if len(point) != 2 or not all(_is(x, numbers.Real) for x in point):
+                raise ValueError(f"{name} must be a pair of real coordinates")
+            object.__setattr__(self, name, (float(point[0]), float(point[1])))
         if not 1.0 <= self.ring_radius <= 10.0:
             raise ValueError("ring radius must lie in [1, 10] meters")
         if not all(math.isfinite(x) for x in (*self.s1, *self.s2)):
@@ -111,6 +123,13 @@ class Scenario:
     sweep: "Sweep | None" = None
 
     def __post_init__(self):
+        if not isinstance(self.config, AntennaConfig):
+            raise ValueError("config must be an AntennaConfig")
+        if not isinstance(self.geometry, (Geometry, type(None))):
+            raise ValueError("geometry must be a Geometry or None")
+        for name in ("trials", "seed"):
+            if not _is(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.seed < 0:  # NumPy's seeding would refuse it at the first draw
@@ -201,41 +220,15 @@ def gaussian_channels(cfg: AntennaConfig, rng: np.random.Generator) -> pc.Channe
     return pc._trusted(*pc._split((z[re] + 1j * z[im]) / np.sqrt(2), cfg))
 
 
-def _check_distance(distance: float) -> None:
-    """Raise ``ValueError`` unless a link distance is finite and at least
-    one meter, as every path loss here assumes (rejects NaN as well)."""
-    if not 1.0 <= distance < math.inf:
-        raise ValueError("distance must be at least one meter")
-
-
-def los_channel(rows: int, cols: int, distance: float, c: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Line-of-sight channel: every entry has magnitude ``distance**(-c/2)``
-    and an independent phase uniform on [0, 2*pi)."""
-    _check_distance(distance)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(rows, cols))
-    return distance ** (-c / 2.0) * np.exp(1j * phase)
-
-
-def uncertain_eve_channel(gbar: np.ndarray, alpha: float, distance: float,
-                          c: float, rng: np.random.Generator) -> np.ndarray:
-    """True eavesdropper channel given its estimate ``gbar`` (no path loss).
-
-    Mixes the estimate with an independent standard complex Gaussian error
-    at weights ``(1+alpha)**-0.5`` and ``sqrt(alpha/(1+alpha))``, then
-    applies the path loss; ``alpha = 0`` returns the scaled estimate
-    exactly.  ``distance`` is checked as :func:`los_channel` checks it.
-    """
-    if not alpha >= 0:  # rejects NaN as well
-        raise ValueError("alpha must be non-negative")
-    _check_distance(distance)
-    gbar = np.asarray(gbar, dtype=np.complex128)
-    if alpha == 0:
-        mix = gbar
-    else:
-        err = _cgauss(rng, gbar.shape[0], gbar.shape[1])
-        mix = gbar / np.sqrt(1.0 + alpha) + np.sqrt(alpha / (1.0 + alpha)) * err
-    return distance ** (-c / 2.0) * mix
+def _true_eve(g_est: np.ndarray, alpha: float, gain: float,
+              rng: np.random.Generator) -> np.ndarray:
+    """True eavesdropper channel given its estimate ``g_est`` before path
+    loss, for ``alpha > 0``: the estimate mixed with an independent
+    standard complex Gaussian error at weights ``(1+alpha)**-0.5`` and
+    ``sqrt(alpha/(1+alpha))``, times the link's path-loss ``gain``.
+    Unchecked: :class:`Scenario` has checked ``alpha``."""
+    err = _cgauss(rng, *g_est.shape)
+    return gain * (g_est / np.sqrt(1.0 + alpha) + np.sqrt(alpha / (1.0 + alpha)) * err)
 
 
 def _ring_position(center: tuple[float, float], radius_bound: float,
@@ -286,12 +279,12 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
     per geometry and seed when the rings are not resampled), then draw the
     phases of the four links and of the two unit-magnitude eavesdropper
     estimates in one call, in ``precoder._CHANNELS`` order and row-major
-    within each matrix: the values that :func:`los_channel` called link
-    by link would draw.  Without uncertainty the true set is the design
-    set itself; with it, only the true eavesdropper channels differ, and
-    their error matrices are drawn last.  The channel sets are built
-    without :class:`precoder.ChannelSet`'s checks, which the
-    :class:`Scenario` and :class:`Geometry` checks make redundant.
+    within each matrix, and scale each matrix by its link's path-loss
+    gain ``distance**(-c/2)``.  Without uncertainty the true set is the
+    design set itself; with it, only the true eavesdropper channels differ
+    (:func:`_true_eve`), and their error matrices are drawn last.  The
+    channel sets are built without :class:`precoder.ChannelSet`'s checks,
+    which the :class:`Scenario` and :class:`Geometry` checks make redundant.
 
     :func:`run_point` checks the draws of a point for full rank as one
     stack and redraws a trial that fails (:func:`_redraw`).
@@ -300,47 +293,56 @@ def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
 
 
 def _draw(scenario: Scenario, rng: np.random.Generator) -> TrialChannels:
-    """One channel draw of :func:`draw_trial` from ``rng``."""
+    """One channel draw of :func:`draw_trial` from ``rng``; each link's
+    path-loss gain is taken once, for its design and true channels, and a
+    Gaussian set's gain is 1.0."""
     cfg = scenario.config
     geo = scenario.geometry
     alpha = scenario.uncertainty_alpha
-    cexp = scenario.pathloss_exponent
     if geo is None:
         design = gaussian_channels(cfg, rng)
-        g1_est, g2_est = design.g1, design.g2
-        dist_g1 = dist_g2 = 1.0
+        g_est, gains = (design.g1, design.g2), (1.0, 1.0)
     else:
         links = (_link_distances(geo, rng) if geo.resample_rings
                  else _fixed_link_distances(geo, scenario.seed))
         size = sum(r * c for r, c in pc._shapes(cfg))
         phases = pc._split(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size)), cfg)
-        g1_est, g2_est = phases[4:]
-        dist_g1, dist_g2 = links["g1"], links["g2"]
-        design = pc._trusted(*(links[name] ** (-cexp / 2.0) * phase
-                               for name, phase in zip(pc._CHANNELS, phases)))
+        gains = [links[name] ** (-scenario.pathloss_exponent / 2.0) for name in pc._CHANNELS]
+        design = pc._trusted(*(gain * phase for gain, phase in zip(gains, phases)))
+        g_est, gains = phases[4:], gains[4:]
     if alpha == 0:
         return TrialChannels(design=design, actual=design)
-    actual = pc._trusted(
-        design.h11, design.h12, design.h21, design.h22,
-        uncertain_eve_channel(g1_est, alpha, dist_g1, cexp, rng),
-        uncertain_eve_channel(g2_est, alpha, dist_g2, cexp, rng),
-    )
+    actual = pc._trusted(design.h11, design.h12, design.h21, design.h22,
+                         *(_true_eve(g, alpha, gain, rng) for g, gain in zip(g_est, gains)))
     return TrialChannels(design=design, actual=actual)
 
 
-def _redraw(scenario: Scenario, trial_index: int) -> TrialChannels:
-    """A trial's first draw that passes the full-rank check alone, in
-    draws from its own stream, starting over from the first.
+def _full_rank_draws(scenario: Scenario, draws: list[TrialChannels]):
+    """The full-rank check of a scenario's draws: each design set is full
+    rank and, with uncertainty, so are the true ``g1`` and ``g2``.
 
-    The true eavesdropper channels are checked before the design set.
+    The draws are checked as one stack, with one SVD call per stacked
+    matrix, and give one bool per draw; a list of one is checked on its
+    plain matrices and gives one bool.
+    """
+    ok = pc._stacked([chans.design for chans in draws]).full_rank()
+    if scenario.uncertainty_alpha > 0:
+        actual = pc._stacked([chans.actual for chans in draws])
+        ok = ok & pc._full_rank(actual.g1, actual.g2)
+    return ok
+
+
+def _redraw(scenario: Scenario, trial_index: int) -> TrialChannels:
+    """A trial's first draw that passes the full-rank check alone
+    (:func:`_full_rank_draws`), in draws from its own stream, starting
+    over from the first.
+
     After ``_MAX_RESAMPLES`` failed draws :class:`DegenerateDraw` is raised.
     """
     rng = _trial_rng(scenario.seed, trial_index)
     for _ in range(_MAX_RESAMPLES):
         chans = _draw(scenario, rng)
-        true_eve_ok = (scenario.uncertainty_alpha == 0
-                       or pc._full_rank(chans.actual.g1, chans.actual.g2))
-        if chans.design.full_rank() and true_eve_ok:
+        if _full_rank_draws(scenario, [chans]):
             return chans
     raise DegenerateDraw(f"trial {trial_index}: full-rank check failed repeatedly")
 
@@ -350,16 +352,13 @@ def _checked_draws(scenario: Scenario, draws: list[tuple[int, TrialChannels]]) -
     the draw if it is full rank, else the trial's :func:`_redraw`, or the
     :class:`DegenerateDraw` or ``LinAlgError`` that that raises.
 
-    The draws are checked as one stack: six SVD calls on the stacked
-    design sets, and two more on the true eavesdropper channels when they
-    differ.  If one of them raises, every trial runs :func:`_redraw`,
-    which checks its draws alone.
+    The draws are checked as one stack (:func:`_full_rank_draws`): six
+    SVD calls on the stacked design sets, and two more on the true
+    eavesdropper channels when they differ.  If one of them raises, every
+    trial runs :func:`_redraw`, which checks its draws alone.
     """
     try:
-        ok = pc._stacked([chans.design for _, chans in draws]).full_rank()
-        if scenario.uncertainty_alpha > 0:
-            ok = ok & pc._full_rank(np.stack([chans.actual.g1 for _, chans in draws]),
-                                    np.stack([chans.actual.g2 for _, chans in draws]))
+        ok = _full_rank_draws(scenario, [chans for _, chans in draws])
     except np.linalg.LinAlgError:
         ok = False
     outcomes = []

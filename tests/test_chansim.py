@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sdofkit import chansim, matcore
@@ -17,31 +20,66 @@ def small_geometry(d12=50.0):
     return Geometry(s1=(d12, 0.0), s2=(0.0, 0.0), ring_radius=10.0)
 
 
+def los_channel(rows, cols, distance, c, rng):
+    """One line-of-sight matrix drawn alone: every entry has magnitude
+    ``distance**(-c/2)`` and an independent phase uniform on [0, 2*pi)."""
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(rows, cols))
+    return distance ** (-c / 2.0) * np.exp(1j * phase)
+
+
 class TestLosChannel:
-    def test_unit_distance_unit_magnitude(self, rng):
-        m = chansim.los_channel(3, 4, 1.0, 3.5, rng)
-        assert np.allclose(np.abs(m), 1.0)
+    def test_pathloss_magnitude(self):
+        # in both ring modes, every entry of a matrix has its link's path
+        # loss distance**(-c/2), here distance**-1.5
+        for resample_rings in (True, False):
+            geo = dataclasses.replace(small_geometry(), resample_rings=resample_rings)
+            sc = Scenario(config=CFG_SMALL, geometry=geo, trials=1, seed=5, pathloss_exponent=3.0)
+            for trial in range(5):
+                links = (chansim._link_distances(geo, chansim._trial_rng(sc.seed, trial))
+                         if resample_rings else chansim._fixed_link_distances(geo, sc.seed))
+                chans = chansim.draw_trial(sc, trial)
+                for name in pc._CHANNELS:
+                    mags = np.abs(getattr(chans.design, name))
+                    assert np.allclose(mags, links[name] ** -1.5, rtol=1e-12, atol=0)
 
-    def test_pathloss_magnitude(self, rng):
-        m = chansim.los_channel(2, 5, 10.0, 3.5, rng)
-        assert np.allclose(np.abs(m), 10.0 ** -1.75)
-        assert np.abs(m[0, 0]) == pytest.approx(0.017782794, rel=1e-6)
-
-    def test_phase_uniform(self, rng):
-        m = chansim.los_channel(100, 100, 1.0, 3.5, rng)
-        phases = np.angle(m).ravel() % (2 * np.pi)
-        p = stats.kstest(phases / (2 * np.pi), "uniform").pvalue
+    def test_phase_uniform(self):
+        # 17 trials of six 10 x 10 matrices: 10,200 phases
+        sc = Scenario(config=AntennaConfig(10, 10, 10, 10, 10), geometry=small_geometry(),
+                      trials=1, seed=6)
+        phases = np.concatenate([np.angle(getattr(chansim.draw_trial(sc, trial).design, name)).ravel()
+                                 for trial in range(17) for name in pc._CHANNELS])
+        p = stats.kstest(phases % (2 * np.pi) / (2 * np.pi), "uniform").pvalue
         assert p > 0.01
 
-    def test_rejects_close_range(self, rng):
-        with pytest.raises(ValueError):
-            chansim.los_channel(2, 2, 0.5, 3.5, rng)
+    # property: the receiver placement is what keeps every path loss at or
+    # under 1, in both ring modes: no link of any trial is closer than one
+    # meter or infinitely far, or the placement raises DegenerateDraw
+    @settings(max_examples=40, deadline=None)
+    @given(d12=st.floats(1.0, 400.0), ring_radius=st.floats(1.0, 10.0),
+           resample_rings=st.booleans(), seed=st.integers(0, 2**32))
+    def test_rejects_close_range(self, d12, ring_radius, resample_rings, seed):
+        geo = Geometry(s1=(d12, 0.0), s2=(0.0, 0.0), ring_radius=ring_radius,
+                       resample_rings=resample_rings)
+        for trial in range(10):
+            try:
+                links = (chansim._link_distances(geo, chansim._trial_rng(seed, trial))
+                         if resample_rings else chansim._fixed_link_distances(geo, seed))
+            except DegenerateDraw:
+                continue
+            assert sorted(links) == sorted(pc._CHANNELS)
+            assert all(1.0 <= d < math.inf for d in links.values())
 
-    # NaN passed the old `distance < 1.0` test and gave NaN entries
+    # a distance reaches the draw only through the geometry, which refuses
+    # a non-finite swept source spacing before any trial draws
     @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
-    def test_rejects_non_finite_distance(self, rng, distance):
-        with pytest.raises(ValueError, match="distance must be at least one meter"):
-            chansim.los_channel(2, 2, distance, 3.5, rng)
+    def test_rejects_non_finite_distance(self, monkeypatch, distance):
+        drawn = []
+        monkeypatch.setattr(chansim, "draw_trial", lambda sc, trial: drawn.append(trial))
+        sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=2,
+                      sweep=Sweep("s1_s2_distance", (50.0, distance)))
+        with pytest.raises(ValueError, match="source coordinates must be finite"):
+            chansim.monte_carlo(sc, (1, 1))
+        assert drawn == []
 
 
 class TestGaussianChannels:
@@ -66,36 +104,57 @@ class TestGaussianChannels:
 
 
 class TestUncertainEve:
-    def test_zero_uncertainty_exact(self, rng):
-        gbar = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
-        g = chansim.uncertain_eve_channel(gbar, 0.0, 2.0, 3.5, rng)
-        assert np.allclose(g, 2.0 ** -1.75 * gbar)
+    def test_zero_uncertainty_exact(self):
+        # without uncertainty the true set is the design set, and a design
+        # set does not depend on alpha
+        for geo in (None, small_geometry()):
+            base = Scenario(config=CFG_SMALL, geometry=geo, trials=1, seed=7)
+            exact = chansim.draw_trial(base, 3)
+            assert exact.actual is exact.design
+            mixed = chansim.draw_trial(dataclasses.replace(base, uncertainty_alpha=0.2), 3)
+            for name in pc._CHANNELS:
+                assert np.array_equal(getattr(mixed.design, name), getattr(exact.design, name))
 
     def test_mixture_weights(self, rng):
         # weights (0.9535, 0.3015) at alpha = 0.1, before path loss
-        gbar = np.ones((200, 200), dtype=complex)
-        g = chansim.uncertain_eve_channel(gbar, 0.1, 1.0, 3.5, rng)
+        g = chansim._true_eve(np.ones((200, 200), dtype=complex), 0.1, 1.0, rng)
         mean = np.mean(g)
         assert abs(mean - 1 / np.sqrt(1.1)) < 5e-3
         var = np.var(g)
         assert abs(var - 0.1 / 1.1) < 5e-3
 
     def test_large_alpha_limit(self, rng):
-        gbar = np.ones((300, 300), dtype=complex)
-        g = chansim.uncertain_eve_channel(gbar, 1e9, 1.0, 3.5, rng)
-        assert abs(np.var(g) - 1.0) < 2e-2  # per-entry variance -> d**-c
+        g = chansim._true_eve(np.ones((300, 300), dtype=complex), 1e9, 1.0, rng)
+        assert abs(np.var(g) - 1.0) < 2e-2  # per-entry variance -> gain**2
 
-    # 0 raised ZeroDivisionError, -3 gave complex path losses, NaN NaN entries
-    @pytest.mark.parametrize("alpha", [0.0, 0.2])
-    @pytest.mark.parametrize("distance", [0.0, -3.0, 0.5, float("nan"), float("inf")])
-    def test_rejects_distance(self, rng, alpha, distance):
-        with pytest.raises(ValueError, match="distance must be at least one meter"):
-            chansim.uncertain_eve_channel(np.ones((2, 2), dtype=complex), alpha, distance, 3.5, rng)
+    def test_gain_scales_the_mixture(self):
+        g_est = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, (3, 4)))
+        gain = 2.0 ** -1.75
+        scaled = chansim._true_eve(g_est, 0.3, gain, np.random.default_rng(2))
+        unit = chansim._true_eve(g_est, 0.3, 1.0, np.random.default_rng(2))
+        assert scaled.tobytes() == (gain * unit).tobytes()
 
+    def test_gaussian_true_eve_has_unit_gain(self):
+        # differential: a Gaussian trial's true eavesdropper channels mix
+        # its design ones, unscaled, with errors drawn after the design set
+        sc = Scenario(config=CFG_SMALL, trials=1, seed=8, uncertainty_alpha=0.4)
+        chans = chansim.draw_trial(sc, 2)
+        rng = chansim._trial_rng(sc.seed, 2)
+        design = chansim.gaussian_channels(CFG_SMALL, rng)
+        for name in ("g1", "g2"):
+            expected = chansim._true_eve(getattr(design, name), 0.4, 1.0, rng)
+            assert getattr(chans.actual, name).tobytes() == expected.tobytes()
+
+    # the alpha that reaches _true_eve was checked by Scenario, a swept one too
     @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
-    def test_rejects_alpha(self, rng, alpha):
-        with pytest.raises(ValueError, match="alpha must be non-negative"):
-            chansim.uncertain_eve_channel(np.ones((2, 2), dtype=complex), alpha, 2.0, 3.5, rng)
+    def test_rejects_alpha(self, monkeypatch, alpha):
+        drawn = []
+        monkeypatch.setattr(chansim, "draw_trial", lambda sc, trial: drawn.append(trial))
+        sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=2,
+                      sweep=Sweep("uncertainty_alpha", (0.2, alpha)))
+        with pytest.raises(ValueError, match="uncertainty_alpha must be non-negative"):
+            chansim.monte_carlo(sc, (1, 1))
+        assert drawn == []
 
 
 class TestScenario:
@@ -124,6 +183,28 @@ class TestScenario:
     def test_rejects_sweep(self, variable, values, message):
         with pytest.raises(ValueError, match=message):
             Sweep(variable, values)
+
+    # 2.5 trials and seed 1.5 passed, then raised TypeError inside run_point
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("seed", 1.5), ("trials", True), ("seed", False), ("seed", "3"),
+    ], ids=["fractional_trials", "fractional_seed", "bool_trials", "bool_seed", "str_seed"])
+    def test_rejects_non_integer_trials_and_seed(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Scenario(config=CFG_SMALL, **{field: value})
+
+    # each passed, then raised AttributeError at the first draw
+    @pytest.mark.parametrize("field, value, message", [
+        ("config", (4, 2, 4, 2, 4), "config must be an AntennaConfig"),
+        ("geometry", {"s1": (50.0, 0.0), "s2": (0.0, 0.0)}, "geometry must be a Geometry or None"),
+    ], ids=["tuple_config", "dict_geometry"])
+    def test_rejects_config_and_geometry_of_another_type(self, field, value, message):
+        fields = {"config": CFG_SMALL, field: value}
+        with pytest.raises(ValueError, match=message):
+            Scenario(**fields)
+
+    def test_accepts_numpy_integers(self):
+        sc = Scenario(config=CFG_SMALL, trials=np.int64(3), seed=np.uint32(4))
+        assert chansim.run_point(sc, (1, 1)).trials == 3
 
     # NumPy's seeding refused it only at the first draw, naming no field
     def test_rejects_negative_seed(self):
@@ -157,6 +238,29 @@ class TestGeometry:
         with pytest.raises(ValueError, match="source coordinates must be finite"):
             Geometry(**points)
 
+    # a list made fixed rings raise TypeError (unhashable) at the first
+    # draw, and three coordinates a NumPy broadcast ValueError there
+    @pytest.mark.parametrize("s1", [(50.0, 0.0, 0.0), (50.0,), 50.0, "50", (True, 0.0),
+                                    ((50.0,), 0.0), (None, 0.0)],
+                             ids=["three", "one", "scalar", "str", "bool", "nested", "none"])
+    @pytest.mark.parametrize("field", ["s1", "s2"])
+    def test_rejects_coordinates_not_a_pair(self, field, s1):
+        points = {"s1": (50.0, 0.0), "s2": (0.0, 0.0)}
+        points[field] = s1
+        with pytest.raises(ValueError, match=f"{field} must be a pair of real coordinates"):
+            Geometry(**points)
+
+    @pytest.mark.parametrize("resample_rings", [True, False], ids=["resampled", "fixed"])
+    def test_list_coordinates_equal_tuples(self, resample_rings):
+        listed = Geometry(s1=[50, 0], s2=np.array([0, 0]), resample_rings=resample_rings)
+        tupled = Geometry(s1=(50.0, 0.0), s2=(0.0, 0.0), resample_rings=resample_rings)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert all(type(x) is float for x in (*listed.s1, *listed.s2))
+        stats = [chansim.run_point(Scenario(config=CFG_SMALL, geometry=geo, trials=12, seed=3,
+                                            uncertainty_alpha=0.1), (1, 1))
+                 for geo in (listed, tupled)]
+        assert stats[0] == stats[1]
+
     def test_accepts_sources_one_meter_apart(self):
         Geometry(s1=(0.6, 0.8), s2=(0.0, 0.0))
 
@@ -181,10 +285,10 @@ def replayed_draw(sc, trial):
         links = (chansim._link_distances(geo, rng) if geo.resample_rings
                  else chansim._fixed_link_distances(geo, sc.seed))
         h = dict(
-            h11=chansim.los_channel(cfg.nd1, cfg.ns1, links["h11"], c, rng),
-            h12=chansim.los_channel(cfg.nd1, cfg.ns2, links["h12"], c, rng),
-            h21=chansim.los_channel(cfg.nd2, cfg.ns1, links["h21"], c, rng),
-            h22=chansim.los_channel(cfg.nd2, cfg.ns2, links["h22"], c, rng),
+            h11=los_channel(cfg.nd1, cfg.ns1, links["h11"], c, rng),
+            h12=los_channel(cfg.nd1, cfg.ns2, links["h12"], c, rng),
+            h21=los_channel(cfg.nd2, cfg.ns1, links["h21"], c, rng),
+            h22=los_channel(cfg.nd2, cfg.ns2, links["h22"], c, rng),
         )
         g1_est = np.exp(1j * rng.uniform(0, 2 * np.pi, (cfg.ne, cfg.ns1)))
         g2_est = np.exp(1j * rng.uniform(0, 2 * np.pi, (cfg.ne, cfg.ns2)))
@@ -194,8 +298,8 @@ def replayed_draw(sc, trial):
         if alpha > 0:
             actual = pc.ChannelSet(
                 **h,
-                g1=chansim.uncertain_eve_channel(g1_est, alpha, links["g1"], c, rng),
-                g2=chansim.uncertain_eve_channel(g2_est, alpha, links["g2"], c, rng),
+                g1=chansim._true_eve(g1_est, alpha, links["g1"] ** (-c / 2.0), rng),
+                g2=chansim._true_eve(g2_est, alpha, links["g2"] ** (-c / 2.0), rng),
             )
         if design.full_rank() and actual.full_rank():
             return design, actual
@@ -298,11 +402,11 @@ class TestDrawTrial:
         # replays that draw before each of its other draws
         calls = []
 
-        def rank_one(gbar, alpha, distance, c, rng):
+        def rank_one(g_est, alpha, gain, rng):
             calls.append(alpha)
-            return np.full(gbar.shape, distance ** (-c / 2.0), dtype=np.complex128)
+            return np.full(g_est.shape, gain, dtype=np.complex128)
 
-        monkeypatch.setattr(chansim, "uncertain_eve_channel", rank_one)
+        monkeypatch.setattr(chansim, "_true_eve", rank_one)
         sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=1, seed=4,
                       uncertainty_alpha=0.3)
         with pytest.raises(DegenerateDraw, match="every trial failed"):

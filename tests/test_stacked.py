@@ -557,14 +557,14 @@ class TestCheckedDraws:
         # comes out rank one at random, so trials are redrawn and some run
         # out of draws; the sweep's stats equal, bitwise, a replay of each
         # trial's draw loop alone, built and scored by the public functions
-        real, calls = chansim.uncertain_eve_channel, []
+        real, calls = chansim._true_eve, []
 
-        def sometimes_rank_one(gbar, alpha, distance, c, rng):
+        def sometimes_rank_one(g_est, alpha, gain, rng):
             calls.append(alpha)
-            g = real(gbar, alpha, distance, c, rng)
+            g = real(g_est, alpha, gain, rng)
             return np.outer(g[:, 0], np.ones(g.shape[1])) if rng.uniform() < 0.55 else g
 
-        monkeypatch.setattr(chansim, "uncertain_eve_channel", sometimes_rank_one)
+        monkeypatch.setattr(chansim, "_true_eve", sometimes_rank_one)
         sc = small_scenario(trials=20, seed=2, uncertainty_alpha=0.2,
                             sweep=chansim.Sweep("s1_s2_distance", (150.0, 100.0, 50.0)))
         records = chansim.monte_carlo(sc, (1, 1))
@@ -626,7 +626,7 @@ class TestCheckedDraws:
 
         monkeypatch.setattr(precoder, "_full_rank", once)
         assert chansim.run_point(sc, (1, 1)) == expected
-        # the stack of 8, then each trial's true eavesdropper and design checks
+        # the stack of 8, then each trial's design and true eavesdropper checks
         assert calls[0] == (8, 4, 4)
         assert calls[1:] == [(4, 4), (4, 4)] * 8
 
