@@ -18,7 +18,9 @@ import dataclasses
 import functools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -79,6 +81,10 @@ class Geometry:
             if len(point) != 2 or not all(_is(x, numbers.Real) for x in point):
                 raise ValueError(f"{name} must be a pair of real coordinates")
             object.__setattr__(self, name, (float(point[0]), float(point[1])))
+        if not _is(self.ring_radius, numbers.Real):
+            raise ValueError("ring_radius must be a real number")
+        if not isinstance(self.resample_rings, bool):
+            raise ValueError("resample_rings must be a bool")
         if not 1.0 <= self.ring_radius <= 10.0:
             raise ValueError("ring radius must lie in [1, 10] meters")
         if not all(math.isfinite(x) for x in (*self.s1, *self.s2)):
@@ -130,6 +136,9 @@ class Scenario:
         for name in ("trials", "seed"):
             if not _is(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
+        for name in ("pathloss_exponent", "noise_power_dbm", "power_dbm", "uncertainty_alpha"):
+            if not _is(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.seed < 0:  # NumPy's seeding would refuse it at the first draw
@@ -162,10 +171,19 @@ class Sweep:
 
 @dataclass(frozen=True)
 class TrialChannels:
-    """Channels of one trial: the estimate used for design and the truth."""
+    """Channels of one trial: the estimate used for design and the truth.
+
+    From :func:`draw_trial` over several trials, each set is a stack of
+    ``(T, m, n)`` arrays: row i holds trial ``trials[i]``, and
+    ``streams[i]`` is that trial's generator, left where its draw ended.
+    Either way, the true set shares the design set's H matrices, and is
+    the design set itself without uncertainty.
+    """
 
     design: pc.ChannelSet
     actual: pc.ChannelSet
+    trials: tuple[int, ...] = ()
+    streams: tuple[np.random.Generator, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -231,145 +249,217 @@ def _true_eve(g_est: np.ndarray, alpha: float, gain: float,
     return gain * (g_est / np.sqrt(1.0 + alpha) + np.sqrt(alpha / (1.0 + alpha)) * err)
 
 
-def _ring_position(center: tuple[float, float], radius_bound: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    radius = rng.uniform(1.0, radius_bound)
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    return np.array([center[0] + radius * np.cos(angle), center[1] + radius * np.sin(angle)])
-
-
 _MAX_RESAMPLES = 10
 
 
-def _link_distances(geo: Geometry, rng: np.random.Generator) -> dict[str, float]:
-    """Distances of the six links for one accepted receiver placement."""
-    s1 = np.asarray(geo.s1, dtype=float)
-    s2 = np.asarray(geo.s2, dtype=float)
-    d12 = float(np.linalg.norm(s1 - s2))
+def _ring_distances(geo: Geometry, ring: np.ndarray) -> np.ndarray:
+    """The six link distances, in ``precoder._CHANNELS`` order, of
+    placements given as (radius, angle) pairs ``ring[..., j, :]`` of
+    destination 1, destination 2 and the eavesdropper around s1, s2 and
+    s1.  Each is the square root of a (1 x 2)(2 x 1) product, as
+    ``np.linalg.norm`` takes a vector's, so a stack of placements gives
+    bitwise the distances that each gives alone."""
+    radius, angle = ring[..., 0], ring[..., 1]
+    unit = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    receivers = np.array([geo.s1, geo.s2, geo.s1]) + radius[..., None] * unit
+    diff = receivers[..., [0, 0, 1, 1, 2, 2], :] - np.array([geo.s1, geo.s2] * 3)
+    return np.sqrt(diff[..., None, :] @ diff[..., None])[..., 0, 0]
+
+
+def _placed(geo: Geometry, dist: np.ndarray):
+    """Whether placements pass, from their link distances (the last axis):
+    no link is shorter than a meter, and no receiver lies farther from its
+    own source (h11, h22, g1) than the sources lie apart."""
+    d12 = np.linalg.norm(np.subtract(geo.s1, geo.s2))
+    return (dist >= 1.0).all(axis=-1) & (dist[..., [0, 3, 4]] <= d12).all(axis=-1)
+
+
+def _link_distances(geo: Geometry, streams: tuple[np.random.Generator, ...]):
+    """The link distances of each stream's first receiver placement that
+    passes, and whether one did: the streams rejected so far are placed
+    again, as one stack, up to 1000 placements each.  A placement is six
+    scalar draws: the radius and angle of destination 1, destination 2
+    and the eavesdropper."""
+    spans = ((1.0, geo.ring_radius), (0.0, 2.0 * np.pi)) * 3
+    dist, placed = np.ones((len(streams), 6)), np.zeros(len(streams), dtype=bool)
     for _ in range(1000):
-        d1 = _ring_position(geo.s1, geo.ring_radius, rng)
-        d2 = _ring_position(geo.s2, geo.ring_radius, rng)
-        ev = _ring_position(geo.s1, geo.ring_radius, rng)
-        links = {
-            "h11": float(np.linalg.norm(d1 - s1)), "h12": float(np.linalg.norm(d1 - s2)),
-            "h21": float(np.linalg.norm(d2 - s1)), "h22": float(np.linalg.norm(d2 - s2)),
-            "g1": float(np.linalg.norm(ev - s1)), "g2": float(np.linalg.norm(ev - s2)),
-        }
-        own_ok = (
-            links["h11"] <= d12 and links["h22"] <= d12 and links["g1"] <= d12
-        )
-        if own_ok and min(links.values()) >= 1.0:
-            return links
-    raise DegenerateDraw("could not place receivers within geometric constraints")
+        rows = np.flatnonzero(~placed)
+        if not len(rows):
+            break
+        ring = [[streams[row].uniform(*span) for span in spans] for row in rows]
+        dist[rows] = _ring_distances(geo, np.reshape(ring, (-1, 3, 2)))
+        placed[rows] = _placed(geo, dist[rows])
+    return dist, placed
 
 
 @functools.lru_cache(maxsize=16)
-def _fixed_link_distances(geo: Geometry, seed: int) -> dict[str, float]:
-    """Trial 0's link distances, which every trial reuses when ``geo``
-    does not resample its rings (callers must not mutate the result)."""
-    return _link_distances(geo, _trial_rng(seed, 0))
+def _fixed_link_distances(geo: Geometry, seed: int):
+    """Trial 0's :func:`_link_distances`, which every trial reuses when
+    ``geo`` does not resample its rings (callers must not mutate them)."""
+    return _link_distances(geo, (_trial_rng(seed, 0),))
 
 
-def draw_trial(scenario: Scenario, trial_index: int) -> TrialChannels:
-    """A trial's first channel draw, from its own stream, not yet checked.
+def draw_trial(scenario: Scenario, trials: int | Iterable[int]) -> TrialChannels:
+    """A trial's first channel draw, from its own stream, not yet checked;
+    or, for several trial indices such as ``range(a, b)``, the first draws
+    of those trials as one stack.
 
     The same (scenario, trial index) always produces identical matrices.
-    Gaussian scenarios draw the design set through
-    :func:`gaussian_channels`; line-of-sight ones place the receivers (once
-    per geometry and seed when the rings are not resampled), then draw the
-    phases of the four links and of the two unit-magnitude eavesdropper
-    estimates in one call, in ``precoder._CHANNELS`` order and row-major
-    within each matrix, and scale each matrix by its link's path-loss
-    gain ``distance**(-c/2)``.  Without uncertainty the true set is the
-    design set itself; with it, only the true eavesdropper channels differ
-    (:func:`_true_eve`), and their error matrices are drawn last.  The
-    channel sets are built without :class:`precoder.ChannelSet`'s checks,
-    which the :class:`Scenario` and :class:`Geometry` checks make redundant.
+    Gaussian scenarios draw the design set in one call, laid out as
+    :func:`gaussian_channels` lays it out; line-of-sight ones place the
+    receivers (once per geometry and seed when the rings are not
+    resampled), then draw the phases of the four links and of the two
+    unit-magnitude eavesdropper estimates in one call, in
+    ``precoder._CHANNELS`` order and row-major within each matrix, and
+    scale each matrix by its link's path-loss gain ``distance**(-c/2)``.
+    Without uncertainty the true set is the design set itself; with it,
+    only the true eavesdropper channels differ (:func:`_true_eve`), and
+    their error matrices are drawn last.  The channel sets are built
+    without :class:`precoder.ChannelSet`'s checks, which the
+    :class:`Scenario` and :class:`Geometry` checks make redundant.
 
-    :func:`run_point` checks the draws of a point for full rank as one
-    stack and redraws a trial that fails (:func:`_redraw`).
+    Over several trials each trial still makes its own generator calls,
+    in the same order, and everything else runs once over the ``(T, m,
+    n)`` stack, so row i equals ``draw_trial(scenario, trials[i])``
+    bitwise.  A trial whose receivers cannot be placed raises
+    :class:`DegenerateDraw` alone, and has no row in a stack.
+
+    :func:`run_point` checks each stacked draw for full rank and redraws a
+    trial that fails (:func:`_checked_draws`).
     """
-    return _draw(scenario, _trial_rng(scenario.seed, trial_index))
+    if isinstance(trials, numbers.Integral):
+        return _draw(scenario, trials, _trial_rng(scenario.seed, trials))
+    trials = tuple(trials)
+    return _draws(scenario, trials, tuple(_trial_rng(scenario.seed, t) for t in trials))
 
 
-def _draw(scenario: Scenario, rng: np.random.Generator) -> TrialChannels:
-    """One channel draw of :func:`draw_trial` from ``rng``; each link's
-    path-loss gain is taken once, for its design and true channels, and a
-    Gaussian set's gain is 1.0."""
-    cfg = scenario.config
-    geo = scenario.geometry
-    alpha = scenario.uncertainty_alpha
+def _draw(scenario: Scenario, trial_index: int, rng: np.random.Generator) -> TrialChannels:
+    """One trial's :func:`draw_trial` from ``rng``, as plain matrices."""
+    chans = _draws(scenario, (trial_index,), (rng,))
+    if not chans.trials:
+        raise DegenerateDraw("could not place receivers within geometric constraints")
+    return _row(chans, 0)
+
+
+def _draws(scenario: Scenario, trials: tuple[int, ...],
+           streams: tuple[np.random.Generator, ...]) -> TrialChannels:
+    """:func:`draw_trial` of the given trials from their streams, as one
+    stack, without the trials whose receivers cannot be placed.  Each
+    link's path-loss gain, a Python float because NumPy's array power can
+    differ from it in the last bit, is taken once for its design and true
+    channels; a Gaussian set's gain is 1.0."""
+    cfg, geo, n = scenario.config, scenario.geometry, len(streams)
+    size = sum(rows * cols for rows, cols in pc._shapes(cfg))
     if geo is None:
-        design = gaussian_channels(cfg, rng)
-        g_est, gains = (design.g1, design.g2), (1.0, 1.0)
+        z = np.reshape([rng.standard_normal(2 * size) for rng in streams], (n, 2 * size))
+        est, start = [], 0
+        for rows, cols in pc._shapes(cfg):  # gaussian_channels' layout, stacked
+            parts = z[:, start:start + 2 * rows * cols].reshape(n, 2, rows, cols)
+            est.append((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2))
+            start += 2 * rows * cols
+        gains, mats = np.ones((n, 6)).tolist(), est
     else:
-        links = (_link_distances(geo, rng) if geo.resample_rings
-                 else _fixed_link_distances(geo, scenario.seed))
-        size = sum(r * c for r, c in pc._shapes(cfg))
-        phases = pc._split(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size)), cfg)
-        gains = [links[name] ** (-scenario.pathloss_exponent / 2.0) for name in pc._CHANNELS]
-        design = pc._trusted(*(gain * phase for gain, phase in zip(gains, phases)))
-        g_est, gains = phases[4:], gains[4:]
-    if alpha == 0:
-        return TrialChannels(design=design, actual=design)
-    actual = pc._trusted(design.h11, design.h12, design.h21, design.h22,
-                         *(_true_eve(g, alpha, gain, rng) for g, gain in zip(g_est, gains)))
-    return TrialChannels(design=design, actual=actual)
+        if geo.resample_rings:
+            dist, placed = _link_distances(geo, streams)
+        else:  # every trial reuses trial 0's placement
+            fixed = _fixed_link_distances(geo, scenario.seed)
+            dist, placed = (np.repeat(a, n, axis=0) for a in fixed)
+        trials, streams = tuple(compress(trials, placed)), tuple(compress(streams, placed))
+        dist, n = dist[placed], len(streams)
+        phases = np.reshape([rng.uniform(0.0, 2.0 * np.pi, size) for rng in streams], (n, size))
+        est = pc._split(np.exp(1j * phases), cfg)
+        gains = [[d ** (-scenario.pathloss_exponent / 2.0) for d in row] for row in dist.tolist()]
+        mats = [gain[:, None, None] * m for gain, m in zip(np.reshape(gains, (n, 6)).T, est)]
+    design = actual = pc._trusted(*mats)
+    alpha = scenario.uncertainty_alpha
+    if alpha > 0:  # each stream draws g1's errors, then g2's
+        true = [np.reshape([_true_eve(est[k][i], alpha, gains[i][k], rng)
+                            for i, rng in enumerate(streams)], mats[k].shape) for k in (4, 5)]
+        actual = pc._trusted(*mats[:4], *true)
+    return TrialChannels(design, actual, trials, streams)
 
 
-def _full_rank_draws(scenario: Scenario, draws: list[TrialChannels]):
+def _set_row(stack: TrialChannels, row: int, chans: TrialChannels) -> None:
+    """Write one trial's plain channels into row ``row`` of a stack."""
+    for name in pc._CHANNELS:
+        getattr(stack.design, name)[row] = getattr(chans.design, name)
+    if stack.actual is not stack.design:  # its H stacks are the design set's
+        stack.actual.g1[row], stack.actual.g2[row] = chans.actual.g1, chans.actual.g2
+
+
+def _row(stack: TrialChannels, row: int) -> TrialChannels:
+    """Row ``row`` of a stack as one trial's plain channels."""
+    design = pc._trusted(*(getattr(stack.design, name)[row] for name in pc._CHANNELS))
+    actual = design if stack.actual is stack.design else pc._trusted(
+        design.h11, design.h12, design.h21, design.h22, stack.actual.g1[row], stack.actual.g2[row])
+    return TrialChannels(design, actual)
+
+
+def _joined(runs: list[tuple[TrialChannels, np.ndarray]]) -> TrialChannels:
+    """The rows that each (stack, mask) pair of ``runs`` keeps, of one
+    configuration, as one stack, in order."""
+    def joined(sets, names):
+        return [np.concatenate([getattr(s, name)[kept] for s, (_, kept) in zip(sets, runs)])
+                for name in names]
+
+    design = actual = pc._trusted(*joined([s.design for s, _ in runs], pc._CHANNELS))
+    if any(s.actual is not s.design for s, _ in runs):
+        actual = pc._trusted(design.h11, design.h12, design.h21, design.h22,
+                             *joined([s.actual for s, _ in runs], ("g1", "g2")))
+    return TrialChannels(design, actual)
+
+
+def _full_rank_draws(scenario: Scenario, chans: TrialChannels):
     """The full-rank check of a scenario's draws: each design set is full
     rank and, with uncertainty, so are the true ``g1`` and ``g2``.
 
-    The draws are checked as one stack, with one SVD call per stacked
-    matrix, and give one bool per draw; a list of one is checked on its
-    plain matrices and gives one bool.
+    A stack gives one bool per row, from one SVD call per stacked matrix;
+    one trial's plain matrices give one bool.
     """
-    ok = pc._stacked([chans.design for chans in draws]).full_rank()
+    ok = chans.design.full_rank()
     if scenario.uncertainty_alpha > 0:
-        actual = pc._stacked([chans.actual for chans in draws])
-        ok = ok & pc._full_rank(actual.g1, actual.g2)
+        ok = ok & pc._full_rank(chans.actual.g1, chans.actual.g2)
     return ok
 
 
-def _redraw(scenario: Scenario, trial_index: int) -> TrialChannels:
-    """A trial's first draw that passes the full-rank check alone
-    (:func:`_full_rank_draws`), in draws from its own stream, starting
-    over from the first.
+def _redraw(scenario: Scenario, trial_index: int, rng: np.random.Generator) -> TrialChannels:
+    """The first draw that passes the full-rank check alone
+    (:func:`_full_rank_draws`) among the draws that continue a trial's
+    stream ``rng`` after its first draw, which failed the check.
 
-    After ``_MAX_RESAMPLES`` failed draws :class:`DegenerateDraw` is raised.
+    After ``_MAX_RESAMPLES`` draws in all :class:`DegenerateDraw` is raised.
     """
-    rng = _trial_rng(scenario.seed, trial_index)
-    for _ in range(_MAX_RESAMPLES):
-        chans = _draw(scenario, rng)
-        if _full_rank_draws(scenario, [chans]):
+    for _ in range(_MAX_RESAMPLES - 1):
+        chans = _draw(scenario, trial_index, rng)
+        if _full_rank_draws(scenario, chans):
             return chans
     raise DegenerateDraw(f"trial {trial_index}: full-rank check failed repeatedly")
 
 
-def _checked_draws(scenario: Scenario, draws: list[tuple[int, TrialChannels]]) -> list:
-    """One outcome per (trial index, :func:`draw_trial`) of a scenario:
-    the draw if it is full rank, else the trial's :func:`_redraw`, or the
-    :class:`DegenerateDraw` or ``LinAlgError`` that that raises.
+def _checked_draws(scenario: Scenario, drawn: TrialChannels) -> np.ndarray:
+    """The full-rank check of a stacked :func:`draw_trial`, with one bool
+    per row, true for the rows that end full rank: a row that fails is
+    overwritten, in place, by its trial's :func:`_redraw`, and is false
+    when that raises :class:`DegenerateDraw` or ``LinAlgError``.
 
-    The draws are checked as one stack (:func:`_full_rank_draws`): six
-    SVD calls on the stacked design sets, and two more on the true
-    eavesdropper channels when they differ.  If one of them raises, every
-    trial runs :func:`_redraw`, which checks its draws alone.
+    The rows are checked as one stack (:func:`_full_rank_draws`): six
+    SVD calls on the design sets, and two more on the true eavesdropper
+    channels when they differ.  If one of them raises, each row is
+    checked alone before it is redrawn.
     """
     try:
-        ok = _full_rank_draws(scenario, [chans for _, chans in draws])
+        ok = _full_rank_draws(scenario, drawn)
     except np.linalg.LinAlgError:
-        ok = False
-    outcomes = []
-    for (trial, chans), passed in zip(draws, np.broadcast_to(ok, len(draws))):
-        if not passed:
-            try:
-                chans = _redraw(scenario, trial)
-            except (DegenerateDraw, np.linalg.LinAlgError) as exc:
-                chans = exc
-        outcomes.append(chans)
-    return outcomes
+        ok = None
+    keep = np.ones(len(drawn.trials), dtype=bool)
+    for row in range(len(keep)) if ok is None else np.flatnonzero(~ok):
+        try:
+            if ok is None and _full_rank_draws(scenario, _row(drawn, row)):
+                continue
+            _set_row(drawn, row, _redraw(scenario, drawn.trials[row], drawn.streams[row]))
+        except (DegenerateDraw, np.linalg.LinAlgError):
+            keep[row] = False
+    return keep
 
 
 # trials assembled and scored as one stack, so memory does not grow with
@@ -378,37 +468,35 @@ def _checked_draws(scenario: Scenario, draws: list[tuple[int, TrialChannels]]) -
 _STACK_TRIALS = 256
 
 
-def _stack_rates(trials: list[TrialChannels], cfg: AntennaConfig, target: SdofPoint,
+def _stack_rates(chans: TrialChannels, cfg: AntennaConfig, target: SdofPoint,
                  wanted: dict[pc.Subset, int], power: float) -> list[verifier.RateTriple]:
-    """One stack of trials, built on their design channels and scored on
-    their true ones: raises for the whole stack, or
-    :class:`matcore._StackSplit` when its items need different paths."""
-    design = pc._stacked([t.design for t in trials])
-    v, w = pc._assemble(design, cfg, target, wanted, power)
-    # without uncertainty every trial is scored on its design set, already stacked
-    if all(t.actual is t.design for t in trials):
-        return verifier._score(design, v, w)
-    return verifier._score(pc._stacked([t.actual for t in trials]), v, w)
+    """The trials of ``chans``, a stack or one trial's plain matrices,
+    built on their design channels and scored on their true ones, which
+    are the design set itself without uncertainty: raises for the whole
+    stack, or :class:`matcore._StackSplit` when its items need different
+    paths."""
+    v, w = pc._assemble(chans.design, cfg, target, wanted, power)
+    return verifier._score(chans.actual, v, w)
 
 
-def _stack_outcomes(trials: list[TrialChannels], cfg: AntennaConfig, target: SdofPoint,
+def _stack_outcomes(chans: TrialChannels, cfg: AntennaConfig, target: SdofPoint,
                     wanted: dict[pc.Subset, int], power: float) -> list:
-    """One outcome per trial: its rate triple, or the
+    """One outcome per row of the stack ``chans``: its rate triple, or the
     :class:`ConstructionDeficit` or ``LinAlgError`` that it raises alone.
 
-    The trials run as one :func:`_stack_rates` stack; if that raises,
-    each trial runs alone, as :func:`precoder.construct` and
-    :func:`verifier.rates` would run it.
+    The rows run as one :func:`_stack_rates` stack; if that raises, each
+    row runs alone, as :func:`precoder.construct` and
+    :func:`verifier.rates` would run its trial.
     """
-    if len(trials) > 1:
+    if len(chans.design.h11) > 1:
         try:
-            return _stack_rates(trials, cfg, target, wanted, power)
+            return _stack_rates(chans, cfg, target, wanted, power)
         except (matcore._StackSplit, ConstructionDeficit, np.linalg.LinAlgError):
             pass
     outcomes = []
-    for trial in trials:
+    for row in range(len(chans.design.h11)):
         try:
-            outcomes.append(_stack_rates([trial], cfg, target, wanted, power)[0])
+            outcomes.append(_stack_rates(_row(chans, row), cfg, target, wanted, power)[0])
         except (ConstructionDeficit, np.linalg.LinAlgError) as exc:
             outcomes.append(exc)
     return outcomes
@@ -428,9 +516,9 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     first trial that draws.
 
     This is :func:`_run_points` on the one point: the full-rank check runs
-    once over the point's first draws, and every trial's outcome is
-    bitwise the one that :func:`_redraw`, :func:`precoder.construct` and
-    :func:`verifier.rates` give it alone.
+    once over each stacked run of the point's first draws, and every
+    trial's outcome is bitwise the one that :func:`_redraw`,
+    :func:`precoder.construct` and :func:`verifier.rates` give it alone.
     """
     return _run_points([scenario], target)[0]
 
@@ -439,72 +527,64 @@ def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> 
     """:func:`run_point` of each of ``points``, which share their
     configuration, as the points of a sweep do.
 
-    The (point, trial) pairs are drawn in order, each trial alone from its
-    own stream (:func:`draw_trial`).  A point's draws not yet checked for
-    full rank are checked as one stack (:func:`_checked_draws`) when the
-    point ends and before any stack is scored; a draw that fails is
-    replaced by its trial's redraw, or counted as a failure.  The checked
-    trials are then built and scored in stacks of up to ``_STACK_TRIALS``
-    (:func:`_stack_outcomes`).  A stack may span points, but not a change
-    of effective power, and it is drawn only when the one before it has
-    been scored, so memory does not grow with the trials.  A stack runs in
-    one pass, or, when its trials need different paths, one of them fails,
-    or a LAPACK routine does not converge, trial by trial.  Within a stack
-    each GSVD runs once, with only its cosine-sine step taken trial by
-    trial.  Each outcome is counted at its own point, and the first point
-    whose trials all fail raises as :func:`run_point` would.
+    A point's trials are drawn in order, in runs that fill the stack being
+    gathered: each run is one stacked :func:`draw_trial`, in which every
+    trial draws from its own stream, and is checked for full rank at once
+    (:func:`_checked_draws`): a row that fails is overwritten by its
+    trial's redraw, or counted as a failure.  The checked rows are then
+    built and scored in stacks of up to ``_STACK_TRIALS``
+    (:func:`_stack_outcomes`), which join the runs' arrays.  A stack may
+    span points, but not a change of effective power, and it is drawn only
+    when the one before it has been scored, so memory does not grow with
+    the trials.  A stack runs in one pass, or, when its trials need
+    different paths, one of them fails, or a LAPACK routine does not
+    converge, trial by trial.  Within a stack each GSVD runs once, with
+    only its cosine-sine step taken trial by trial.  Each outcome is
+    counted at its own point, and the first point whose trials all fail
+    raises as :func:`run_point` would.
     """
     target = SdofPoint(*target)
     cfg = points[0].config
     rs1, rs2 = [[] for _ in points], [[] for _ in points]
     failures = [0] * len(points)
     wanted = None
-    owners, drawn = [], []  # the point index and channels of each checked trial
-    fresh = []  # the trial index and first draw of the point's unchecked trials
-
-    def check(i: int, scenario: Scenario) -> None:
-        if fresh:
-            for chans in _checked_draws(scenario, fresh):
-                if isinstance(chans, Exception):
-                    failures[i] += 1
-                else:
-                    owners.append(i)
-                    drawn.append(chans)
-            fresh.clear()
+    owners, runs = [], []  # the point index of each checked row; each run and its checked rows
 
     def score(power: float) -> None:
-        for i, triple in zip(owners, _stack_outcomes(drawn, cfg, target, wanted, power)):
+        for i, triple in zip(owners, _stack_outcomes(_joined(runs), cfg, target, wanted, power)):
             if isinstance(triple, Exception):
                 failures[i] += 1
             else:
                 rs1[i].append(triple.rs1)
                 rs2[i].append(triple.rs2)
         owners.clear()
-        drawn.clear()
+        runs.clear()
 
     power = None
     for i, scenario in enumerate(points):
-        if drawn and scenario.effective_power != power:
+        if runs and scenario.effective_power != power:
             score(power)
         power = scenario.effective_power
-        for trial in range(scenario.trials):
-            try:
-                fresh.append((trial, draw_trial(scenario, trial)))
-            except DegenerateDraw:  # no receiver placement; the draw runs no LAPACK
-                failures[i] += 1
-                continue
-            if wanted is None:
+        start = 0
+        while start < scenario.trials:
+            stop = min(scenario.trials, start + _STACK_TRIALS - len(owners))
+            drawn = draw_trial(scenario, range(start, stop))
+            if wanted is None and drawn.trials:
                 wanted = pc._plan(cfg, target, power)
-            if len(drawn) + len(fresh) == _STACK_TRIALS:
-                check(i, scenario)
-                # a trial lost to the check leaves room for the next draw
-                if len(drawn) == _STACK_TRIALS:
-                    score(power)
-        check(i, scenario)
+            runs.append((drawn, _checked_draws(scenario, drawn)))
+            kept = int(runs[-1][1].sum())
+            # a trial that could not be placed, or was lost to the check,
+            # leaves room in the stack for the next run
+            failures[i] += stop - start - kept
+            owners.extend([i] * kept)
+            if len(owners) == _STACK_TRIALS:
+                score(power)
+            start = stop
         # a point whose trials have all failed raises before a later one draws
         if failures[i] == scenario.trials:
             raise DegenerateDraw("every trial failed")
-    score(power)
+    if runs:
+        score(power)
     return [_point_stats(np.array(r1), np.array(r2), lost, scenario.trials)
             for r1, r2, lost, scenario in zip(rs1, rs2, failures, points)]
 

@@ -67,11 +67,12 @@ def _shapes(cfg: AntennaConfig) -> tuple[tuple[int, int], ...]:
 
 
 def _split(flat: np.ndarray, cfg: AntennaConfig) -> list[np.ndarray]:
-    """The six matrices, in ``_CHANNELS`` order, that fill ``flat`` one
-    after another, each row-major: views of ``flat``."""
+    """The six matrices, in ``_CHANNELS`` order, that fill the last axis of
+    ``flat`` one after another, each row-major: views of ``flat``, stacked
+    over its other axes."""
     mats, start = [], 0
     for rows, cols in _shapes(cfg):
-        mats.append(flat[start:start + rows * cols].reshape(rows, cols))
+        mats.append(flat[..., start:start + rows * cols].reshape(*flat.shape[:-1], rows, cols))
         start += rows * cols
     return mats
 
@@ -122,13 +123,13 @@ class ChannelSet:
 
     @property
     def config(self) -> AntennaConfig:
-        # the last two axes, so a stack of sets (see _stacked) has its items' config
+        # the last two axes, so a set of (T, m, n) stacks has its items' config
         (nd1, ns1), (nd2, ns2) = self.h11.shape[-2:], self.h22.shape[-2:]
         return AntennaConfig(ns1, ns2, nd1, nd2, self.g1.shape[-2])
 
     def full_rank(self):
         """True when all six matrices are full rank under the default
-        tolerance; a stacked set (see :func:`_stacked`) gives one bool per item."""
+        tolerance; a set of ``(T, m, n)`` stacks gives one bool per item."""
         return _full_rank(*(getattr(self, name) for name in _CHANNELS))
 
 
@@ -202,14 +203,6 @@ class SubsetBasis:
 
 # A stack of T > 1 matrices of one shape is a (T, m, n) array; a stack of
 # one is the matrix itself, so the T = 1 case runs on plain matrices.
-
-
-def _stacked(chs: list[ChannelSet]) -> ChannelSet:
-    """The channel sets of one configuration as one set of six stacks; one
-    set is its own."""
-    if len(chs) == 1:
-        return chs[0]
-    return _trusted(*(np.stack([getattr(c, name) for c in chs]) for name in _CHANNELS))
 
 
 def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
@@ -401,7 +394,7 @@ def _streams(cfg: AntennaConfig, target: SdofPoint) -> Mapping[Subset, int]:
 
 def _assemble(ch: ChannelSet, cfg: AntennaConfig, target: SdofPoint,
               wanted: Mapping[Subset, int], power: float) -> tuple[np.ndarray, np.ndarray]:
-    """One stack of :func:`construct` on the :func:`_stacked` channels ``ch``
+    """One stack of :func:`construct` on the channels ``ch``, six stacks
     of one configuration, with ``wanted`` the :func:`_plan` of the target:
     the normalized V and W stacks (plain matrices for a stack of one).
 

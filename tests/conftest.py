@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdofkit import precoder
 from sdofkit.chansim import gaussian_channels
 from sdofkit.region import AntennaConfig
 
@@ -22,3 +23,9 @@ def low_rank(rng, rows, cols, rank):
 
 def channels_for(tup, rng):
     return gaussian_channels(AntennaConfig(*tup), rng)
+
+
+def stacked(chs):
+    """Channel sets of one configuration as one set of six (T, m, n) stacks."""
+    return precoder._trusted(*(np.stack([getattr(c, name) for c in chs])
+                               for name in precoder._CHANNELS))

@@ -27,6 +27,40 @@ def los_channel(rows, cols, distance, c, rng):
     return distance ** (-c / 2.0) * np.exp(1j * phase)
 
 
+def link_distances(geo, rng):
+    """The six link distances of a trial's receiver placement, by name, as
+    drawn one ring position and one np.linalg.norm at a time: the first
+    placement with no link under a meter and no receiver farther from its
+    own source than the sources are apart."""
+    def ring_position(center):
+        radius = rng.uniform(1.0, geo.ring_radius)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        return np.array([center[0] + radius * np.cos(angle), center[1] + radius * np.sin(angle)])
+
+    s1, s2 = np.asarray(geo.s1), np.asarray(geo.s2)
+    d12 = float(np.linalg.norm(s1 - s2))
+    for _ in range(1000):
+        d1, d2, ev = ring_position(geo.s1), ring_position(geo.s2), ring_position(geo.s1)
+        links = {
+            "h11": float(np.linalg.norm(d1 - s1)), "h12": float(np.linalg.norm(d1 - s2)),
+            "h21": float(np.linalg.norm(d2 - s1)), "h22": float(np.linalg.norm(d2 - s2)),
+            "g1": float(np.linalg.norm(ev - s1)), "g2": float(np.linalg.norm(ev - s2)),
+        }
+        if max(links["h11"], links["h22"], links["g1"]) <= d12 and min(links.values()) >= 1.0:
+            return links
+    raise DegenerateDraw("could not place receivers within geometric constraints")
+
+
+def trial_links(sc, trial, rng=None):
+    """A line-of-sight trial's link distances by name, replayed from its
+    stream (``rng`` once it has been started), or from trial 0's when the
+    rings are fixed."""
+    geo = sc.geometry
+    if not geo.resample_rings:
+        return link_distances(geo, chansim._trial_rng(sc.seed, 0))
+    return link_distances(geo, chansim._trial_rng(sc.seed, trial) if rng is None else rng)
+
+
 class TestLosChannel:
     def test_pathloss_magnitude(self):
         # in both ring modes, every entry of a matrix has its link's path
@@ -35,8 +69,7 @@ class TestLosChannel:
             geo = dataclasses.replace(small_geometry(), resample_rings=resample_rings)
             sc = Scenario(config=CFG_SMALL, geometry=geo, trials=1, seed=5, pathloss_exponent=3.0)
             for trial in range(5):
-                links = (chansim._link_distances(geo, chansim._trial_rng(sc.seed, trial))
-                         if resample_rings else chansim._fixed_link_distances(geo, sc.seed))
+                links = trial_links(sc, trial)
                 chans = chansim.draw_trial(sc, trial)
                 for name in pc._CHANNELS:
                     mags = np.abs(getattr(chans.design, name))
@@ -60,14 +93,11 @@ class TestLosChannel:
     def test_rejects_close_range(self, d12, ring_radius, resample_rings, seed):
         geo = Geometry(s1=(d12, 0.0), s2=(0.0, 0.0), ring_radius=ring_radius,
                        resample_rings=resample_rings)
-        for trial in range(10):
-            try:
-                links = (chansim._link_distances(geo, chansim._trial_rng(seed, trial))
-                         if resample_rings else chansim._fixed_link_distances(geo, seed))
-            except DegenerateDraw:
-                continue
-            assert sorted(links) == sorted(pc._CHANNELS)
-            assert all(1.0 <= d < math.inf for d in links.values())
+        streams = [chansim._trial_rng(seed, trial) for trial in range(10)]
+        dist, placed = (chansim._link_distances(geo, streams) if resample_rings
+                        else chansim._fixed_link_distances(geo, seed))
+        assert dist.shape[-1] == len(pc._CHANNELS)
+        assert ((1.0 <= dist[placed]) & (dist[placed] < math.inf)).all()
 
     # a distance reaches the draw only through the geometry, which refuses
     # a non-finite swept source spacing before any trial draws
@@ -202,6 +232,20 @@ class TestScenario:
         with pytest.raises(ValueError, match=message):
             Scenario(**fields)
 
+    # a string raised TypeError at a range check, or in the power
+    # arithmetic; a bool was taken as 0 or 1
+    @pytest.mark.parametrize("value", ["3", True, None, 1j], ids=["str", "bool", "none", "complex"])
+    @pytest.mark.parametrize("field", ["pathloss_exponent", "noise_power_dbm", "power_dbm",
+                                       "uncertainty_alpha"])
+    def test_rejects_real_field_of_another_type(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            Scenario(config=CFG_SMALL, geometry=small_geometry(), **{field: value})
+
+    def test_accepts_integer_and_numpy_reals(self):
+        sc = Scenario(config=CFG_SMALL, pathloss_exponent=3, noise_power_dbm=np.float32(-50),
+                      power_dbm=np.int64(2), uncertainty_alpha=np.float64(0.1))
+        assert sc.effective_power == chansim._db_to_linear(52.0)
+
     def test_accepts_numpy_integers(self):
         sc = Scenario(config=CFG_SMALL, trials=np.int64(3), seed=np.uint32(4))
         assert chansim.run_point(sc, (1, 1)).trials == 3
@@ -261,6 +305,18 @@ class TestGeometry:
                  for geo in (listed, tupled)]
         assert stats[0] == stats[1]
 
+    # "no" was taken as true, so every trial resampled its rings
+    @pytest.mark.parametrize("value", ["no", 0, 1.0, None], ids=["str", "int", "float", "none"])
+    def test_rejects_resample_rings_not_a_bool(self, value):
+        with pytest.raises(ValueError, match="resample_rings must be a bool"):
+            Geometry(s1=(50.0, 0.0), s2=(0.0, 0.0), resample_rings=value)
+
+    # a string raised TypeError at the range check, and True passed as 1 m
+    @pytest.mark.parametrize("value", ["5", True, None, 5j], ids=["str", "bool", "none", "complex"])
+    def test_rejects_ring_radius_not_real(self, value):
+        with pytest.raises(ValueError, match="ring_radius must be a real number"):
+            Geometry(s1=(50.0, 0.0), s2=(0.0, 0.0), ring_radius=value)
+
     def test_accepts_sources_one_meter_apart(self):
         Geometry(s1=(0.6, 0.8), s2=(0.0, 0.0))
 
@@ -282,8 +338,7 @@ def replayed_draw(sc, trial):
     cfg, geo, c, alpha = sc.config, sc.geometry, sc.pathloss_exponent, sc.uncertainty_alpha
     rng = chansim._trial_rng(sc.seed, trial)
     for _ in range(chansim._MAX_RESAMPLES):
-        links = (chansim._link_distances(geo, rng) if geo.resample_rings
-                 else chansim._fixed_link_distances(geo, sc.seed))
+        links = trial_links(sc, trial, rng)
         h = dict(
             h11=los_channel(cfg.nd1, cfg.ns1, links["h11"], c, rng),
             h12=los_channel(cfg.nd1, cfg.ns2, links["h12"], c, rng),
@@ -307,9 +362,11 @@ def replayed_draw(sc, trial):
 
 
 def checked_draws(sc, trials):
-    """run_point's checked draws of the given trials: one stacked check,
-    then a redraw of each trial that fails it."""
-    return chansim._checked_draws(sc, [(trial, chansim.draw_trial(sc, trial)) for trial in trials])
+    """run_point's checked draws of the given trials, one per trial: one
+    stacked draw and check, then a redraw of each trial that fails it."""
+    stack = chansim.draw_trial(sc, trials)
+    assert stack.trials == tuple(trials) and chansim._checked_draws(sc, stack).all()
+    return [chansim._row(stack, row) for row in range(len(stack.trials))]
 
 
 class TestDrawTrial:
@@ -357,14 +414,15 @@ class TestDrawTrial:
     def test_fixed_rings_are_placed_once(self, monkeypatch):
         # without resampling every trial reuses trial 0's placement, so a
         # 200-trial point places its receivers once; the stats equal,
-        # bitwise, those of placing them anew for every trial and redraw
+        # bitwise, those of placing them anew for every trial and redraw,
+        # with stacks of one trial, so each trial is a stacked draw of its own
         geo = dataclasses.replace(small_geometry(), resample_rings=False)
         sc = Scenario(config=CFG_SMALL, geometry=geo, trials=200, seed=9, uncertainty_alpha=0.1)
         place, calls = chansim._link_distances, []
 
-        def counting(geo, rng):
+        def counting(geo, streams):
             calls.append(geo)
-            return place(geo, rng)
+            return place(geo, streams)
 
         monkeypatch.setattr(chansim, "_link_distances", counting)
         chansim._fixed_link_distances.cache_clear()
@@ -372,7 +430,8 @@ class TestDrawTrial:
         assert calls == [geo]
 
         monkeypatch.setattr(chansim, "_fixed_link_distances",
-                            lambda geo, seed: counting(geo, chansim._trial_rng(seed, 0)))
+                            lambda geo, seed: counting(geo, (chansim._trial_rng(seed, 0),)))
+        monkeypatch.setattr(chansim, "_STACK_TRIALS", 1)
         replayed = chansim.run_point(sc, (1, 1))
         assert len(calls) > 200
         assert point.mean_rs1.hex() == replayed.mean_rs1.hex()
@@ -399,7 +458,7 @@ class TestDrawTrial:
         # the design channels stay full rank; only the true eavesdropper
         # channels, scored but never designed on, are rank one.  The point's
         # stacked check fails the first draw, and the trial's redraw loop
-        # replays that draw before each of its other draws
+        # continues its stream for the other draws, without replaying it
         calls = []
 
         def rank_one(g_est, alpha, gain, rng):
@@ -411,7 +470,76 @@ class TestDrawTrial:
                       uncertainty_alpha=0.3)
         with pytest.raises(DegenerateDraw, match="every trial failed"):
             chansim.run_point(sc, (1, 1))
-        assert len(calls) == 2 * (1 + chansim._MAX_RESAMPLES)
+        assert len(calls) == 2 * chansim._MAX_RESAMPLES
+
+
+def assert_rows_equal_single_draws(sc, trials):
+    """Each trial of ``trials`` that has a row in their stacked draw has,
+    bitwise, its draw alone there, and its stream is left where that draw
+    leaves it; each trial without a row raises DegenerateDraw alone."""
+    stack = chansim.draw_trial(sc, trials)
+    assert set(stack.trials) <= set(trials) and list(stack.trials) == sorted(stack.trials)
+    assert len(stack.streams) == len(stack.trials)
+    assert isinstance(hash(stack), int)  # a frozen dataclass, hashable as one trial's is
+    for trial in trials:
+        if trial not in stack.trials:
+            with pytest.raises(DegenerateDraw, match="could not place receivers"):
+                chansim.draw_trial(sc, trial)
+            continue
+        index = stack.trials.index(trial)
+        row, rng = chansim._row(stack, index), chansim._trial_rng(sc.seed, trial)
+        single = chansim._draw(sc, trial, rng)
+        assert (row.actual is row.design) == (single.actual is single.design)
+        assert (row.actual is row.design) == (sc.uncertainty_alpha == 0)
+        for name in pc._CHANNELS:
+            for got, expected in ((row.design, single.design), (row.actual, single.actual)):
+                got, expected = getattr(got, name), getattr(expected, name)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert stack.streams[index].bit_generator.state == rng.bit_generator.state
+
+
+class TestStackedDraw:
+    # differential: each row of a stacked draw is the trial's draw alone,
+    # over spacings that reject first placements (under about 20 m), both
+    # ring modes, uncertainty and Gaussian channels
+    @settings(max_examples=60, deadline=None)
+    @given(spacing=st.floats(1.5, 60.0), resample_rings=st.booleans(), gaussian=st.booleans(),
+           alpha=st.sampled_from([0.0, 0.25]),
+           cfg=st.sampled_from([(4, 2, 4, 2, 4), (6, 6, 5, 4, 5), (1, 1, 2, 2, 1)]),
+           seed=st.integers(0, 2**32), start=st.integers(0, 40), count=st.integers(1, 12))
+    def test_rows_equal_single_draws(self, spacing, resample_rings, gaussian, alpha, cfg, seed,
+                                     start, count):
+        geo = None if gaussian else Geometry(s1=(spacing, 0.0), s2=(0.0, 0.0),
+                                             resample_rings=resample_rings)
+        sc = Scenario(config=AntennaConfig(*cfg), geometry=geo, seed=seed, uncertainty_alpha=alpha)
+        assert_rows_equal_single_draws(sc, range(start, start + count))
+
+    # seed 29 at 10 m: trial 4's first placement is rejected, and it is
+    # placed in a second round of its own (CI's installed-script step
+    # simulates this point)
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    def test_rejected_first_placement(self, monkeypatch, alpha):
+        placed, rounds = chansim._placed, []
+
+        def recording(geo, dist):
+            ok = placed(geo, dist)
+            rounds.append(ok.tolist())
+            return ok
+
+        monkeypatch.setattr(chansim, "_placed", recording)
+        sc = Scenario(config=CFG_SMALL, geometry=small_geometry(10.0), seed=29,
+                      uncertainty_alpha=alpha)
+        stack = chansim.draw_trial(sc, range(6))
+        assert rounds[0] == [True] * 4 + [False, True] and rounds[1:] == [[True]]
+        assert stack.trials == tuple(range(6))
+        assert_rows_equal_single_draws(sc, range(6))
+
+    def test_unplaceable_trials_have_no_row(self):
+        # sources one meter apart: no placement passes, in either ring mode
+        for resample_rings in (True, False):
+            geo = Geometry(s1=(1.0, 0.0), s2=(0.0, 0.0), resample_rings=resample_rings)
+            stack = chansim.draw_trial(Scenario(config=CFG_SMALL, geometry=geo), range(3))
+            assert stack.trials == () and stack.design.h11.shape == (0, 4, 4)
 
 
 class TestRunPoint:
@@ -454,7 +582,7 @@ class TestRunPoint:
             monkeypatch.setattr(np.linalg, "svd", recording_svd)
             chansim.run_point(dataclasses.replace(sc, trials=1), (1, 1))
             monkeypatch.setattr(np.linalg, "svd", svd)
-            marked = inputs[0]
+            marked = inputs[0].reshape(inputs[0].shape[-2:])  # a stack of one
         else:
             gsvd, pairs = matcore.gsvd, []
 

@@ -8,7 +8,7 @@ from sdofkit.errors import ConstructionDeficit, TargetInfeasible
 from sdofkit.precoder import PrecoderPair, Subset
 from sdofkit.region import AntennaConfig
 
-from conftest import channels_for, cstd, low_rank
+from conftest import channels_for, cstd, low_rank, stacked
 
 EX1 = (6, 6, 3, 6, 6)
 EX2 = (6, 6, 5, 4, 5)
@@ -51,10 +51,9 @@ class TestChannelSet:
     def test_stack_of_sets_is_a_set(self, rng):
         # the stack a Monte-Carlo point builds on, with its items' config
         chs = [channels_for(EX2, rng) for _ in range(3)]
-        stacked = precoder._stacked(chs)
-        assert isinstance(stacked, precoder.ChannelSet)
-        assert stacked.config == AntennaConfig(*EX2) and stacked.h21.shape == (3, 4, 6)
-        assert precoder._stacked(chs[:1]) is chs[0]
+        stack = stacked(chs)
+        assert isinstance(stack, precoder.ChannelSet)
+        assert stack.config == AntennaConfig(*EX2) and stack.h21.shape == (3, 4, 6)
 
     def test_refuses_an_empty_dimension_where_built(self, rng):
         # the configuration's own message, raised by the set and not at its first use

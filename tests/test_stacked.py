@@ -14,7 +14,7 @@ from sdofkit.chansim import Geometry, Scenario
 from sdofkit.errors import ConstructionDeficit, DegenerateDraw, DegenerateInput, TargetInfeasible
 from sdofkit.region import AntennaConfig
 
-from conftest import channels_for, cstd, low_rank
+from conftest import channels_for, cstd, low_rank, stacked
 from test_chansim import replayed_draw
 from test_matcore import gsvd_shapes_with_shared_block
 
@@ -67,13 +67,30 @@ def single_outcome(trial, target, power):
         return exc
 
 
+def stack_of(trials):
+    """Trials' plain channels as one stacked TrialChannels, as run_point
+    scores them: the true set shares the design set's H stacks, and is the
+    design set itself when every trial's is."""
+    design = actual = stacked([t.design for t in trials])
+    if any(t.actual is not t.design for t in trials):
+        true = stacked([t.actual for t in trials])
+        actual = precoder._trusted(design.h11, design.h12, design.h21, design.h22, true.g1, true.g2)
+    return chansim.TrialChannels(design, actual, tuple(range(len(trials))))
+
+
+def rows_of(chans):
+    """The number of trials in a stacked TrialChannels, or 1 for one
+    trial's plain matrices."""
+    return len(chans.design.h11) if chans.design.h11.ndim == 3 else 1
+
+
 def stack_outcomes(trials, target, power):
     """run_point's one pass over a stack of trials: built and scored as one
     stack, or else trial by trial."""
     target = region.SdofPoint(*target)
     cfg = trials[0].design.config
     wanted = precoder._plan(cfg, target, power)
-    return chansim._stack_outcomes(trials, cfg, target, wanted, power)
+    return chansim._stack_outcomes(stack_of(trials), cfg, target, wanted, power)
 
 
 def assert_same_outcome(got, expected):
@@ -230,9 +247,9 @@ class TestConstructStack:
         trials = [chansim.TrialChannels(design=ch, actual=ch) for ch in chs]
         stack_rates, sizes = chansim._stack_rates, []
 
-        def counting(items, *args):
-            sizes.append(len(items))
-            return stack_rates(items, *args)
+        def counting(chans, *args):
+            sizes.append(rows_of(chans))
+            return stack_rates(chans, *args)
 
         monkeypatch.setattr(chansim, "_stack_rates", counting)
         outcomes = stack_outcomes(trials, (2, 4), 1.0)
@@ -262,7 +279,7 @@ class TestExclusionStack:
         cfg, target = AntennaConfig(*tup), region.SdofPoint(*target)
         wanted = precoder._plan(cfg, target, 10.0)
         calls = recording_exclusion_solves(monkeypatch)
-        v, w = precoder._assemble(precoder._stacked(chs), cfg, target, wanted, 10.0)
+        v, w = precoder._assemble(stacked(chs), cfg, target, wanted, 10.0)
         assert calls and {x.shape[:-2] for x, _, _ in calls} == {(3,)}
         # each item's coordinates complete the least-squares coordinates of
         # its claimed directions, as np.linalg.lstsq gives them
@@ -524,22 +541,23 @@ class TestRunPointStacks:
         assert len(steps) == 20
 
     def test_infeasible_target_costs_one_draw(self, monkeypatch):
+        # the target is planned after the first stacked draw that places a
+        # trial: one draw_trial call, over the first stack's trials
         draw, drawn = chansim.draw_trial, []
 
-        def counting_draw(scenario, trial):
-            drawn.append(trial)
-            return draw(scenario, trial)
+        def counting_draw(scenario, trials):
+            drawn.append(trials)
+            return draw(scenario, trials)
 
         monkeypatch.setattr(chansim, "draw_trial", counting_draw)
         with pytest.raises(TargetInfeasible):
             chansim.run_point(small_scenario(trials=1000, seed=0), (4, 4))
-        assert drawn == [0]
+        assert drawn == [range(0, chansim._STACK_TRIALS)]
 
     def test_every_draw_failing_raises_degenerate_draw(self, monkeypatch):
-        def no_draw(scenario, trial):
-            raise DegenerateDraw("no draw")
-
-        monkeypatch.setattr(chansim, "draw_trial", no_draw)
+        # no placement passes, in the stack or in a trial's draw alone, so
+        # no trial has a row and the infeasible target is never planned
+        monkeypatch.setattr(chansim, "_placed", lambda geo, dist: np.zeros(dist.shape[:-1], bool))
         with pytest.raises(DegenerateDraw, match="every trial failed"):
             chansim.run_point(small_scenario(trials=5, seed=0), (4, 4))
 
@@ -549,7 +567,7 @@ class TestCheckedDraws:
         chs = [channels_for(CFG_SMALL.as_tuple(), rng) for _ in range(4)]
         chs[1] = dataclasses.replace(chs[1], h12=low_rank(rng, 4, 2, 1))
         chs[3] = dataclasses.replace(chs[3], g1=low_rank(rng, 4, 4, 3))
-        got = precoder._stacked(chs).full_rank()
+        got = stacked(chs).full_rank()
         assert got.tolist() == [ch.full_rank() for ch in chs] == [True, False, True, False]
 
     def test_planted_redraws_equal_per_trial_replay(self, monkeypatch):
@@ -585,6 +603,33 @@ class TestCheckedDraws:
             expected.append(point_stats(triples, lost, point.trials))
         assert all(stats.failures > 0 for stats in expected)
         assert [rec.stats for rec in records] == expected
+
+    def test_redraw_continues_the_stream(self, monkeypatch):
+        # the stacked check fails trial 2's first draw; its redraw is the
+        # second draw of the trial's own stream, which is not started again
+        sc = small_scenario(trials=4, seed=6, uncertainty_alpha=0.2)
+        check, trial_rng, started = chansim._full_rank_draws, chansim._trial_rng, []
+
+        def failing_row_2(scenario, chans):
+            ok = check(scenario, chans)
+            return ok & (np.arange(len(ok)) != 2) if np.ndim(ok) else ok
+
+        def counting_rng(seed, trial):
+            started.append(trial)
+            return trial_rng(seed, trial)
+
+        monkeypatch.setattr(chansim, "_full_rank_draws", failing_row_2)
+        monkeypatch.setattr(chansim, "_trial_rng", counting_rng)
+        drawn = chansim.draw_trial(sc, range(4))
+        assert chansim._checked_draws(sc, drawn).all()
+        assert started == [0, 1, 2, 3]
+        rng = trial_rng(sc.seed, 2)
+        first, second = chansim._draw(sc, 2, rng), chansim._draw(sc, 2, rng)
+        row = chansim._row(drawn, 2)
+        assert not np.array_equal(row.design.h11, first.design.h11)
+        for name in precoder._CHANNELS:
+            for got, expected in ((row.design, second.design), (row.actual, second.actual)):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_draws_are_checked_once_per_point(self, monkeypatch):
         # counts that do not depend on the machine: the 9 x 20 distance
@@ -690,15 +735,19 @@ class TestSweepStacks:
                 raise np.linalg.LinAlgError("zuncsd did not converge: 1")
             return cossin(x, p, q)
 
-        draw = chansim.draw_trial
+        placed = chansim._placed
 
-        def failing_draw(scenario, trial):
-            if scenario == points[1] and trial == 2:
-                raise DegenerateDraw("planted")
-            return draw(scenario, trial)
+        def failing_placement(geo, dist):
+            # the second point's trial 2 (row 2 of its stacked draw) has its
+            # first placement rejected, and every one after it: the first
+            # round places the point's five trials, the later ones trial 2
+            ok = placed(geo, dist)
+            if geo == points[1].geometry:
+                ok = ok & (np.arange(len(dist)) != 2) if len(dist) == 5 else np.zeros_like(ok)
+            return ok
 
         monkeypatch.setattr(matcore, "cossin", planted)
-        monkeypatch.setattr(chansim, "draw_trial", failing_draw)
+        monkeypatch.setattr(chansim, "_placed", failing_placement)
         records = chansim.monte_carlo(sc, (1, 1))
         monkeypatch.undo()
         assert [rec.stats for rec in records] == [
@@ -713,52 +762,54 @@ class TestSweepStacks:
         # fail, the third point draws nothing before the sweep raises
         sc = sweep_scenario(4, values=(150.0, 100.0, 50.0))
         points = points_of(sc)
-        draw, stack_rates = chansim.draw_trial, chansim._stack_rates
+        draw, stack_rates, placed = chansim.draw_trial, chansim._stack_rates, chansim._placed
         drawn, doomed = [], set()
 
-        def marking_draw(scenario, trial):
-            drawn.append(points.index(scenario))
-            if scenario == points[1] and stage == "draw":
-                raise DegenerateDraw("planted")
-            chans = draw(scenario, trial)
+        def marking_draw(scenario, trials):
+            # one entry per trial drawn, and the second point's draws marked
+            drawn.extend([points.index(scenario)] * len(trials))
+            chans = draw(scenario, trials)
             if scenario == points[1]:
-                doomed.add(id(chans))
+                doomed.update(m.tobytes() for m in chans.design.h11)
             return chans
 
-        def failing_stack(trials, *args):
-            if any(id(t) in doomed for t in trials):
+        def failing_placement(geo, dist):
+            # in the draw stage no placement of the second point passes
+            ok = placed(geo, dist)
+            return ok & (geo != points[1].geometry or stage != "draw")
+
+        def failing_stack(chans, *args):
+            h11 = chans.design.h11
+            if any(m.tobytes() in doomed for m in h11.reshape(-1, *h11.shape[-2:])):
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return stack_rates(trials, *args)
+            return stack_rates(chans, *args)
 
         monkeypatch.setattr(chansim, "draw_trial", marking_draw)
+        monkeypatch.setattr(chansim, "_placed", failing_placement)
         monkeypatch.setattr(chansim, "_stack_rates", failing_stack)
         with pytest.raises(DegenerateDraw, match="every trial failed"):
             chansim.monte_carlo(sc, (1, 1))
         assert drawn == [0] * 4 + [1] * 4 + ([2] * 4 if stage == "build" else [])
 
-    # a stack of 10 over an α sweep's two points; without uncertainty every
-    # trial is scored on its design set, already stacked for the build
-    @pytest.mark.parametrize("values, builds", [((0.0, 0.0), [10]), ((0.0, 0.2), [10, 10])],
+    # a stack of 10 joined from an α sweep's two points; without uncertainty
+    # every trial is scored on its design set, already stacked for the build
+    @pytest.mark.parametrize("values", [(0.0, 0.0), (0.0, 0.2)],
                              ids=["alpha_zero", "alpha_zero_and_positive"])
-    def test_true_sets_are_stacked_only_when_they_differ(self, monkeypatch, values, builds):
+    def test_true_sets_are_stacked_only_when_they_differ(self, values):
         sc = sweep_scenario(5, "uncertainty_alpha", values)
+        runs = [chansim.draw_trial(point, range(5)) for point in points_of(sc)]
+        assert [run.actual is run.design for run in runs] == [x == 0.0 for x in values]
+        joined = chansim._joined([(run, np.ones(5, bool)) for run in runs])
+        assert (joined.actual is joined.design) == (values == (0.0, 0.0))
+        assert joined.actual.h11 is joined.design.h11
         trials = [chansim.draw_trial(point, t) for point in points_of(sc) for t in range(5)]
-        assert [t.actual is t.design for t in trials] == [x == 0.0 for x in values for _ in range(5)]
         target, power = region.SdofPoint(1, 1), sc.effective_power
         wanted = precoder._plan(CFG_SMALL, target, power)
-        # the true sets stacked apart from the design sets, as before
-        v, w = precoder._assemble(precoder._stacked([t.design for t in trials]), CFG_SMALL,
+        # the true sets stacked apart from the design sets, trial by trial
+        v, w = precoder._assemble(stacked([t.design for t in trials]), CFG_SMALL,
                                   target, wanted, power)
-        expected = verifier._score(precoder._stacked([t.actual for t in trials]), v, w)
-        stacked, sizes = precoder._stacked, []
-
-        def counting(chs):
-            sizes.append(len(chs))
-            return stacked(chs)
-
-        monkeypatch.setattr(precoder, "_stacked", counting)
-        got = chansim._stack_rates(trials, CFG_SMALL, target, wanted, power)
-        assert sizes == builds
+        expected = verifier._score(stacked([t.actual for t in trials]), v, w)
+        got = chansim._stack_rates(joined, CFG_SMALL, target, wanted, power)
 
         def hexes(triples):
             return [[x.hex() for x in dataclasses.astuple(t)] for t in triples]
