@@ -18,7 +18,7 @@ import dataclasses
 import functools
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import compress
 
@@ -159,14 +159,21 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Sweep:
+    """One swept scenario field and its values, stored as a tuple of
+    floats, so a list gives the sweep that its tuple gives."""
+
     variable: str
     values: tuple[float, ...]
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if not self.values:
+        values = tuple(self.values) if np.iterable(self.values) else (None,)
+        if not all(_is(x, numbers.Real) for x in values):
+            raise ValueError("sweep values must be real numbers")
+        if not values:
             raise ValueError("sweep needs at least one value")
+        object.__setattr__(self, "values", tuple(map(float, values)))
 
 
 @dataclass(frozen=True)
@@ -222,20 +229,33 @@ def _cgauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def gaussian_channels(cfg: AntennaConfig, rng: np.random.Generator) -> pc.ChannelSet:
     """One unit-variance complex Gaussian channel set.
 
-    The values come from one call, in channel order: each matrix's real
-    parts, then its imaginary parts, row-major, which is what
-    :func:`_cgauss` called matrix by matrix would draw.  Their complex
-    values are formed in one pass, and the six matrices are views of it.
+    The values come from one call, laid out by :func:`_gaussian_layout`,
+    which is what :func:`_cgauss` called matrix by matrix would draw.
+    Their complex values are formed in one pass, and the six matrices are
+    views of it.
     """
-    re, im, start = [], [], 0
-    for rows, cols in pc._shapes(cfg):
-        n = rows * cols
-        re.extend(range(start, start + n))
-        im.extend(range(start + n, start + 2 * n))
-        start += 2 * n
-    z = rng.standard_normal(start)
+    re, im = _gaussian_parts(cfg)
+    return pc._trusted(*_gaussian_layout(cfg, rng.standard_normal(re.size + im.size)))
+
+
+@functools.cache  # one entry per configuration drawn
+def _gaussian_parts(cfg: AntennaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of each entry's real and imaginary parts among a
+    Gaussian set's values: each matrix's real parts, then its imaginary
+    parts, row-major, in channel order (callers must not mutate them)."""
+    sizes = [rows * cols for rows, cols in pc._shapes(cfg)]
+    re = np.arange(sum(sizes)) + np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    return re, re + np.repeat(sizes, sizes)
+
+
+def _gaussian_layout(cfg: AntennaConfig, z: np.ndarray) -> list[np.ndarray]:
+    """The six unit-variance complex Gaussian matrices, in channel order,
+    that standard normal values ``z`` give, laid out along their last axis
+    (:func:`_gaussian_parts`): one set's from 1-D values, and a ``(T, m,
+    n)`` stack of each from ``(T, size)`` values, row i from row i."""
+    re, im = _gaussian_parts(cfg)
     # _cgauss's arithmetic, element by element
-    return pc._trusted(*pc._split((z[re] + 1j * z[im]) / np.sqrt(2), cfg))
+    return pc._split((z.take(re, -1) + 1j * z.take(im, -1)) / np.sqrt(2), cfg)
 
 
 def _true_eve(g_est: np.ndarray, alpha: float, gain: float,
@@ -292,13 +312,6 @@ def _link_distances(geo: Geometry, streams: tuple[np.random.Generator, ...]):
     return dist, placed
 
 
-@functools.lru_cache(maxsize=16)
-def _fixed_link_distances(geo: Geometry, seed: int):
-    """Trial 0's :func:`_link_distances`, which every trial reuses when
-    ``geo`` does not resample its rings (callers must not mutate them)."""
-    return _link_distances(geo, (_trial_rng(seed, 0),))
-
-
 def draw_trial(scenario: Scenario, trials: int | Iterable[int]) -> TrialChannels:
     """A trial's first channel draw, from its own stream, not yet checked;
     or, for several trial indices such as ``range(a, b)``, the first draws
@@ -307,7 +320,7 @@ def draw_trial(scenario: Scenario, trials: int | Iterable[int]) -> TrialChannels
     The same (scenario, trial index) always produces identical matrices.
     Gaussian scenarios draw the design set in one call, laid out as
     :func:`gaussian_channels` lays it out; line-of-sight ones place the
-    receivers (once per geometry and seed when the rings are not
+    receivers (trial 0's placement, once per call, when the rings are not
     resampled), then draw the phases of the four links and of the two
     unit-magnitude eavesdropper estimates in one call, in
     ``precoder._CHANNELS`` order and row-major within each matrix, and
@@ -318,27 +331,22 @@ def draw_trial(scenario: Scenario, trials: int | Iterable[int]) -> TrialChannels
     without :class:`precoder.ChannelSet`'s checks, which the
     :class:`Scenario` and :class:`Geometry` checks make redundant.
 
-    Over several trials each trial still makes its own generator calls,
-    in the same order, and everything else runs once over the ``(T, m,
-    n)`` stack, so row i equals ``draw_trial(scenario, trials[i])``
-    bitwise.  A trial whose receivers cannot be placed raises
+    Each trial makes its own generator calls, in the same order, and
+    everything else runs once over the ``(T, m, n)`` stack, so row i
+    equals ``draw_trial(scenario, trials[i])`` bitwise.  One ``int`` index
+    is a one-row stack whose row is returned as plain matrices
+    (:func:`_rows`).  A trial whose receivers cannot be placed raises
     :class:`DegenerateDraw` alone, and has no row in a stack.
 
     :func:`run_point` checks each stacked draw for full rank and redraws a
     trial that fails (:func:`_checked_draws`).
     """
-    if isinstance(trials, numbers.Integral):
-        return _draw(scenario, trials, _trial_rng(scenario.seed, trials))
-    trials = tuple(trials)
-    return _draws(scenario, trials, tuple(_trial_rng(scenario.seed, t) for t in trials))
-
-
-def _draw(scenario: Scenario, trial_index: int, rng: np.random.Generator) -> TrialChannels:
-    """One trial's :func:`draw_trial` from ``rng``, as plain matrices."""
-    chans = _draws(scenario, (trial_index,), (rng,))
-    if not chans.trials:
+    single = isinstance(trials, numbers.Integral)
+    trials = (trials,) if single else tuple(trials)
+    chans = _draws(scenario, trials, tuple(_trial_rng(scenario.seed, t) for t in trials))
+    if single and not chans.trials:
         raise DegenerateDraw("could not place receivers within geometric constraints")
-    return _row(chans, 0)
+    return _rows(chans, 0) if single else chans
 
 
 def _draws(scenario: Scenario, trials: tuple[int, ...],
@@ -352,18 +360,14 @@ def _draws(scenario: Scenario, trials: tuple[int, ...],
     size = sum(rows * cols for rows, cols in pc._shapes(cfg))
     if geo is None:
         z = np.reshape([rng.standard_normal(2 * size) for rng in streams], (n, 2 * size))
-        est, start = [], 0
-        for rows, cols in pc._shapes(cfg):  # gaussian_channels' layout, stacked
-            parts = z[:, start:start + 2 * rows * cols].reshape(n, 2, rows, cols)
-            est.append((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2))
-            start += 2 * rows * cols
-        gains, mats = np.ones((n, 6)).tolist(), est
+        est = mats = _gaussian_layout(cfg, z)
+        gains = np.ones((n, 6)).tolist()
     else:
-        if geo.resample_rings:
-            dist, placed = _link_distances(geo, streams)
-        else:  # every trial reuses trial 0's placement
-            fixed = _fixed_link_distances(geo, scenario.seed)
-            dist, placed = (np.repeat(a, n, axis=0) for a in fixed)
+        # without resampling every trial reuses trial 0's placement
+        dist, placed = _link_distances(
+            geo, streams if geo.resample_rings else (_trial_rng(scenario.seed, 0),))
+        if not geo.resample_rings:
+            dist, placed = np.repeat(dist, n, axis=0), np.repeat(placed, n)
         trials, streams = tuple(compress(trials, placed)), tuple(compress(streams, placed))
         dist, n = dist[placed], len(streams)
         phases = np.reshape([rng.uniform(0.0, 2.0 * np.pi, size) for rng in streams], (n, size))
@@ -379,42 +383,66 @@ def _draws(scenario: Scenario, trials: tuple[int, ...],
     return TrialChannels(design, actual, trials, streams)
 
 
-def _set_row(stack: TrialChannels, row: int, chans: TrialChannels) -> None:
-    """Write one trial's plain channels into row ``row`` of a stack."""
-    for name in pc._CHANNELS:
-        getattr(stack.design, name)[row] = getattr(chans.design, name)
-    if stack.actual is not stack.design:  # its H stacks are the design set's
-        stack.actual.g1[row], stack.actual.g2[row] = chans.actual.g1, chans.actual.g2
-
-
-def _row(stack: TrialChannels, row: int) -> TrialChannels:
-    """Row ``row`` of a stack as one trial's plain channels."""
-    design = pc._trusted(*(getattr(stack.design, name)[row] for name in pc._CHANNELS))
+def _rows(stack: TrialChannels, index) -> TrialChannels:
+    """The rows of a stack that ``index`` picks, as NumPy picks them from
+    each stacked array: an ``int`` gives one trial's plain matrices, a
+    slice or a bool mask a stack.  A slice keeps its rows' trials and
+    streams, so ``slice(r, r + 1)`` is row r's trial as a lone one-row
+    stack."""
+    design = pc._trusted(*(getattr(stack.design, name)[index] for name in pc._CHANNELS))
     actual = design if stack.actual is stack.design else pc._trusted(
-        design.h11, design.h12, design.h21, design.h22, stack.actual.g1[row], stack.actual.g2[row])
+        *(getattr(design, name) for name in pc._CHANNELS[:4]),
+        stack.actual.g1[index], stack.actual.g2[index])
+    if isinstance(index, slice):
+        return TrialChannels(design, actual, stack.trials[index], stack.streams[index])
     return TrialChannels(design, actual)
 
 
-def _joined(runs: list[tuple[TrialChannels, np.ndarray]]) -> TrialChannels:
-    """The rows that each (stack, mask) pair of ``runs`` keeps, of one
-    configuration, as one stack, in order."""
+def _set_rows(stack: TrialChannels, index, chans: TrialChannels) -> None:
+    """Write the stack ``chans`` into the rows of a stack that ``index``
+    picks, as NumPy writes into each stacked array."""
+    for name in pc._CHANNELS:
+        getattr(stack.design, name)[index] = getattr(chans.design, name)
+    if stack.actual is not stack.design:  # its H stacks are the design set's
+        stack.actual.g1[index], stack.actual.g2[index] = chans.actual.g1, chans.actual.g2
+
+
+def _joined(stacks: list[TrialChannels]) -> TrialChannels:
+    """Stacks of one configuration as one stack, in order."""
     def joined(sets, names):
-        return [np.concatenate([getattr(s, name)[kept] for s, (_, kept) in zip(sets, runs)])
-                for name in names]
+        return [np.concatenate([getattr(s, name) for s in sets]) for name in names]
 
-    design = actual = pc._trusted(*joined([s.design for s, _ in runs], pc._CHANNELS))
-    if any(s.actual is not s.design for s, _ in runs):
+    design = actual = pc._trusted(*joined([s.design for s in stacks], pc._CHANNELS))
+    if any(s.actual is not s.design for s in stacks):
         actual = pc._trusted(design.h11, design.h12, design.h21, design.h22,
-                             *joined([s.actual for s, _ in runs], ("g1", "g2")))
+                             *joined([s.actual for s in stacks], ("g1", "g2")))
     return TrialChannels(design, actual)
 
 
-def _full_rank_draws(scenario: Scenario, chans: TrialChannels):
-    """The full-rank check of a scenario's draws: each design set is full
-    rank and, with uncertainty, so are the true ``g1`` and ``g2``.
+def _stack_or_rows(fn: Callable[[TrialChannels], Iterable], stack: TrialChannels,
+                   errors: tuple[type[Exception], ...]) -> list:
+    """One result per row of ``stack``: ``fn``'s on the whole stack, or, if
+    that raises one of ``errors``, each row's ``fn`` on it alone, as a
+    one-row stack, or the error that this raises.  A stack of one row runs
+    alone at once."""
+    if len(stack.design.h11) > 1:
+        try:
+            return list(fn(stack))
+        except errors:
+            pass
+    outcomes = []
+    for row in range(len(stack.design.h11)):
+        try:
+            outcomes.append(fn(_rows(stack, slice(row, row + 1)))[0])
+        except errors as exc:
+            outcomes.append(exc)
+    return outcomes
 
-    A stack gives one bool per row, from one SVD call per stacked matrix;
-    one trial's plain matrices give one bool.
+
+def _full_rank_draws(scenario: Scenario, chans: TrialChannels) -> np.ndarray:
+    """The full-rank check of a stack of a scenario's draws, one bool per
+    row: each design set is full rank and, with uncertainty, so are the
+    true ``g1`` and ``g2``.  One SVD call per stacked matrix.
     """
     ok = chans.design.full_rank()
     if scenario.uncertainty_alpha > 0:
@@ -422,42 +450,45 @@ def _full_rank_draws(scenario: Scenario, chans: TrialChannels):
     return ok
 
 
-def _redraw(scenario: Scenario, trial_index: int, rng: np.random.Generator) -> TrialChannels:
-    """The first draw that passes the full-rank check alone
-    (:func:`_full_rank_draws`) among the draws that continue a trial's
-    stream ``rng`` after its first draw, which failed the check.
+def _redraw(scenario: Scenario, drawn: TrialChannels, row: int) -> bool:
+    """Whether a draw passes the full-rank check (:func:`_full_rank_draws`)
+    among the draws that continue the stream of row ``row`` of a stack,
+    whose first draw failed it, up to ``_MAX_RESAMPLES`` draws in all; the
+    first that does overwrites the row, in place.
 
-    After ``_MAX_RESAMPLES`` draws in all :class:`DegenerateDraw` is raised.
+    Each draw is the trial alone, a one-row stack.  A draw that cannot
+    place its receivers, or whose check raises ``LinAlgError``, ends the
+    trial's draws.
     """
+    lone = _rows(drawn, slice(row, row + 1))
+    check = functools.partial(_full_rank_draws, scenario)
     for _ in range(_MAX_RESAMPLES - 1):
-        chans = _draw(scenario, trial_index, rng)
-        if _full_rank_draws(scenario, chans):
-            return chans
-    raise DegenerateDraw(f"trial {trial_index}: full-rank check failed repeatedly")
+        chans = _draws(scenario, lone.trials, lone.streams)
+        # [True] passes and [False] draws again; no row, or a LinAlgError, ends the draws
+        ok = _stack_or_rows(check, chans, (np.linalg.LinAlgError,))
+        if ok == [True]:
+            _set_rows(drawn, slice(row, row + 1), chans)
+        if ok != [False]:
+            return ok == [True]
+    return False
 
 
 def _checked_draws(scenario: Scenario, drawn: TrialChannels) -> np.ndarray:
     """The full-rank check of a stacked :func:`draw_trial`, with one bool
     per row, true for the rows that end full rank: a row that fails is
     overwritten, in place, by its trial's :func:`_redraw`, and is false
-    when that raises :class:`DegenerateDraw` or ``LinAlgError``.
+    when no redraw passes.
 
     The rows are checked as one stack (:func:`_full_rank_draws`): six
     SVD calls on the design sets, and two more on the true eavesdropper
-    channels when they differ.  If one of them raises, each row is
-    checked alone before it is redrawn.
+    channels when they differ.  If one of them raises ``LinAlgError``,
+    each row is checked alone (:func:`_stack_or_rows`), and a row whose
+    check raises again is false, without a redraw.
     """
-    try:
-        ok = _full_rank_draws(scenario, drawn)
-    except np.linalg.LinAlgError:
-        ok = None
+    check = functools.partial(_full_rank_draws, scenario)
     keep = np.ones(len(drawn.trials), dtype=bool)
-    for row in range(len(keep)) if ok is None else np.flatnonzero(~ok):
-        try:
-            if ok is None and _full_rank_draws(scenario, _row(drawn, row)):
-                continue
-            _set_row(drawn, row, _redraw(scenario, drawn.trials[row], drawn.streams[row]))
-        except (DegenerateDraw, np.linalg.LinAlgError):
+    for row, ok in enumerate(_stack_or_rows(check, drawn, (np.linalg.LinAlgError,))):
+        if isinstance(ok, Exception) or not (ok or _redraw(scenario, drawn, row)):
             keep[row] = False
     return keep
 
@@ -470,11 +501,10 @@ _STACK_TRIALS = 256
 
 def _stack_rates(chans: TrialChannels, cfg: AntennaConfig, target: SdofPoint,
                  wanted: dict[pc.Subset, int], power: float) -> list[verifier.RateTriple]:
-    """The trials of ``chans``, a stack or one trial's plain matrices,
-    built on their design channels and scored on their true ones, which
-    are the design set itself without uncertainty: raises for the whole
-    stack, or :class:`matcore._StackSplit` when its items need different
-    paths."""
+    """The trials of the stack ``chans``, built on their design channels
+    and scored on their true ones, which are the design set itself without
+    uncertainty: raises for the whole stack, or :class:`matcore._StackSplit`
+    when its items need different paths."""
     v, w = pc._assemble(chans.design, cfg, target, wanted, power)
     return verifier._score(chans.actual, v, w)
 
@@ -485,21 +515,12 @@ def _stack_outcomes(chans: TrialChannels, cfg: AntennaConfig, target: SdofPoint,
     :class:`ConstructionDeficit` or ``LinAlgError`` that it raises alone.
 
     The rows run as one :func:`_stack_rates` stack; if that raises, each
-    row runs alone, as :func:`precoder.construct` and
-    :func:`verifier.rates` would run its trial.
+    row runs alone, as a one-row stack (:func:`_stack_or_rows`), which
+    gives bitwise what :func:`precoder.construct` and
+    :func:`verifier.rates` give its trial.
     """
-    if len(chans.design.h11) > 1:
-        try:
-            return _stack_rates(chans, cfg, target, wanted, power)
-        except (matcore._StackSplit, ConstructionDeficit, np.linalg.LinAlgError):
-            pass
-    outcomes = []
-    for row in range(len(chans.design.h11)):
-        try:
-            outcomes.append(_stack_rates(_row(chans, row), cfg, target, wanted, power)[0])
-        except (ConstructionDeficit, np.linalg.LinAlgError) as exc:
-            outcomes.append(exc)
-    return outcomes
+    return _stack_or_rows(lambda rows: _stack_rates(rows, cfg, target, wanted, power), chans,
+                          (matcore._StackSplit, ConstructionDeficit, np.linalg.LinAlgError))
 
 
 def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointStats:
@@ -548,7 +569,7 @@ def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> 
     rs1, rs2 = [[] for _ in points], [[] for _ in points]
     failures = [0] * len(points)
     wanted = None
-    owners, runs = [], []  # the point index of each checked row; each run and its checked rows
+    owners, runs = [], []  # the point index of each checked row; each run's checked rows
 
     def score(power: float) -> None:
         for i, triple in zip(owners, _stack_outcomes(_joined(runs), cfg, target, wanted, power)):
@@ -571,8 +592,8 @@ def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> 
             drawn = draw_trial(scenario, range(start, stop))
             if wanted is None and drawn.trials:
                 wanted = pc._plan(cfg, target, power)
-            runs.append((drawn, _checked_draws(scenario, drawn)))
-            kept = int(runs[-1][1].sum())
+            runs.append(_rows(drawn, _checked_draws(scenario, drawn)))
+            kept = len(runs[-1].design.h11)
             # a trial that could not be placed, or was lost to the check,
             # leaves room in the stack for the next run
             failures[i] += stop - start - kept

@@ -94,8 +94,8 @@ class TestLosChannel:
         geo = Geometry(s1=(d12, 0.0), s2=(0.0, 0.0), ring_radius=ring_radius,
                        resample_rings=resample_rings)
         streams = [chansim._trial_rng(seed, trial) for trial in range(10)]
-        dist, placed = (chansim._link_distances(geo, streams) if resample_rings
-                        else chansim._fixed_link_distances(geo, seed))
+        # without resampling, every trial's placement is trial 0's
+        dist, placed = chansim._link_distances(geo, streams if resample_rings else streams[:1])
         assert dist.shape[-1] == len(pc._CHANNELS)
         assert ((1.0 <= dist[placed]) & (dist[placed] < math.inf)).all()
 
@@ -213,6 +213,21 @@ class TestScenario:
     def test_rejects_sweep(self, variable, values, message):
         with pytest.raises(ValueError, match=message):
             Sweep(variable, values)
+
+    # a bare number passed, then raised TypeError in monte_carlo; a bool
+    # ran as 1.0 and a string as its number
+    @pytest.mark.parametrize("values", [5, (True,), ("7",)],
+                             ids=["not_iterable", "bool", "str"])
+    def test_rejects_sweep_values_not_real(self, values):
+        with pytest.raises(ValueError, match="sweep values must be real numbers"):
+            Sweep("power_dbm", values)
+
+    # a list left the Scenario that holds the sweep unhashable
+    def test_sweep_values_are_a_tuple_of_floats(self):
+        sweep = Sweep("power_dbm", [0, np.float32(10.0), np.int64(-5)])
+        assert sweep == Sweep("power_dbm", (0.0, 10.0, -5.0))
+        assert [type(x) for x in sweep.values] == [float] * 3
+        assert isinstance(hash(Scenario(config=CFG_SMALL, sweep=sweep)), int)
 
     # 2.5 trials and seed 1.5 passed, then raised TypeError inside run_point
     @pytest.mark.parametrize("field, value", [
@@ -366,7 +381,7 @@ def checked_draws(sc, trials):
     stacked draw and check, then a redraw of each trial that fails it."""
     stack = chansim.draw_trial(sc, trials)
     assert stack.trials == tuple(trials) and chansim._checked_draws(sc, stack).all()
-    return [chansim._row(stack, row) for row in range(len(stack.trials))]
+    return [chansim._rows(stack, row) for row in range(len(stack.trials))]
 
 
 class TestDrawTrial:
@@ -413,8 +428,8 @@ class TestDrawTrial:
 
     def test_fixed_rings_are_placed_once(self, monkeypatch):
         # without resampling every trial reuses trial 0's placement, so a
-        # 200-trial point places its receivers once; the stats equal,
-        # bitwise, those of placing them anew for every trial and redraw,
+        # 200-trial point, drawn in one run, places its receivers once; the
+        # stats equal, bitwise, those of placing them anew for every trial,
         # with stacks of one trial, so each trial is a stacked draw of its own
         geo = dataclasses.replace(small_geometry(), resample_rings=False)
         sc = Scenario(config=CFG_SMALL, geometry=geo, trials=200, seed=9, uncertainty_alpha=0.1)
@@ -425,12 +440,9 @@ class TestDrawTrial:
             return place(geo, streams)
 
         monkeypatch.setattr(chansim, "_link_distances", counting)
-        chansim._fixed_link_distances.cache_clear()
         point = chansim.run_point(sc, (1, 1))
         assert calls == [geo]
 
-        monkeypatch.setattr(chansim, "_fixed_link_distances",
-                            lambda geo, seed: counting(geo, (chansim._trial_rng(seed, 0),)))
         monkeypatch.setattr(chansim, "_STACK_TRIALS", 1)
         replayed = chansim.run_point(sc, (1, 1))
         assert len(calls) > 200
@@ -487,8 +499,8 @@ def assert_rows_equal_single_draws(sc, trials):
                 chansim.draw_trial(sc, trial)
             continue
         index = stack.trials.index(trial)
-        row, rng = chansim._row(stack, index), chansim._trial_rng(sc.seed, trial)
-        single = chansim._draw(sc, trial, rng)
+        row, rng = chansim._rows(stack, index), chansim._trial_rng(sc.seed, trial)
+        single = chansim._rows(chansim._draws(sc, (trial,), (rng,)), 0)
         assert (row.actual is row.design) == (single.actual is single.design)
         assert (row.actual is row.design) == (sc.uncertainty_alpha == 0)
         for name in pc._CHANNELS:
@@ -564,11 +576,11 @@ class TestRunPoint:
     @pytest.mark.parametrize("failing_call", ["first", "gsvd_of_trial_0"])
     def test_lapack_failure_costs_one_trial(self, monkeypatch, failing_call):
         # each case fails an SVD of trial 0's wherever it runs: in a stack,
-        # which is then re-run trial by trial, and in trial 0 alone.
-        # "first" is the first SVD of a one-trial point, the full-rank check
-        # of trial 0's H11: the point's stacked check fails, and trial 0's
-        # redraw loop checks the draw alone.  "gsvd_of_trial_0" is the SVD
-        # of trial 0's stacked GSVD pair [A^H; B^H]: the stack's GSVD fails,
+        # which is then re-run trial by trial, and in trial 0 alone, a
+        # one-row stack.  "first" is the first SVD of a one-trial point, the
+        # full-rank check of trial 0's H11: the point's stacked check fails,
+        # and then trial 0's check alone.  "gsvd_of_trial_0" is the SVD of
+        # trial 0's stacked GSVD pair [A^H; B^H]: the stack's GSVD fails,
         # and then trial 0's GSVD alone.
         sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=6, seed=0)
         svd = np.linalg.svd
@@ -593,7 +605,7 @@ class TestRunPoint:
             monkeypatch.setattr(matcore, "gsvd", recording_gsvd)
             chansim.run_point(dataclasses.replace(sc, trials=1), (1, 1))
             monkeypatch.setattr(matcore, "gsvd", gsvd)
-            a, b = pairs[0]
+            (a,), (b,) = pairs[0]  # a stack of one
             marked = np.vstack([a.conj().T, b.conj().T])
         hits = []
 
@@ -606,10 +618,15 @@ class TestRunPoint:
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         out = chansim.run_point(sc, (1, 1))
-        assert hits == [3, 2]
+        assert hits == [3, 3]
         assert out.failures == 1
         assert out.trials == 6
         assert np.isfinite([out.mean_rs1, out.se_rs1, out.mean_rs2, out.se_rs2]).all()
+        # a one-trial point's stack of one fails once, and is not run again alone
+        hits.clear()
+        with pytest.raises(DegenerateDraw, match="every trial failed"):
+            chansim.run_point(dataclasses.replace(sc, trials=1), (1, 1))
+        assert hits == [3]
 
     @pytest.mark.parametrize("geometry, cfg, target", [
         (small_geometry(), CFG_SMALL, (1, 1)),

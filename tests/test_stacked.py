@@ -79,9 +79,10 @@ def stack_of(trials):
 
 
 def rows_of(chans):
-    """The number of trials in a stacked TrialChannels, or 1 for one
-    trial's plain matrices."""
-    return len(chans.design.h11) if chans.design.h11.ndim == 3 else 1
+    """The number of trials in a stacked TrialChannels, which every trial
+    run alone is too, as a stack of one."""
+    assert chans.design.h11.ndim == chans.actual.g1.ndim == 3
+    return len(chans.design.h11)
 
 
 def stack_outcomes(trials, target, power):
@@ -450,7 +451,7 @@ class TestRunPointStacks:
         monkeypatch.setattr(np.linalg, "svd", planted_svd)
         out = chansim.run_point(sc, (1, 1))
         monkeypatch.setattr(np.linalg, "svd", svd)
-        assert hits == [3, 2]
+        assert hits == [3, 3]  # the stack, then trial 3 as a stack of one
         assert out == stats_without(sc, (1, 1), {3})
 
     def test_one_shot_scoring_failure_costs_no_trial(self, monkeypatch):
@@ -526,9 +527,10 @@ class TestRunPointStacks:
         monkeypatch.setattr(matcore, "cossin", once)
         monkeypatch.setattr(matcore, "gsvd", stack_sizes)
         assert chansim.run_point(sc, (1, 1)) == expected
-        # the stack of 8 fails at its first item, then each trial runs alone
+        # the stack of 8 fails at its first item, then each trial runs
+        # alone, as a stack of one
         assert calls[:2] == [(8,), (6, 6)]
-        assert calls[2:] == [(), (6, 6)] * 8
+        assert calls[2:] == [(1,), (6, 6)] * 8
 
     def test_gsvd_runs_once_per_stack(self, monkeypatch):
         # counts that do not depend on the machine: on a 20-trial LoS point
@@ -624,12 +626,33 @@ class TestCheckedDraws:
         assert chansim._checked_draws(sc, drawn).all()
         assert started == [0, 1, 2, 3]
         rng = trial_rng(sc.seed, 2)
-        first, second = chansim._draw(sc, 2, rng), chansim._draw(sc, 2, rng)
-        row = chansim._row(drawn, 2)
+        first, second = (chansim._rows(chansim._draws(sc, (2,), (rng,)), 0) for _ in range(2))
+        row = chansim._rows(drawn, 2)
         assert not np.array_equal(row.design.h11, first.design.h11)
         for name in precoder._CHANNELS:
             for got, expected in ((row.design, second.design), (row.actual, second.actual)):
                 assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_unplaceable_redraw_loses_its_trial(self, monkeypatch):
+        # the stacked check fails trial 2's first draw, and its redraw
+        # cannot place its receivers: the trial is lost at that draw, as a
+        # trial drawn alone raises there, and is not drawn again
+        sc = small_scenario(trials=4, seed=6)
+        check, place, placements = chansim._full_rank_draws, chansim._link_distances, []
+
+        def failing_row_2(scenario, chans):
+            return check(scenario, chans) & (np.arange(len(chans.trials)) != 2)
+
+        def rejecting_redraws(geo, streams):
+            placements.append(len(streams))
+            dist, placed = place(geo, streams)
+            return dist, placed & (len(placements) == 1)
+
+        monkeypatch.setattr(chansim, "_full_rank_draws", failing_row_2)
+        monkeypatch.setattr(chansim, "_link_distances", rejecting_redraws)
+        drawn = chansim.draw_trial(sc, range(4))
+        assert chansim._checked_draws(sc, drawn).tolist() == [True, True, False, True]
+        assert placements == [4, 1]
 
     def test_draws_are_checked_once_per_point(self, monkeypatch):
         # counts that do not depend on the machine: the 9 x 20 distance
@@ -671,9 +694,99 @@ class TestCheckedDraws:
 
         monkeypatch.setattr(precoder, "_full_rank", once)
         assert chansim.run_point(sc, (1, 1)) == expected
-        # the stack of 8, then each trial's design and true eavesdropper checks
+        # the stack of 8, then each trial's design and true eavesdropper
+        # checks, as a stack of one
         assert calls[0] == (8, 4, 4)
-        assert calls[1:] == [(4, 4), (4, 4)] * 8
+        assert calls[1:] == [(1, 4, 4), (1, 4, 4)] * 8
+
+
+class TestLoneTrials:
+    # differential: with the stacked build and check planted to fail, each
+    # row runs through the fallback alone, as a one-row stack; it gets
+    # bitwise what construct and rates give its trial's draw_trial, and the
+    # check that ChannelSet.full_rank gives that draw, with and without a
+    # rank-one g1 planted in the first row
+    @settings(max_examples=40, deadline=None)
+    @given(gaussian=st.booleans(), alpha=st.sampled_from([0.0, 0.2]), planted=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), start=st.integers(0, 40), count=st.integers(2, 5))
+    def test_fallback_rows_equal_public_functions(self, gaussian, alpha, planted, seed, start,
+                                                 count):
+        cfg, geometry, target = (
+            (AntennaConfig(6, 6, 5, 4, 5), None, (2, 4)) if gaussian
+            else (CFG_SMALL, Geometry(s1=(50.0, 0.0), s2=(0.0, 0.0)), (1, 1)))
+        sc = Scenario(config=cfg, geometry=geometry, seed=seed, uncertainty_alpha=alpha)
+        trials = range(start, start + count)
+        stack = chansim.draw_trial(sc, trials)
+        assert stack.trials == tuple(trials)
+        singles = [chansim.draw_trial(sc, t) for t in trials]
+        if planted:
+            g1 = stack.design.g1[0]
+            stack.design.g1[0] = np.outer(g1[:, 0], np.ones(g1.shape[1]))
+            design = dataclasses.replace(singles[0].design, g1=stack.design.g1[0])
+            singles[0] = chansim.TrialChannels(design, design if alpha == 0 else singles[0].actual)
+        target, power = region.SdofPoint(*target), sc.effective_power
+        wanted = precoder._plan(cfg, target, power)
+        sizes = []
+
+        def rows_only(fn, error):
+            def run(chans, *args):
+                sizes.append(rows_of(chans))
+                if len(chans.design.h11) > 1:
+                    raise error("planted")
+                return fn(chans, *args)
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            build = rows_only(chansim._stack_rates, matcore._StackSplit)
+            mp.setattr(chansim, "_stack_rates", build)
+            outcomes = chansim._stack_outcomes(stack, cfg, target, wanted, power)
+        check = rows_only(lambda chans: chansim._full_rank_draws(sc, chans), np.linalg.LinAlgError)
+        checks = chansim._stack_or_rows(check, stack, (np.linalg.LinAlgError,))
+        assert sizes == ([count] + [1] * count) * 2
+        for single, got, ok in zip(singles, outcomes, checks):
+            assert_same_outcome(got, single_outcome(single, target, power))
+            assert ok == (single.design.full_rank() and single.actual.full_rank())
+        assert checks[0] == (not planted)
+
+    def test_only_stacks_reach_the_check_and_the_build(self, monkeypatch):
+        # a sweep that takes every side path: the first stacked check
+        # raises, so its rows are checked alone; a true eavesdropper draw
+        # comes out rank one at random, so trials are redrawn; and every
+        # stacked build raises, so its rows are built alone.  Only stacks
+        # reach the check and the build, and the stats are those of the
+        # sweep without the planted errors
+        real = chansim._true_eve
+
+        def sometimes_rank_one(g_est, alpha, gain, rng):
+            g = real(g_est, alpha, gain, rng)
+            return np.outer(g[:, 0], np.ones(g.shape[1])) if rng.uniform() < 0.55 else g
+
+        monkeypatch.setattr(chansim, "_true_eve", sometimes_rank_one)
+        sc = small_scenario(trials=6, seed=2, uncertainty_alpha=0.2,
+                            sweep=chansim.Sweep("s1_s2_distance", (150.0, 50.0)))
+        expected = chansim.monte_carlo(sc, (1, 1))
+        check, stack_rates, checked, built = chansim._full_rank_draws, chansim._stack_rates, [], []
+
+        def recording_check(scenario, chans):
+            checked.append(rows_of(chans))
+            if len(checked) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return check(scenario, chans)
+
+        def recording_build(chans, *args):
+            built.append(rows_of(chans))
+            if len(chans.design.h11) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return stack_rates(chans, *args)
+
+        monkeypatch.setattr(chansim, "_full_rank_draws", recording_check)
+        monkeypatch.setattr(chansim, "_stack_rates", recording_build)
+        assert chansim.monte_carlo(sc, (1, 1)) == expected
+        # the first point's stack, its rows alone and its one-row redraws,
+        # then the second point's stack and its redraws
+        assert checked[:7] == [6] + [1] * 6 and checked.count(6) == 2
+        assert set(checked) == {1, 6} and len(checked) > 2 + 6 + 6
+        assert built == [12 - sum(rec.stats.failures for rec in expected)] + [1] * built[0]
 
 
 # the criterion-6 distance sweep of the montecarlo_los benchmark
@@ -799,7 +912,7 @@ class TestSweepStacks:
         sc = sweep_scenario(5, "uncertainty_alpha", values)
         runs = [chansim.draw_trial(point, range(5)) for point in points_of(sc)]
         assert [run.actual is run.design for run in runs] == [x == 0.0 for x in values]
-        joined = chansim._joined([(run, np.ones(5, bool)) for run in runs])
+        joined = chansim._joined([chansim._rows(run, np.ones(5, bool)) for run in runs])
         assert (joined.actual is joined.design) == (values == (0.0, 0.0))
         assert joined.actual.h11 is joined.design.h11
         trials = [chansim.draw_trial(point, t) for point in points_of(sc) for t in range(5)]
