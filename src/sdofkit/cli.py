@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 
 import numpy as np
@@ -109,7 +108,7 @@ def cmd_construct(args) -> int:
             )
     else:
         if seed is None:
-            seed = secrets.randbits(32)
+            seed = int.from_bytes(os.urandom(4), "little")
         ch = chansim.gaussian_channels(cfg, np.random.default_rng(seed))
 
     pair = precoder.construct(ch, SdofPoint(d1, d2), power=power)

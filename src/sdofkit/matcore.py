@@ -45,9 +45,10 @@ cutoff multiplies eps into each norm product as it forms it: eps is a
 power of two, so that changes no finite cutoff's bits.
 
 The cosine-sine step of a GSVD whose spans share a block is LAPACK's
-``zuncsd``, one item at a time, through SciPy's ``lapack`` module: SciPy
-is imported at the first such step, so importing this module (and
-commands that compute no such GSVD) never loads it.
+``zuncsd``, one item at a time, from SciPy's compiled LAPACK module,
+which the first such step loads alone: importing this module (and
+commands that compute no such GSVD) never loads SciPy, and nothing here
+loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -451,20 +452,50 @@ def _gsvd_disjoint(ma, mb, k, r, p) -> GsvdResult:
                       x=x, k=k, r=r, s=0, p=p)
 
 
+@functools.cache
+def _flapack():
+    """SciPy's compiled LAPACK module ``scipy.linalg._flapack``, loaded alone.
+
+    ``import scipy`` runs only the top-level package, whose distributor
+    init registers the bundled BLAS where a platform needs it; the
+    extension itself is found in the package's ``linalg`` directory and
+    executed without ``scipy/linalg/__init__.py``, whose Python layer costs
+    a cold process far more than the one routine used here.  If
+    ``scipy.linalg`` is loaded as well, it gets the same compiled
+    routines."""
+    import os
+    from importlib import machinery, util
+
+    import scipy
+
+    finder = machinery.FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                                  (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no scipy.linalg._flapack extension under {finder.path}")
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @functools.lru_cache(maxsize=64)
 def _uncsd(m: int, p: int, q: int):
-    """``zuncsd`` and the (lwork, lrwork) SciPy's ``cossin`` passes it for (m, p, q)."""
-    from scipy.linalg import lapack
-
-    csd, csd_lwork = lapack.get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=np.complex128)
-    return (csd, *lapack._compute_lwork(csd_lwork, m=m, p=p, q=q))
+    """``zuncsd`` and the (lwork, lrwork) SciPy's ``cossin`` passes it for
+    (m, p, q): the workspace query's sizes, rounded down as SciPy's
+    ``lapack._compute_lwork`` rounds them for complex128."""
+    flapack = _flapack()
+    *work, info = flapack.zuncsd_lwork(m=m, p=p, q=q)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return (flapack.zuncsd, *(int(w.real) for w in work))
 
 
 def cossin(x, p, q):
     """Cosine-sine decomposition of the unitary ``x`` split at row ``p`` and
     column ``q``, bitwise ``scipy.linalg.cossin(x, p=p, q=q, separate=True)``,
-    from LAPACK ``zuncsd`` without that wrapper's checks.  SciPy is
-    imported on the first call."""
+    from LAPACK ``zuncsd`` without that wrapper's checks.  The first call
+    loads SciPy's compiled LAPACK module (see :func:`_flapack`); nothing
+    loads ``scipy.linalg``."""
     csd, lwork, lrwork = _uncsd(x.shape[0], p, q)
     *_, theta, u1, u2, v1h, v2h, info = csd(x[:p, :q], x[:p, q:], x[p:, :q], x[p:, q:],
                                             lwork=lwork, lrwork=lrwork)

@@ -2,8 +2,6 @@ import dataclasses
 import json
 import os
 import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from sdofkit.errors import SchemaViolation
 from sdofkit.precoder import PrecoderPair
 from sdofkit.region import AntennaConfig
 
-from conftest import low_rank
+from conftest import low_rank, run_python
 
 
 def run_cli(capsys, *argv):
@@ -26,16 +24,6 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
-
-
-def run_python(code: str, **kwargs) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's
-    sdofkit; the pytest process has already imported SciPy."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
-    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120, **kwargs)
 
 
 class TestRegionCommand:
@@ -111,6 +99,16 @@ class TestConstructCommand:
         )
         assert code == 0
         assert isinstance(doc["seed"], int)
+
+    def test_drawn_seed_is_32_bit_and_replays(self, capsys, tmp_path):
+        code, doc = run_json(capsys, "construct", "--antennas", "4,2,4,2,4", "--target", "1,1",
+                             "--out", str(tmp_path / "drawn.json"))
+        assert code == 0
+        seed = doc["seed"]
+        assert type(seed) is int and 0 <= seed < 2**32
+        run_json(capsys, "construct", "--antennas", "4,2,4,2,4", "--target", "1,1",
+                 "--seed", str(seed), "--out", str(tmp_path / "replayed.json"))
+        assert (tmp_path / "replayed.json").read_bytes() == (tmp_path / "drawn.json").read_bytes()
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         outs = []
@@ -660,8 +658,9 @@ def every_command(tmp_path):
 
 class TestImportCost:
     """SciPy serves only the cosine-sine step of a GSVD with a shared
-    block, so commands that compute none never load it.  Input files are
-    checked inside ``sdofkit``, so no command loads ``jsonschema``."""
+    block, so commands that compute none never load it, and those that do
+    load only its compiled LAPACK module.  Input files are checked inside
+    ``sdofkit``, so no command loads ``jsonschema``."""
 
     def test_region_and_verify_load_no_scipy(self, capsys, tmp_path):
         bundle = str(tmp_path / "bundle.json")
@@ -675,14 +674,16 @@ class TestImportCost:
         steps = ["import sdofkit", "import sdofkit.cli", "region", "verify"]
         assert {step: loaded[step] for step in steps} == dict.fromkeys(steps, False)
 
-    def test_construct_loads_scipy_at_its_gsvd(self):
-        loaded = scipy_probe(["construct", "--antennas", "6,6,5,4,5", "--target", "2,4",
-                              "--seed", "7"])
-        assert loaded["import sdofkit.cli"] is False
-        assert loaded["construct"] is True
-        code, doc = loaded["construct output"]
-        assert code == 0
-        assert doc["sdof"] == [2, 4]
+    def test_no_command_loads_scipy_linalg(self, tmp_path):
+        # construct and simulate load only SciPy's compiled LAPACK module,
+        # at their first GSVD with a shared block
+        loaded = module_probe("scipy.linalg", *every_command(tmp_path))
+        assert [loaded[label + " output"][0] for label in COMMAND_LABELS] == [0] * 5
+        assert loaded["construct output"][1]["sdof"] == [2, 4]
+        assert loaded["verify output"][1]["sdof"] == [2, 4]
+        steps = ["import sdofkit", "import sdofkit.cli", *COMMAND_LABELS]
+        assert {step: loaded[step] for step in steps} == dict.fromkeys(steps, False)
+        assert module_probe("scipy")["import sdofkit.cli"] is False
 
     def test_no_command_loads_jsonschema(self, tmp_path):
         loaded = module_probe("jsonschema", *every_command(tmp_path))

@@ -1,14 +1,17 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg import cossin
+from scipy.linalg import cossin, lapack
 
 from sdofkit import matcore
 from sdofkit.errors import DegenerateInput
 
-from conftest import cstd
+from conftest import cstd, run_python, split_unitary
 
 
 def relative_residual(a, b, g):
@@ -453,8 +456,7 @@ class TestGsvdMatchesAssembledCosineSine:
 
 
 def assert_cossin_matches_scipy(n, p, q):
-    rng = np.random.default_rng([n, p, q])
-    u = np.linalg.qr(cstd(rng, n, n))[0]
+    u = split_unitary(n, p, q)
     got = matcore.cossin(u, p, q)
     ref = cossin(u, p=p, q=q, separate=True)
     assert np.array_equal(got[1], ref[1])
@@ -463,20 +465,64 @@ def assert_cossin_matches_scipy(n, p, q):
             assert g.dtype == r.dtype and np.array_equal(g, r)
 
 
+# (6, 4, 4) is the LoS scenario's split; (3, 2, 2), (3, 1, 2) and
+# (4, 2, 3) are among the commonest of acceptance criterion 4's
+SPLITS = [(2, 1, 1), (5, 2, 3), (7, 4, 2), (9, 3, 5), (6, 4, 4), (3, 2, 2), (3, 1, 2), (4, 2, 3)]
+# the workspace is cached per (m, p, q).  (6, 4, 4) needs a larger lrwork
+# than the three splits before it, and (8, 4, 4) a larger one than
+# (6, 4, 4), so a cache keyed on any part of (m, p, q) alone hands one of
+# them too small a workspace, which zuncsd rejects
+ALTERNATING_SPLITS = [(6, 1, 1), (6, 4, 1), (6, 1, 4), (6, 4, 4), (8, 4, 4), (3, 1, 2),
+                      (4, 2, 3), (6, 1, 1)]
+
+# In a fresh interpreter, runs matcore.cossin on SPLITS before anything
+# loads scipy.linalg, then scipy.linalg.cossin on the same unitaries, and
+# prints whether scipy.linalg was loaded before the comparison and the
+# splits whose blocks differ in dtype or bits.
+_FRESH_COSSIN = """
+import json, sys
+sys.path.insert(0, TESTS)
+import numpy as np
+from conftest import split_unitary
+from sdofkit import matcore
+got = [matcore.cossin(split_unitary(*s), s[1], s[2]) for s in SPLITS]
+early = "scipy.linalg" in sys.modules
+from scipy.linalg import cossin
+differ = []
+for s, g in zip(SPLITS, got):
+    r = cossin(split_unitary(*s), p=s[1], q=s[2], separate=True)
+    blocks = [(g[1], r[1]), *zip(g[0], r[0]), *zip(g[2], r[2])]
+    if not all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in blocks):
+        differ.append(s)
+print(json.dumps({"early": early, "differ": differ}))
+"""
+
+
 class TestDeferredCossin:
-    # (6, 4, 4) is the LoS scenario's split; (3, 2, 2), (3, 1, 2) and
-    # (4, 2, 3) are among the commonest of acceptance criterion 4's
-    @pytest.mark.parametrize("n, p, q", [(2, 1, 1), (5, 2, 3), (7, 4, 2), (9, 3, 5), (6, 4, 4),
-                                         (3, 2, 2), (3, 1, 2), (4, 2, 3)])
+    @pytest.mark.parametrize("n, p, q", SPLITS)
     def test_bitwise_equal_to_scipy(self, n, p, q):
         assert_cossin_matches_scipy(n, p, q)
 
     def test_alternating_splits(self):
-        # the workspace is cached per (m, p, q).  (6, 4, 4) needs a larger
-        # lrwork than the three splits before it, and (8, 4, 4) a larger
-        # one than (6, 4, 4), so a cache keyed on any part of (m, p, q)
-        # alone hands one of them too small a workspace, which zuncsd rejects
         matcore._uncsd.cache_clear()
-        for n, p, q in [(6, 1, 1), (6, 4, 1), (6, 1, 4), (6, 4, 4), (8, 4, 4), (3, 1, 2),
-                        (4, 2, 3), (6, 1, 1)]:
+        for n, p, q in ALTERNATING_SPLITS:
             assert_cossin_matches_scipy(n, p, q)
+
+    def test_bitwise_equal_to_scipy_before_scipy_linalg_loads(self):
+        # this process loaded scipy.linalg at collection, so only a fresh
+        # one sees cossin load SciPy's LAPACK module on its own
+        splits = SPLITS + ALTERNATING_SPLITS
+        code = (_FRESH_COSSIN.replace("TESTS", repr(str(Path(__file__).parent)))
+                .replace("SPLITS", repr(splits)))
+        proc = run_python(code, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"early": False, "differ": []}
+
+    def test_workspace_matches_scipy(self):
+        # every split of n <= 12, edges included, sized as SciPy sizes it
+        _, csd_lwork = lapack.get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=np.complex128)
+        for n in range(13):
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    assert (matcore._uncsd(n, p, q)[1:]
+                            == lapack._compute_lwork(csd_lwork, m=n, p=p, q=q)), (n, p, q)
