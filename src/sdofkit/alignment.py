@@ -94,7 +94,7 @@ def canonicalize(v, w, g1, g2) -> PrecoderPair:
     if matcore.image_quotient((g1, v), (g2, w)) != 0:
         raise NotAligned("span(g1 @ v) is not contained in span(g2 @ w)")
 
-    bmat = np.linalg.lstsq(g2w, g1v, rcond=None)[0]
+    bmat = matcore._lstsq(g2w, g1v)
     wstar = np.hstack([w @ bmat, w @ matcore.orth_complement(bmat)])
 
     norm = matcore._frobenius

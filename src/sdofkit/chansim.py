@@ -290,7 +290,7 @@ def _placed(geo: Geometry, dist: np.ndarray):
     """Whether placements pass, from their link distances (the last axis):
     no link is shorter than a meter, and no receiver lies farther from its
     own source (h11, h22, g1) than the sources lie apart."""
-    d12 = np.linalg.norm(np.subtract(geo.s1, geo.s2))
+    d12 = matcore._frobenius(np.subtract(geo.s1, geo.s2))
     return (dist >= 1.0).all(axis=-1) & (dist[..., [0, 3, 4]] <= d12).all(axis=-1)
 
 

@@ -77,18 +77,10 @@ def cmd_region(args) -> int:
         lines.extend(f"{p.d1},{p.d2},strict" for p in reg.strict)
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
-    _emit(
-        {
-            "status": "ok",
-            "antennas": list(cfg.as_tuple()),
-            "su1": reg.su1,
-            "su2": reg.su2,
-            "e1": list(reg.e1_point),
-            "e2": list(reg.e2_point),
-            "strict_boundary": [list(p) for p in reg.strict],
-            "subset_dims": list(dims.as_tuple()),
-        }
-    )
+    _emit({"status": "ok", "antennas": list(cfg.as_tuple()), "su1": reg.su1, "su2": reg.su2,
+           "e1": list(reg.e1_point), "e2": list(reg.e2_point),
+           "strict_boundary": [list(p) for p in reg.strict],
+           "subset_dims": list(dims.as_tuple())})
     return 0
 
 
@@ -112,31 +104,16 @@ def cmd_construct(args) -> int:
         ch = chansim.gaussian_channels(cfg, np.random.default_rng(seed))
 
     pair = precoder.construct(ch, SdofPoint(d1, d2), power=power)
-    achieved = verifier.sdof_of(ch, pair)
+    # what the bundle records and the result reports
+    record = {"antennas": list(cfg.as_tuple()), "target": [d1, d2],
+              "sdof": list(verifier.sdof_of(ch, pair)), "seed": seed}
 
     if args.out is not None:
-        bundle = {
-            "channels": serialize.channels_to_json(ch),
-            "precoder": serialize.precoder_to_json(pair),
-            "antennas": list(cfg.as_tuple()),
-            "target": [d1, d2],
-            "sdof": list(achieved),
-            "seed": seed,
-        }
         with open(args.out, "w") as fh:
-            json.dump(bundle, fh)
+            json.dump({"channels": serialize.channels_to_json(ch),
+                       "precoder": serialize.precoder_to_json(pair), **record}, fh)
 
-    _emit(
-        {
-            "status": "ok",
-            "antennas": list(cfg.as_tuple()),
-            "target": [d1, d2],
-            "sdof": list(achieved),
-            "seed": seed,
-            "power_dbm": args.power_dbm,
-            "out_path": args.out,
-        }
-    )
+    _emit({"status": "ok", **record, "power_dbm": args.power_dbm, "out_path": args.out})
     return 0
 
 
@@ -157,15 +134,9 @@ def cmd_verify(args) -> int:
     sdof = verifier.sdof_of(ch, pair)
     mem = verifier.membership(ch, pair)
     slopes = verifier.slope_estimate(ch, pair, p_grid)
-    _emit(
-        {
-            "status": "ok",
-            "sdof": list(sdof),
-            "membership": {"in_i": mem.in_i, "in_ibar": mem.in_ibar, "in_ihat": mem.in_ihat},
-            "slopes": [slopes[0], slopes[1]],
-            "p_grid": list(p_grid),
-        }
-    )
+    _emit({"status": "ok", "sdof": list(sdof),
+           "membership": {"in_i": mem.in_i, "in_ibar": mem.in_ibar, "in_ihat": mem.in_ihat},
+           "slopes": [slopes[0], slopes[1]], "p_grid": list(p_grid)})
     return 0
 
 
@@ -173,15 +144,9 @@ def cmd_simulate(args) -> int:
     scenario, target = serialize.scenario_from_json(serialize.load_json(args.scenario))
     records = chansim.monte_carlo(scenario, target)
     chansim.write_curve_csv(args.out, records)
-    _emit(
-        {
-            "status": "ok",
-            "target": list(target),
-            "out_csv": args.out,
-            "records": [{"variable": rec.variable, **chansim._curve_fields(rec)}
-                        for rec in records],
-        }
-    )
+    _emit({"status": "ok", "target": list(target), "out_csv": args.out,
+           "records": [{"variable": rec.variable, **chansim._curve_fields(rec)}
+                       for rec in records]})
     return 0
 
 
@@ -245,7 +210,8 @@ def _dispatch(args) -> int:
         return args.func(args)
     except BrokenPipeError:  # an OSError, but stdout is gone, not the input
         raise
-    except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
+    # before ValueError: a LinAlgError is one, but a numerical failure
+    except (np.linalg.LinAlgError, ConstructionDeficit, DegenerateDraw) as exc:
         _fail(str(exc), "construction_failed")
         return _EXIT_CONSTRUCTION
     except (SchemaViolation, ValueError, OSError) as exc:
@@ -254,9 +220,6 @@ def _dispatch(args) -> int:
     except TargetInfeasible as exc:
         _fail(str(exc), "target_infeasible")
         return _EXIT_INFEASIBLE
-    except (ConstructionDeficit, DegenerateDraw) as exc:
-        _fail(str(exc), "construction_failed")
-        return _EXIT_CONSTRUCTION
 
 
 def _fail(message: str, code: str) -> None:

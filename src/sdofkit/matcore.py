@@ -34,7 +34,14 @@ the check.  The other layers call the bodies only on the matrices of
 channel sets and precoder pairs, which check themselves where they are
 built (or were drawn by the package), and on products and bases of those.
 
-This module is the one owner of magnitudes: the Frobenius norms
+This module is the one owner of factorizations: every SVD, singular
+value and least-squares solve in the package comes from its three
+private entries, :func:`_singular_values` (the one place that says an
+empty matrix has none), :func:`_svd` and :func:`_lstsq`, so each rank
+and basis rule can be read here.  No other module calls an
+``np.linalg`` function.
+
+It is also the one owner of magnitudes: the Frobenius norms
 (:func:`_frobenius`), column norms (:func:`_column_norms`) and log-dets
 of ``I + X X^H`` (:func:`_log2det_gram`) that the other layers take, and
 the image cutoffs.  Each is computed as NumPy computes it, so a result
@@ -161,7 +168,7 @@ def _log2det_gram(x: np.ndarray) -> np.ndarray:
     from the singular values of X.  A term log(1 + sigma^2) whose square
     overflows (sigma above about 1e154) is taken as 2 log(sigma), which
     equals it to rounding there."""
-    sv = np.linalg.svd(x, compute_uv=False)
+    sv = _singular_values(x)
     with np.errstate(over="ignore"):
         terms = np.log1p(sv * sv)
     over = terms == np.inf
@@ -182,20 +189,41 @@ def _ranks(m: np.ndarray, sv: np.ndarray):
     """Counts of the singular values above ``max(m, n) * eps * sigma_max``."""
     # sv.T[0] is each item's sigma_max: a scalar for one matrix, not the
     # 0-d array that sv[..., 0] would give, which costs an array ufunc
-    return _count(sv, max(m.shape[-2:]) * _EPS * sv.T[0])
+    return _count(sv, max(m.shape[-2:]) * _EPS * sv.T[0] if sv.shape[-1] else 0.0)
 
 
-def _count_above(a: np.ndarray, cutoff):
-    if a.size == 0:  # no singular values
-        return _count(np.zeros(a.shape[:-2] + (0,)), cutoff)
-    return _count(np.linalg.svd(a, compute_uv=False), cutoff)
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, descending, or of each item of a stack;
+    an empty matrix has none."""
+    if m.size == 0:
+        return np.zeros(m.shape[:-2] + (0,))
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD (U, singular values, V) of a matrix or stack, with
+    ``m == U[..., :k] * sv @ V[..., :k]^H`` for k = min(m, n): V's columns
+    are the right-singular vectors."""
+    u, sv, vh = np.linalg.svd(m, full_matrices=True)
+    return u, sv, vh.conj().swapaxes(-1, -2)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution X of ``a @ X ~= b``, for a matrix
+    or stack, from one thin SVD of ``a``: the singular values at or below
+    :func:`_ranks`' cutoff, which ``np.linalg.lstsq(rcond=None)`` also
+    uses, are taken as zero."""
+    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    c = u.conj().swapaxes(-1, -2) @ b
+    # sv[..., :1] is each item's sigma_max, and empty when a has no singular values
+    keep = (sv > max(a.shape[-2:]) * _EPS * sv[..., :1])[..., None]
+    coords = np.divide(c, sv[..., None], out=np.zeros_like(c), where=keep)
+    return vh.conj().swapaxes(-1, -2) @ coords
 
 
 def _rank(m: np.ndarray):
     """:func:`rank_tol` of a matrix or stack that has passed :func:`_as_matrices`."""
-    if m.size == 0:  # no singular values
-        return _count(np.zeros(m.shape[:-2] + (0,)), 0.0)
-    return _ranks(m, np.linalg.svd(m, compute_uv=False))
+    return _ranks(m, _singular_values(m))
 
 
 def rank_tol(a):
@@ -229,9 +257,8 @@ def _null_basis(m: np.ndarray) -> np.ndarray:
         return np.zeros(m.shape[:-2] + (0, 0), dtype=np.complex128)
     if rows == 0:
         return _identities(m.shape[:-2], n)
-    _, sv, vh = np.linalg.svd(m, full_matrices=True)
-    r = _agreed(_ranks(m, sv))
-    return vh[..., r:, :].conj().swapaxes(-1, -2).copy()
+    _, sv, v = _svd(m)
+    return v[..., _agreed(_ranks(m, sv)):].copy()
 
 
 def orth_complement(a) -> np.ndarray:
@@ -251,9 +278,8 @@ def _orth_complement(m: np.ndarray) -> np.ndarray:
         return np.zeros(m.shape[:-2] + (0, 0), dtype=np.complex128)
     if n == 0:
         return _identities(m.shape[:-2], rows)
-    u, sv, _ = np.linalg.svd(m, full_matrices=True)
-    r = _agreed(_ranks(m, sv))
-    return u[..., r:].copy()
+    u, sv, _ = _svd(m)
+    return u[..., _agreed(_ranks(m, sv)):].copy()
 
 
 def image_quotient(x, y=None):
@@ -298,8 +324,9 @@ def _image_quotient(x, y=None, norms=None):
     images = [ma @ mb for ma, mb in factors]
     cutoff = _PRODUCT_MARGIN * dim * (0.0 if scale is None else scale)
     if y is None:
-        return _count_above(images[0], cutoff)
-    return _count_above(np.concatenate(images, axis=-1), cutoff) - _count_above(images[1], cutoff)
+        return _count(_singular_values(images[0]), cutoff)
+    return (_count(_singular_values(np.concatenate(images, axis=-1)), cutoff)
+            - _count(_singular_values(images[1]), cutoff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,16 +440,14 @@ def gsvd(a, b) -> GsvdResult:
             "rank-deficient input: (k, r, s, p) inconsistent with full-rank formulas"
         )
     z = np.concatenate([ma.conj().swapaxes(-1, -2), mb.conj().swapaxes(-1, -2)], axis=-2)
-    if s == 0:
-        if not _agreed(_rank(z) == k):
-            raise DegenerateInput("stacked pair is rank deficient")
-        return _gsvd_disjoint(ma, mb, k, r, p)
     # one full SVD of the stacked pair serves both the rank check and the
     # orthonormal factor the cosine-sine step starts from
-    uz, sz, vzh = np.linalg.svd(z, full_matrices=True)
+    uz, sz, vz = _svd(z)
     if not _agreed(_ranks(z, sz) == k):
         raise DegenerateInput("stacked pair is rank deficient")
-    return _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p)
+    if s == 0:
+        return _gsvd_disjoint(ma, mb, k, r, p)
+    return _gsvd_cs(uz, sz, vz, m, kc, k, r, s, p)
 
 
 def aligned_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -441,14 +466,13 @@ def aligned_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _gsvd_disjoint(ma, mb, k, r, p) -> GsvdResult:
     """Construction for s == 0: the spans intersect trivially, so SVDs of A
     and B supply all blocks (with empty factors for an empty side)."""
-    ua, sa, vah = np.linalg.svd(ma, full_matrices=True)
-    ub, sb, vbh = np.linalg.svd(mb, full_matrices=True)
-    vb = vbh.conj().swapaxes(-1, -2)
+    ua, sa, va = _svd(ma)
+    ub, sb, vb = _svd(mb)
     # null-space part first (maps to zero), image part last (maps to x3)
     psi2 = np.concatenate([vb[..., p:], vb[..., :p]], axis=-1)
     x = np.concatenate([ua[..., :r] * sa[..., None, :r], ub[..., :p] * sb[..., None, :p]], axis=-1)
     lam = np.zeros(ma.shape[:-2] + (0,))
-    return GsvdResult(psi1=vah.conj().swapaxes(-1, -2), psi2=psi2, lam1=lam, lam2=lam.copy(),
+    return GsvdResult(psi1=va, psi2=psi2, lam1=lam, lam2=lam.copy(),
                       x=x, k=k, r=r, s=0, p=p)
 
 
@@ -460,21 +484,30 @@ def _flapack():
     init registers the bundled BLAS where a platform needs it; the
     extension itself is found in the package's ``linalg`` directory and
     executed without ``scipy/linalg/__init__.py``, whose Python layer costs
-    a cold process far more than the one routine used here.  If
-    ``scipy.linalg`` is loaded as well, it gets the same compiled
-    routines."""
+    a cold process far more than the one routine used here.  The module
+    SciPy has already loaded is taken as it is.  A module loaded here is
+    not left in ``sys.modules``, where a later ``import scipy.linalg``
+    would find it and leave it unbound as the package's ``_flapack``:
+    that import loads its own, with the same compiled routines."""
     import os
+    import sys
     from importlib import machinery, util
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
 
     import scipy
 
     finder = machinery.FileFinder(os.path.join(scipy.__path__[0], "linalg"),
                                   (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.linalg._flapack")
+    spec = finder.find_spec(name)
     if spec is None:
-        raise ImportError(f"no scipy.linalg._flapack extension under {finder.path}")
+        raise ImportError(f"no {name} extension under {finder.path}")
     module = util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # the extension registers itself as it loads
+    sys.modules.pop(name, None)
     return module
 
 
@@ -506,8 +539,8 @@ def cossin(x, p, q):
     return (u1, u2), theta, (v1h, v2h)
 
 
-def _gsvd_cs(uz, sz, vzh, m, kc, k, r, s, p) -> GsvdResult:
-    rfac = sz[..., :k, None] * vzh[..., :k, :]
+def _gsvd_cs(uz, sz, vz, m, kc, k, r, s, p) -> GsvdResult:
+    rfac = sz[..., :k, None] * vz[..., :k].conj().swapaxes(-1, -2)
     # uz's trailing columns complete the orthonormal factor to a square
     # unitary, as the CS decomposition requires; s > 0 guarantees k < M+K.
     # Only the diagonal blocks of the unitary factors are used, so they are

@@ -207,12 +207,9 @@ class SubsetBasis:
 
 def _exclusion_coords(x: np.ndarray, claimed: list[np.ndarray]) -> np.ndarray:
     """Coordinates, within the shared image basis ``x`` (full column rank),
-    that complete the directions already claimed by higher-priority subsets;
-    the claimed ones' least-squares coordinates come from one SVD of the stack."""
-    rhs = np.concatenate(claimed, axis=-1)
-    u, sv, vh = np.linalg.svd(x, full_matrices=False)
-    coords = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / sv[..., None])
-    return matcore._orth_complement(coords)
+    that complete the directions already claimed by higher-priority subsets:
+    the complement of the claimed ones' least-squares coordinates."""
+    return matcore._orth_complement(matcore._lstsq(x, np.concatenate(claimed, axis=-1)))
 
 
 # The subsets built from matcore.aligned_pairs(G1 N_v, G2 N_w): the subset,
@@ -440,8 +437,7 @@ def _assemble(ch: ChannelSet, cfg: AntennaConfig, target: SdofPoint,
         if extra > 0:
             blocks.append(matcore._null_basis(ch.h12)[..., :extra])
         if deficit - extra > 0:
-            rmat = np.linalg.svd(ch.h22)[2].conj().swapaxes(-1, -2)
-            blocks.append(rmat[..., : deficit - extra])
+            blocks.append(matcore._svd(ch.h22)[2][..., : deficit - extra])
         w = np.concatenate(blocks, axis=-1)
     else:
         w = w1
@@ -470,7 +466,8 @@ def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.complex128)
     while True:
         m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        if np.linalg.cond(m) <= _MAX_CONDITION:
+        sv = matcore._singular_values(m)
+        if sv[0] / sv[-1] <= _MAX_CONDITION:  # the 2-norm condition number
             return m
 
 

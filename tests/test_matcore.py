@@ -107,6 +107,66 @@ class TestRank:
         assert matcore.rank_tol(np.diag([1.0, 1e-5, 1e-16])) == 2
 
 
+def gauss(rng, shape):
+    """Standard complex Gaussian array of any shape."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+class TestFactorizationEntries:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 0, 3), (2, 3, 0), (0, 3, 3)])
+    def test_empty_matrix_has_no_singular_values(self, shape):
+        sv = matcore._singular_values(np.zeros(shape, dtype=np.complex128))
+        assert sv.shape == shape[:-2] + (0,) and sv.dtype == np.float64
+        assert np.array_equal(matcore._rank(np.zeros(shape, dtype=np.complex128)),
+                              np.zeros(shape[:-2], dtype=int))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_singular_values_are_numpy_svds(self, rng, lead):
+        m = gauss(rng, lead + (5, 3))
+        assert (matcore._singular_values(m).tobytes()
+                == np.linalg.svd(m, compute_uv=False).tobytes())
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 5), (4, 4)])
+    def test_svd_returns_v_as_columns(self, rng, lead, shape):
+        m = gauss(rng, lead + shape)
+        u, sv, v = matcore._svd(m)
+        k = min(shape)
+        assert u.shape == lead + (shape[0],) * 2 and v.shape == lead + (shape[1],) * 2
+        rebuilt = (u[..., :k] * sv[..., None, :]) @ v[..., :k].conj().swapaxes(-1, -2)
+        assert np.max(np.abs(rebuilt - m)) <= 1e-13
+
+    # (rows, cols, columns of a set to zero): tall full rank, tall and wide
+    # rank deficient, wide full rank, and zero-width or zero-height
+    LSTSQ_CASES = [(6, 3, ()), (6, 4, (1, 3)), (3, 5, ()), (3, 5, (0, 4)), (5, 5, (2,)),
+                   (4, 0, ()), (0, 3, ())]
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("rows, cols, zeros", LSTSQ_CASES)
+    def test_lstsq_is_numpy_lstsq(self, rng, lead, rows, cols, zeros):
+        a = gauss(rng, lead + (rows, cols))
+        a[..., list(zeros)] = 0
+        b = gauss(rng, lead + (rows, 2))
+        got = matcore._lstsq(a, b)
+        assert got.shape == lead + (cols, 2)
+        items = zip(a, b, got) if lead else [(a, b, got)]
+        for ai, bi, gi in items:
+            ref = np.linalg.lstsq(ai, bi, rcond=None)[0]
+            assert np.linalg.norm(gi - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_lstsq_cutoff_is_numpy_lstsqs(self, rng):
+        # 1e-14 lies above the cutoff 3 eps (about 6.7e-16), 1e-17 below it
+        a = np.diag([1.0, 1e-14, 1e-17]).astype(np.complex128)
+        b = gauss(rng, (3, 2))
+        ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        got = matcore._lstsq(a, b)
+        assert not ref[2].any() and np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_lstsq_of_a_zero_matrix_is_zero(self, rng):
+        got = matcore._lstsq(np.zeros((4, 3), dtype=np.complex128), gauss(rng, (4, 2)))
+        assert got.shape == (3, 2) and not got.any()
+
+
 class TestNullAndComplement:
     def test_null_of_zero_matrix(self):
         n = matcore.null_basis(np.zeros((2, 3)))
@@ -498,6 +558,29 @@ print(json.dumps({"early": early, "differ": differ}))
 """
 
 
+# In a fresh interpreter, loads SciPy's LAPACK module by importing
+# scipy.linalg, before or after matcore.cossin first runs, and prints
+# whether scipy.linalg then has the module bound and whether the two
+# cossins agree bitwise on (6, 4, 4).
+_LOAD_ORDER = """
+import json, sys
+sys.path.insert(0, TESTS)
+import numpy as np
+from conftest import split_unitary
+from sdofkit import matcore
+if SCIPY_FIRST:
+    import scipy.linalg
+u = split_unitary(6, 4, 4)
+got = matcore.cossin(u, 4, 4)
+import scipy.linalg
+ref = scipy.linalg.cossin(u, p=4, q=4, separate=True)
+blocks = [(got[1], ref[1]), *zip(got[0], ref[0]), *zip(got[2], ref[2])]
+print(json.dumps({
+    "bound": getattr(scipy.linalg, "_flapack", None) is sys.modules["scipy.linalg._flapack"],
+    "equal": all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in blocks),
+}))
+"""
+
 class TestDeferredCossin:
     @pytest.mark.parametrize("n, p, q", SPLITS)
     def test_bitwise_equal_to_scipy(self, n, p, q):
@@ -517,6 +600,16 @@ class TestDeferredCossin:
         proc = run_python(code, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"early": False, "differ": []}
+
+    @pytest.mark.parametrize("scipy_first", [False, True], ids=["matcore-first", "scipy-first"])
+    def test_either_load_order_binds_scipy_linalg_flapack(self, scipy_first):
+        # whichever loads SciPy's LAPACK module first, a later import of
+        # scipy.linalg has it bound, and the two cossins agree bitwise
+        code = _LOAD_ORDER.replace("TESTS", repr(str(Path(__file__).parent))).replace(
+            "SCIPY_FIRST", repr(scipy_first))
+        proc = run_python(code, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"bound": True, "equal": True}
 
     def test_workspace_matches_scipy(self):
         # every split of n <= 12, edges included, sized as SciPy sizes it

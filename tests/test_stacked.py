@@ -295,6 +295,24 @@ class TestExclusionStack:
             assert verifier.sdof_of(ch, pair) == target
 
 
+    @pytest.mark.parametrize("tup, target", EXCLUSION_CASES)
+    def test_solve_is_the_inline_pseudo_inverse(self, monkeypatch, tup, target):
+        # the reference is the solve as precoder once wrote it, from its own
+        # thin SVD of x; the stack of three and each draw alone must give
+        # its bits
+        rng = np.random.default_rng(list(tup) + list(target))
+        chs = [channels_for(tup, rng) for _ in range(3)]
+        cfg, target = AntennaConfig(*tup), region.SdofPoint(*target)
+        calls = recording_exclusion_solves(monkeypatch)
+        precoder._assemble(stacked(chs), cfg, target, precoder._plan(cfg, target, 10.0), 10.0)
+        for ch in chs:
+            precoder.construct(ch, target, power=10.0)
+        assert {x.ndim for x, _, _ in calls} == {2, 3}
+        for x, rhs, z in calls:
+            u, sv, vh = np.linalg.svd(x, full_matrices=False)
+            coords = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / sv[..., None])
+            assert z.tobytes() == matcore._orth_complement(coords).tobytes()
+
 def small_scenario(**kwargs):
     geo = Geometry(s1=(50.0, 0.0), s2=(0.0, 0.0), ring_radius=10.0)
     return Scenario(config=CFG_SMALL, geometry=geo, **kwargs)
