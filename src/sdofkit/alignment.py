@@ -1,10 +1,9 @@
-"""Aligned precoding-pair solution spaces and canonical forms.
+"""Aligned precoding-pair solution spaces.
 
 A pair of vectors (v, w) is *aligned* for matrices (A, B) when
 ``A @ v == B @ w != 0``: the two transmissions land on the same
 direction.  This module parametrizes the full solution space of aligned
-pairs and rewrites feasible precoder pairs into the reduced canonical
-form where the eavesdropper images agree column by column.
+pairs.
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NotAligned
-from .precoder import PrecoderPair
 
-__all__ = ["AlignedSpace", "aligned_space", "canonicalize"]
+__all__ = ["AlignedSpace", "aligned_space"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,36 +67,3 @@ def aligned_space(a, b) -> AlignedSpace:
         independent_count=v.shape[1] + null_a.shape[1],
     )
 
-
-# relative bound on the canonical form's eavesdropper-image residual
-_RESIDUAL_RTOL = 1e-8
-
-
-def canonicalize(v, w, g1, g2) -> PrecoderPair:
-    """Rewrite a span-aligned pair into columnwise-aligned form.
-
-    Requires span(g1 @ v) ⊆ span(g2 @ w); raises :class:`NotAligned`
-    otherwise.  Returns (v, w @ [B, B^perp]) where B is the minimum-norm
-    least-squares solution of ``g2 @ w @ B == g1 @ v``, whether w is wider
-    or narrower than the eavesdropper array.  The first ``v.shape[1]``
-    columns of the new w then reproduce the eavesdropper image of v
-    exactly, and the appended orthonormal complement keeps span(w) intact
-    whenever B has full column rank.  A residual above ``1e-8`` of the
-    image scale also raises :class:`NotAligned`.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    g1v = g1 @ v
-    g2w = g2 @ w
-    if matcore.image_quotient((g1, v), (g2, w)) != 0:
-        raise NotAligned("span(g1 @ v) is not contained in span(g2 @ w)")
-
-    bmat = matcore._lstsq(g2w, g1v)
-    wstar = np.hstack([w @ bmat, w @ matcore.orth_complement(bmat)])
-
-    norm = matcore._frobenius
-    resid = norm(g1v - (g2 @ wstar)[:, : v.shape[1]])
-    scale = norm(g1v) + norm(g2w)
-    if scale > 0 and resid > _RESIDUAL_RTOL * scale:
-        raise NotAligned(f"canonical form residual {resid:.2e} exceeds tolerance")
-    return PrecoderPair(v=v.copy(), w=wstar, power=None)

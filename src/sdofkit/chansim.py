@@ -294,6 +294,9 @@ def _placed(geo: Geometry, dist: np.ndarray):
     return (dist >= 1.0).all(axis=-1) & (dist[..., [0, 3, 4]] <= d12).all(axis=-1)
 
 
+# sources so far apart that a squared distance overflows give an infinite
+# distance, whose zero gain fails the trial's full-rank check, without a warning
+@np.errstate(over="ignore")
 def _link_distances(geo: Geometry, streams: tuple[np.random.Generator, ...]):
     """The link distances of each stream's first receiver placement that
     passes, and whether one did: the streams rejected so far are placed
@@ -384,17 +387,15 @@ def _draws(scenario: Scenario, trials: tuple[int, ...],
 
 
 def _rows(stack: TrialChannels, index) -> TrialChannels:
-    """The rows of a stack that ``index`` picks, as NumPy picks them from
-    each stacked array: an ``int`` gives one trial's plain matrices, a
-    slice or a bool mask a stack.  A slice keeps its rows' trials and
-    streams, so ``slice(r, r + 1)`` is row r's trial as a lone one-row
-    stack."""
+    """The channels of the rows of a stack that ``index`` picks, as NumPy
+    picks them from each stacked array: an ``int`` gives one trial's plain
+    matrices, a slice or a bool mask a stack, so ``slice(r, r + 1)`` is
+    row r's trial as a lone one-row stack.  Trial indices and streams are
+    not kept."""
     design = pc._trusted(*(getattr(stack.design, name)[index] for name in pc._CHANNELS))
     actual = design if stack.actual is stack.design else pc._trusted(
         *(getattr(design, name) for name in pc._CHANNELS[:4]),
         stack.actual.g1[index], stack.actual.g2[index])
-    if isinstance(index, slice):
-        return TrialChannels(design, actual, stack.trials[index], stack.streams[index])
     return TrialChannels(design, actual)
 
 
@@ -450,46 +451,43 @@ def _full_rank_draws(scenario: Scenario, chans: TrialChannels) -> np.ndarray:
     return ok
 
 
-def _redraw(scenario: Scenario, drawn: TrialChannels, row: int) -> bool:
-    """Whether a draw passes the full-rank check (:func:`_full_rank_draws`)
-    among the draws that continue the stream of row ``row`` of a stack,
-    whose first draw failed it, up to ``_MAX_RESAMPLES`` draws in all; the
-    first that does overwrites the row, in place.
-
-    Each draw is the trial alone, a one-row stack.  A draw that cannot
-    place its receivers, or whose check raises ``LinAlgError``, ends the
-    trial's draws.
-    """
-    lone = _rows(drawn, slice(row, row + 1))
-    check = functools.partial(_full_rank_draws, scenario)
-    for _ in range(_MAX_RESAMPLES - 1):
-        chans = _draws(scenario, lone.trials, lone.streams)
-        # [True] passes and [False] draws again; no row, or a LinAlgError, ends the draws
-        ok = _stack_or_rows(check, chans, (np.linalg.LinAlgError,))
-        if ok == [True]:
-            _set_rows(drawn, slice(row, row + 1), chans)
-        if ok != [False]:
-            return ok == [True]
-    return False
-
-
 def _checked_draws(scenario: Scenario, drawn: TrialChannels) -> np.ndarray:
     """The full-rank check of a stacked :func:`draw_trial`, with one bool
-    per row, true for the rows that end full rank: a row that fails is
-    overwritten, in place, by its trial's :func:`_redraw`, and is false
-    when no redraw passes.
+    per row, true for the rows that end full rank.
 
-    The rows are checked as one stack (:func:`_full_rank_draws`): six
-    SVD calls on the design sets, and two more on the true eavesdropper
-    channels when they differ.  If one of them raises ``LinAlgError``,
-    each row is checked alone (:func:`_stack_or_rows`), and a row whose
-    check raises again is false, without a redraw.
+    The check runs in rounds, each on one stack, as :func:`_link_distances`
+    places its rejected streams: round 0 checks ``drawn``, and each later
+    round the next draws of the rows still failing, which continue their
+    own streams as one :func:`_draws` stack and overwrite, in place, the
+    rows that pass.  A row ends false when its check raises
+    ``LinAlgError``, when its redraw cannot place its receivers, or when
+    none of its ``_MAX_RESAMPLES`` draws passes.
+
+    A round's rows are checked as one stack (:func:`_full_rank_draws`):
+    six SVD calls on the design sets, and two more on the true
+    eavesdropper channels when they differ.  If one of them raises
+    ``LinAlgError``, each row is checked alone (:func:`_stack_or_rows`).
+    Each trial draws only from its own stream, in order, and the stack
+    decides each row as its lone check would, so every row is bitwise
+    what its trial's draws give alone.
     """
     check = functools.partial(_full_rank_draws, scenario)
-    keep = np.ones(len(drawn.trials), dtype=bool)
-    for row, ok in enumerate(_stack_or_rows(check, drawn, (np.linalg.LinAlgError,))):
-        if isinstance(ok, Exception) or not (ok or _redraw(scenario, drawn, row)):
-            keep[row] = False
+    rows, chans = np.arange(len(drawn.trials)), drawn
+    keep = np.zeros(len(rows), dtype=bool)
+    for redraw in range(_MAX_RESAMPLES):
+        if redraw:  # a row whose redraw cannot be placed has none in the stack
+            trials = [drawn.trials[row] for row in rows]
+            chans = _draws(scenario, tuple(trials), tuple(drawn.streams[row] for row in rows))
+            rows = rows[np.isin(trials, chans.trials)]
+        ok = _stack_or_rows(check, chans, (np.linalg.LinAlgError,))
+        # True passes and False draws again; a LinAlgError equals neither, and ends the row
+        passed, failed = (np.array([v == flag for v in ok], dtype=bool) for flag in (True, False))
+        if redraw:
+            _set_rows(drawn, rows[passed], _rows(chans, passed))
+        keep[rows[passed]] = True
+        rows = rows[failed]
+        if not len(rows):
+            break
     return keep
 
 
@@ -537,9 +535,10 @@ def run_point(scenario: Scenario, target: SdofPoint | tuple[int, int]) -> PointS
     first trial that draws.
 
     This is :func:`_run_points` on the one point: the full-rank check runs
-    once over each stacked run of the point's first draws, and every
-    trial's outcome is bitwise the one that :func:`_redraw`,
-    :func:`precoder.construct` and :func:`verifier.rates` give it alone.
+    once over each stacked run of the point's first draws and once over
+    each round of its redraws, and every trial's outcome is bitwise the
+    one that its draws alone, :func:`precoder.construct` and
+    :func:`verifier.rates` give it.
     """
     return _run_points([scenario], target)[0]
 
@@ -552,7 +551,8 @@ def _run_points(points: list[Scenario], target: SdofPoint | tuple[int, int]) -> 
     gathered: each run is one stacked :func:`draw_trial`, in which every
     trial draws from its own stream, and is checked for full rank at once
     (:func:`_checked_draws`): a row that fails is overwritten by its
-    trial's redraw, or counted as a failure.  The checked rows are then
+    trial's redraw, drawn and checked in rounds with the other rows still
+    failing, or counted as a failure.  The checked rows are then
     built and scored in stacks of up to ``_STACK_TRIALS``
     (:func:`_stack_outcomes`), which join the runs' arrays.  A stack may
     span points, but not a change of effective power, and it is drawn only

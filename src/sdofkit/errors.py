@@ -10,11 +10,6 @@ class DegenerateInput(SdofError):
     dimension bookkeeping of the GSVD."""
 
 
-class NotAligned(SdofError):
-    """Precoder pair does not satisfy the eavesdropper-span containment
-    required for canonicalization."""
-
-
 class OutOfRange(SdofError):
     """Requested point lies outside the valid parameter range."""
 

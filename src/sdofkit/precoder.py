@@ -144,14 +144,13 @@ def _trusted(*mats: np.ndarray) -> ChannelSet:
 
 
 def _full_rank(*mats: np.ndarray):
-    """True when every matrix has rank ``min(m, n)`` under :func:`matcore.rank_tol`;
-    stacks of one size give one bool per item, from one SVD call per stack.
+    """True, as a NumPy bool, when every matrix has rank ``min(m, n)``
+    under :func:`matcore.rank_tol`; stacks of one size give one bool per
+    item.  One SVD call per matrix or stack.
 
     Calls the unchecked :func:`matcore._rank`: every matrix passed here
     was checked when its :class:`ChannelSet` was built, or was drawn by
     the package."""
-    if mats[0].ndim == 2:  # stops at the first deficient matrix
-        return all(matcore._rank(m) == min(m.shape) for m in mats)
     return np.all([matcore._rank(m) == min(m.shape[-2:]) for m in mats], axis=0)
 
 

@@ -469,8 +469,8 @@ class TestDrawTrial:
     def test_rank_deficient_true_eve_channel_is_redrawn(self, monkeypatch):
         # the design channels stay full rank; only the true eavesdropper
         # channels, scored but never designed on, are rank one.  The point's
-        # stacked check fails the first draw, and the trial's redraw loop
-        # continues its stream for the other draws, without replaying it
+        # stacked check fails the first draw, and each redraw round
+        # continues the trial's stream for the next draw, without replaying it
         calls = []
 
         def rank_one(g_est, alpha, gain, rng):

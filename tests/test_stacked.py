@@ -651,26 +651,59 @@ class TestCheckedDraws:
             for got, expected in ((row.design, second.design), (row.actual, second.actual)):
                 assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 
+    def test_redraw_round_is_one_stack(self, monkeypatch):
+        # the stacked check fails the first draws of trials 1 and 2; their
+        # redraws are drawn in one call and checked as one stack of two, and
+        # each row is, bitwise, its trial's second draw
+        sc = small_scenario(trials=4, seed=6, uncertainty_alpha=0.2)
+        check, draws, checked, redrawn = chansim._full_rank_draws, chansim._draws, [], []
+
+        def failing_rows_1_and_2(scenario, chans):
+            checked.append(rows_of(chans))
+            ok = check(scenario, chans)
+            return ok & ~np.isin(np.arange(len(ok)), [1, 2]) if len(checked) == 1 else ok
+
+        def recording_draws(scenario, trials, streams):
+            redrawn.append(trials)
+            return draws(scenario, trials, streams)
+
+        drawn = chansim.draw_trial(sc, range(4))
+        monkeypatch.setattr(chansim, "_full_rank_draws", failing_rows_1_and_2)
+        monkeypatch.setattr(chansim, "_draws", recording_draws)
+        assert chansim._checked_draws(sc, drawn).all()
+        assert checked == [4, 2] and redrawn == [(1, 2)]
+        for trial in range(4):
+            rng = chansim._trial_rng(sc.seed, trial)
+            first, second = (chansim._rows(draws(sc, (trial,), (rng,)), 0) for _ in range(2))
+            expected, row = second if trial in (1, 2) else first, chansim._rows(drawn, trial)
+            for name in precoder._CHANNELS:
+                for got, want in ((row.design, expected.design), (row.actual, expected.actual)):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_unplaceable_redraw_loses_its_trial(self, monkeypatch):
-        # the stacked check fails trial 2's first draw, and its redraw
-        # cannot place its receivers: the trial is lost at that draw, as a
-        # trial drawn alone raises there, and is not drawn again
+        # the stacked check fails the first draws of trials 1 and 2, and
+        # trial 1's redraw cannot place its receivers: that trial is lost at
+        # that draw, as a trial drawn alone raises there, and is not drawn
+        # again, while trial 2's redraw passes in its own row
         sc = small_scenario(trials=4, seed=6)
-        check, place, placements = chansim._full_rank_draws, chansim._link_distances, []
+        check, place, placements, checked = (chansim._full_rank_draws, chansim._link_distances,
+                                             [], [])
 
-        def failing_row_2(scenario, chans):
-            return check(scenario, chans) & (np.arange(len(chans.trials)) != 2)
+        def failing_rows_1_and_2(scenario, chans):
+            checked.append(rows_of(chans))
+            ok = check(scenario, chans)
+            return ok & ~np.isin(np.arange(len(ok)), [1, 2]) if len(checked) == 1 else ok
 
-        def rejecting_redraws(geo, streams):
+        def rejecting_trial_1s_redraw(geo, streams):
             placements.append(len(streams))
             dist, placed = place(geo, streams)
-            return dist, placed & (len(placements) == 1)
+            return dist, placed & ((len(placements) == 1) | (np.arange(len(streams)) != 0))
 
-        monkeypatch.setattr(chansim, "_full_rank_draws", failing_row_2)
-        monkeypatch.setattr(chansim, "_link_distances", rejecting_redraws)
+        monkeypatch.setattr(chansim, "_full_rank_draws", failing_rows_1_and_2)
+        monkeypatch.setattr(chansim, "_link_distances", rejecting_trial_1s_redraw)
         drawn = chansim.draw_trial(sc, range(4))
-        assert chansim._checked_draws(sc, drawn).tolist() == [True, True, False, True]
-        assert placements == [4, 1]
+        assert chansim._checked_draws(sc, drawn).tolist() == [True, False, True, True]
+        assert placements == [4, 2] and checked == [4, 1]
 
     def test_draws_are_checked_once_per_point(self, monkeypatch):
         # counts that do not depend on the machine: the 9 x 20 distance
@@ -800,10 +833,14 @@ class TestLoneTrials:
         monkeypatch.setattr(chansim, "_full_rank_draws", recording_check)
         monkeypatch.setattr(chansim, "_stack_rates", recording_build)
         assert chansim.monte_carlo(sc, (1, 1)) == expected
-        # the first point's stack, its rows alone and its one-row redraws,
-        # then the second point's stack and its redraws
+        # the first point's stack, its rows alone and its redraw rounds,
+        # then the second point's stack and its redraw rounds: a round is
+        # one stack of the rows still failing, so no round has more rows
+        # than the one before it
         assert checked[:7] == [6] + [1] * 6 and checked.count(6) == 2
-        assert set(checked) == {1, 6} and len(checked) > 2 + 6 + 6
+        second = checked.index(6, 1)
+        for rounds in (checked[:1] + checked[7:second], checked[second:]):
+            assert len(rounds) > 1 and all(b <= a for a, b in zip(rounds, rounds[1:]))
         assert built == [12 - sum(rec.stats.failures for rec in expected)] + [1] * built[0]
 
 
