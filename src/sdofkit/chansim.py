@@ -63,7 +63,9 @@ class Geometry:
     source; the eavesdropper rings the confidential source.  Draws are
     rejected while any link distance drops below one meter or a receiver
     lands farther from its source than the source-source spacing, so the
-    sources must be at least one meter apart.  ``resample_rings`` redraws
+    sources must be at least one meter apart; they must also lie near
+    enough that ``(spacing + ring_radius)**2``, which bounds every squared
+    link distance, is a finite float.  ``resample_rings`` redraws
     positions every trial; otherwise the trial index 0 positions are
     reused throughout.  Each source position is stored as a pair of
     floats, so a list gives the geometry that its tuple gives.
@@ -89,8 +91,13 @@ class Geometry:
             raise ValueError("ring radius must lie in [1, 10] meters")
         if not all(math.isfinite(x) for x in (*self.s1, *self.s2)):
             raise ValueError("source coordinates must be finite")
-        if math.dist(self.s1, self.s2) < 1.0:
+        spacing = math.dist(self.s1, self.s2)
+        if spacing < 1.0:
             raise ValueError("sources must be at least one meter apart")
+        # bounds every squared link distance, which must stay in the float range
+        reach = spacing + self.ring_radius
+        if not math.isfinite(reach * reach):
+            raise ValueError("sources are so far apart that a squared link distance overflows")
 
 
 def _db_to_linear(level_db: float) -> float:
@@ -294,9 +301,6 @@ def _placed(geo: Geometry, dist: np.ndarray):
     return (dist >= 1.0).all(axis=-1) & (dist[..., [0, 3, 4]] <= d12).all(axis=-1)
 
 
-# sources so far apart that a squared distance overflows give an infinite
-# distance, whose zero gain fails the trial's full-rank check, without a warning
-@np.errstate(over="ignore")
 def _link_distances(geo: Geometry, streams: tuple[np.random.Generator, ...]):
     """The link distances of each stream's first receiver placement that
     passes, and whether one did: the streams rejected so far are placed

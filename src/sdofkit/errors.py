@@ -19,8 +19,9 @@ class TargetInfeasible(SdofError):
 
 
 class ConstructionDeficit(SdofError):
-    """Assembled precoding matrices failed a numerical rank check,
-    signalling a degenerate channel draw."""
+    """A precoder pair for the target could not be assembled, or the
+    assembled pair does not score the target, signalling a degenerate
+    channel draw."""
 
 
 class DegenerateDraw(SdofError):

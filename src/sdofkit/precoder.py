@@ -7,7 +7,9 @@ reproduced by the public transmission, plus extra public beams filling
 the remaining interference-free dimensions at the public receiver.  The
 assembly is written once, over a stack of draws of one configuration
 (:func:`_assemble`); :func:`construct` runs it on a stack of one, and
-``chansim.run_point`` on the trials of a Monte-Carlo point.
+``chansim.run_point`` on the trials of a Monte-Carlo point.  The pair it
+returns has been scored by :func:`_quotients`, the package's one
+S.D.o.F. scorer, which :func:`verifier.sdof_of` applies too.
 """
 
 from __future__ import annotations
@@ -346,19 +348,21 @@ def construct(ch: ChannelSet, target: SdofPoint | tuple[int, int], power: float)
     directions of its own channel until it supports the requested public
     D.o.F.  Finally both matrices are scaled to the trace budget, equally
     across nonzero streams.  A target with d1 = 0 takes the same path and
-    the same checks: with no confidential stream to protect it takes no
+    the same check: with no confidential stream to protect it takes no
     null-space beam, so its public beams are the leading right-singular
     directions alone.
 
-    Boundary targets are achieved exactly.  For a dominated interior
-    target the jamming columns required by the confidential side may
-    already hand the public link more dimensions than asked; the result
-    then scores at least the requested public D.o.F.
+    The returned pair is scored as :func:`verifier.sdof_of` scores it: its
+    confidential D.o.F. equals the target's, and its public D.o.F. is at
+    least the target's.  Boundary targets are achieved exactly.  For a
+    dominated interior target the jamming columns required by the
+    confidential side may already hand the public link more dimensions
+    than asked.
 
     Raises :class:`TargetInfeasible` for points outside the region and
-    :class:`ConstructionDeficit` when a numerical rank check fails after
-    assembly (a degenerate channel draw), whatever the target.  The
-    assembly is :func:`_assemble` on a stack of one.
+    :class:`ConstructionDeficit`, naming the cause, when the scored pair
+    misses the target (a degenerate channel draw), whatever the target.
+    The assembly is :func:`_assemble` on a stack of one.
     """
     target = SdofPoint(*target)
     cfg = ch.config
@@ -394,10 +398,16 @@ def _assemble(ch: ChannelSet, cfg: AntennaConfig, target: SdofPoint,
     of one configuration, with ``wanted`` the :func:`_plan` of the target:
     the normalized V and W stacks (plain matrices for a stack of one).
 
+    The normalized pair is scored by :func:`_quotients`, the scorer of
+    :func:`verifier.sdof_of`, and :class:`ConstructionDeficit` is raised
+    unless its confidential D.o.F. equals the target's and its public
+    D.o.F. is at least the target's.  A confidential miss names its cause:
+    a leak to the eavesdropper when ``dim(G1 V outside G2 W)`` is nonzero,
+    else lost rank at the confidential receiver.
+
     Raises for the whole stack, or :class:`matcore._StackSplit` when its
-    items need different paths.  The rank checks on the assembled images
-    use :mod:`matcore`'s unchecked bodies, except the public
-    :func:`matcore.rank_tol` of the paired public columns.
+    items need different paths.  The paired public columns are sized by
+    the public :func:`matcore.rank_tol`.
     """
     d1, d2 = target
     lead = ch.g1.shape[:-2]
@@ -441,12 +451,38 @@ def _assemble(ch: ChannelSet, cfg: AntennaConfig, target: SdofPoint,
     else:
         w = w1
 
-    if not matcore._agreed(matcore._image_quotient((ch.h11, v)) == d1):
+    # the pair returned is the pair scored
+    v, w = _equal_power_columns(v, power), _equal_power_columns(w, power)
+    leak, signal, public = _quotients(ch, v, w)
+    if not matcore._agreed(np.maximum(signal - leak, 0) == d1):
+        if matcore._agreed(leak != 0):
+            raise ConstructionDeficit("confidential streams leak to the eavesdropper")
         raise ConstructionDeficit("confidential streams lost rank at the receiver")
-    if not matcore._agreed(matcore._image_quotient((ch.h22, w), (ch.h21, v)) >= d2):
+    if not matcore._agreed(public >= d2):
         raise ConstructionDeficit("public streams do not span the target dimensions")
+    return v, w
 
-    return _equal_power_columns(v, power), _equal_power_columns(w, power)
+
+def _quotients(ch: ChannelSet, v: np.ndarray, w: np.ndarray):
+    """The three image quotients that score a precoder pair on a channel
+    set, or each item of a stack: the leak ``dim(G1 V outside G2 W)``,
+    ``dim(H11 V outside H12 W)`` and ``dim(H22 W outside H21 V)``; Python
+    ints for one pair, one array entry per item for a stack.
+
+    The scored pair is ``(max(signal - leak, 0), public)``
+    (:func:`verifier.sdof_of`).  Each of the eight factors is normed once,
+    and each quotient equals :func:`matcore.image_quotient` of its
+    factors; they run unchecked, since the channels and the precoders
+    were checked or built by the package.
+    """
+    norm = matcore._frobenius
+    nv, nw = norm(v), norm(w)
+    quotient = matcore._image_quotient
+    leak = quotient((ch.g1, v), (ch.g2, w), (norm(ch.g1), nv, norm(ch.g2), nw))
+    # rank(H11 V) less its overlap with span(H12 W) is the quotient dimension
+    signal = quotient((ch.h11, v), (ch.h12, w), (norm(ch.h11), nv, norm(ch.h12), nw))
+    public = quotient((ch.h22, w), (ch.h21, v), (norm(ch.h22), nw, norm(ch.h21), nv))
+    return leak, signal, public
 
 
 def right_multiply(pair: PrecoderPair, a: np.ndarray, b: np.ndarray) -> PrecoderPair:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .precoder import ChannelSet, PrecoderPair, with_power
+from .precoder import ChannelSet, PrecoderPair, _quotients, with_power
 from .region import SdofPoint
 
 __all__ = ["RateTriple", "Membership", "sdof_of", "membership", "rates", "slope_estimate"]
@@ -75,21 +75,13 @@ def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     The public link scores the part of its signal span outside the
     confidential interference at its receiver.
 
-    The channels and the precoders were checked when their set and their
-    pair were built, so each of the eight factors is normed once, and the
-    three quotients run unchecked, each equal to
-    :func:`matcore.image_quotient` of its factors.
+    The three quotients come from ``precoder._quotients``, the scorer that
+    :func:`precoder.construct` and the Monte-Carlo stacks apply to the
+    pair they build, so a built pair scores its target here.
     """
     _check_rows(ch, pair)
-    v, w = pair.v, pair.w
-    norm = matcore._frobenius
-    nv, nw = norm(v), norm(w)
-    quotient = matcore._image_quotient
-    leak = quotient((ch.g1, v), (ch.g2, w), (norm(ch.g1), nv, norm(ch.g2), nw))
-    # rank(H11 V) less its overlap with span(H12 W) is the quotient dimension
-    d1 = max(quotient((ch.h11, v), (ch.h12, w), (norm(ch.h11), nv, norm(ch.h12), nw)) - leak, 0)
-    d2 = quotient((ch.h22, w), (ch.h21, v), (norm(ch.h22), nw, norm(ch.h21), nv))
-    return SdofPoint(d1, d2)
+    leak, signal, public = _quotients(ch, pair.v, pair.w)
+    return SdofPoint(max(signal - leak, 0), public)
 
 
 # relative tolerances of membership: each trace against the power budget,
@@ -104,7 +96,9 @@ def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
     ``in_i``: both traces match the recorded power budget to a relative
     ``1e-6`` (vacuous for a zero-width matrix, which carries no power).
     ``in_ibar``: the eavesdropper image of V lies inside the jamming span
-    and the two signals are disjoint at the confidential receiver.  ``in_ihat``:
+    and the two signals are disjoint at the confidential receiver, read
+    from the leak and the confidential quotient of the scorer that
+    :func:`sdof_of` uses, against rank(H11 V).  ``in_ihat``:
     additionally, each confidential column's eavesdropper image is
     reproduced by its paired public column up to the positive per-stream
     gain that power normalization applies (exactly aligned pairs have
@@ -118,13 +112,10 @@ def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
         ok_w = pair.kw == 0 or abs(nw * nw - pair.power) <= _POWER_RTOL * pair.power
         in_i = ok_v and ok_w
 
-    # unchecked: the channels and precoders were checked when their set and pair were built
-    signal, interference = (ch.h11, pair.v), (ch.h12, pair.w)
-    in_ibar = (
-        matcore._image_quotient((ch.g1, pair.v), (ch.g2, pair.w)) == 0
-        # disjoint: no signal dimension lies inside the interference span
-        and matcore._image_quotient(signal, interference) == matcore._image_quotient(signal)
-    )
+    leak, signal, _ = _quotients(ch, pair.v, pair.w)
+    # disjoint: no signal dimension lies inside the interference span; unchecked,
+    # since the channels and precoders were checked when their set and pair were built
+    in_ibar = leak == 0 and signal == matcore._image_quotient((ch.h11, pair.v))
     in_ihat = in_ibar and _columnwise_aligned(ch, pair, nv, nw)
     return Membership(in_i=in_i, in_ibar=in_ibar, in_ihat=in_ihat)
 

@@ -289,6 +289,23 @@ class TestGeometry:
         with pytest.raises(ValueError, match="sources must be at least one meter apart"):
             Geometry(s1=s1, s2=(0.0, 0.0))
 
+    # (spacing + ring_radius)**2 bounds every squared link distance; the
+    # float range ends at a reach of about 1.34e154 m
+    @pytest.mark.parametrize("s1, s2", [((1.35e154, 0.0), (0.0, 0.0)), ((1e200, 0.0), (0.0, 0.0)),
+                                        ((1.5e308, 0.0), (-1.5e308, 0.0))],
+                             ids=["1.35e+154", "1e+200", "1.5e+308"])
+    def test_rejects_sources_whose_squared_reach_overflows(self, s1, s2):
+        with pytest.raises(ValueError, match="squared link distance overflows"):
+            Geometry(s1=s1, s2=s2)
+
+    def test_widest_spacing_draws_without_warnings(self):
+        # 1.34e154 + 10 squares to just under the largest float; Tier-1 turns
+        # a RuntimeWarning into an error, so a draw here proves none is raised
+        sc = Scenario(config=CFG_SMALL, geometry=Geometry(s1=(1.34e154, 0.0), s2=(0.0, 0.0)),
+                      trials=2)
+        assert chansim._link_distances(sc.geometry, (chansim._trial_rng(0, 0),))[1].all()
+        chansim.draw_trial(sc, range(2))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["s1", "s2"])
     def test_rejects_non_finite_coordinates(self, field, bad):

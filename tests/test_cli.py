@@ -452,11 +452,11 @@ class TestSimulateCommand:
         assert doc["message"] == "distance sweep requires geometry"
 
     # sources so far apart that a squared link distance overflows (and, at
-    # 1.5e308, so does their difference): every trial fails its full-rank
-    # check, and the error is strict JSON with nothing on stderr
+    # 1.5e308, so does their difference): the geometry is refused as bad
+    # input, and the error is strict JSON with nothing on stderr
     @pytest.mark.parametrize("s1, s2", [([1e200, 0], [0, 0]), ([1.5e308, 0], [-1.5e308, 0])],
                              ids=["1e+200", "1.5e+308"])
-    def test_overflowing_distance_exits_4_quietly(self, capsys, tmp_path, s1, s2):
+    def test_overflowing_distance_exits_2_quietly(self, capsys, tmp_path, s1, s2):
         spath = tmp_path / "scenario.json"
         spath.write_text(json.dumps({"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2,
                                                   "ne": 4},
@@ -464,14 +464,14 @@ class TestSimulateCommand:
                                      "trials": 3}))
         code = cli.main(["simulate", "--scenario", str(spath), "--out", str(tmp_path / "x.csv")])
         out, err = capsys.readouterr()
-        assert (code, err) == (4, "")
+        assert (code, err) == (2, "")
 
         def refuse(name):
             raise ValueError(f"{name} is not strict JSON")
 
         doc = json.loads(out, parse_constant=refuse)
-        assert doc["error"] == "construction_failed"
-        assert doc["message"] == "every trial failed"
+        assert doc["error"] == "bad_input"
+        assert "squared link distance overflows" in doc["message"]
 
     def test_missing_target_exits_2(self, capsys, tmp_path):
         spath = tmp_path / "scenario.json"

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sdofkit import matcore, precoder, region, verifier
+from sdofkit import chansim, matcore, precoder, region, verifier
 from sdofkit.errors import ConstructionDeficit, TargetInfeasible
 from sdofkit.precoder import PrecoderPair, Subset
 from sdofkit.region import AntennaConfig
@@ -215,6 +215,44 @@ class TestConstruct:
         ch = dataclasses.replace(ch, **{name: low_rank(rng, rows, cols, rank)})
         with pytest.raises(ConstructionDeficit, match=message):
             precoder.construct(ch, target, power=1.0)
+
+    # in (2,4,2,1,2) both targets take a subset III pair; with its public
+    # column zeroed, the confidential image at the eavesdropper is jammed no
+    # longer, which the scorer sees as a leak
+    @pytest.mark.parametrize("target", [(2, 0), (1, 1)])
+    def test_planted_leak_raises(self, monkeypatch, rng, target):
+        ch = channels_for((2, 4, 2, 1, 2), rng)
+        build, score, leaks = precoder._build_bases, precoder._quotients, []
+
+        def unjammed(ch, cfg, needed):
+            bases = build(ch, cfg, needed)
+            basis = bases[Subset.III]
+            w = basis.w_basis.copy()
+            w[..., 0] = 0.0
+            bases[Subset.III] = precoder.SubsetBasis(basis.v_basis, w)
+            return bases
+
+        def recording(ch, v, w):
+            quotients = score(ch, v, w)
+            leaks.append(quotients[0])
+            return quotients
+
+        monkeypatch.setattr(precoder, "_build_bases", unjammed)
+        monkeypatch.setattr(precoder, "_quotients", recording)
+        message = "confidential streams leak to the eavesdropper"
+        with pytest.raises(ConstructionDeficit, match=message):
+            precoder.construct(ch, target, power=1.0)
+        assert leaks[0] > 0
+
+    def test_recovered_line_of_sight_draw(self):
+        # trial 20 of a 2 km, path-loss exponent 6 scenario: its raw columns
+        # failed a rank check of their own, but the normalized pair that is
+        # returned scores its target
+        sc = chansim.Scenario(AntennaConfig(*EX2), chansim.Geometry(s1=(2000, 0), s2=(0, 0)),
+                              pathloss_exponent=6, trials=60, seed=11)
+        ch = chansim.draw_trial(sc, 20).design
+        pair = precoder.construct(ch, (3, 3), power=sc.effective_power)
+        assert tuple(verifier.sdof_of(ch, pair)) == (3, 3)
 
     def test_infeasible_target(self, rng):
         ch = channels_for(EX2, rng)

@@ -402,6 +402,26 @@ class TestRunPointStacks:
         monkeypatch.setattr(chansim, "_STACK_TRIALS", 3)
         assert chansim.run_point(sc, target) == whole
 
+    def test_successes_score_their_target(self):
+        # at a 2 km spacing and a path-loss exponent of 6 some draws build
+        # pairs that miss the target; each is a failure of the point, as
+        # replaying its trial alone through construct and sdof_of shows
+        sc = Scenario(config=AntennaConfig(6, 6, 5, 4, 5),
+                      geometry=Geometry(s1=(2000, 0), s2=(0, 0)),
+                      pathloss_exponent=6, trials=60, seed=11)
+        target = region.SdofPoint(3, 3)
+        missed = 0
+        for trial in range(sc.trials):
+            chans = chansim.draw_trial(sc, trial)
+            try:
+                pair = precoder.construct(chans.design, target, power=sc.effective_power)
+            except ConstructionDeficit:
+                missed += 1
+                continue
+            missed += verifier.sdof_of(chans.design, pair) != target
+        assert missed > 0
+        assert chansim.run_point(sc, target).failures == missed
+
     def test_planted_failure_costs_its_trial(self, monkeypatch):
         # the matrix of trial 3 in the first stacked SVD after the draw
         # check fails wherever it goes, so the stack is re-run trial by
