@@ -229,15 +229,12 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,)))
 
 
-def _cgauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
-
-
 def gaussian_channels(cfg: AntennaConfig, rng: np.random.Generator) -> pc.ChannelSet:
     """One unit-variance complex Gaussian channel set.
 
     The values come from one call, laid out by :func:`_gaussian_layout`,
-    which is what :func:`_cgauss` called matrix by matrix would draw.
+    which is what drawing each matrix in turn as ``(rng.standard_normal((m,
+    n)) + 1j * rng.standard_normal((m, n))) / sqrt(2)`` would draw.
     Their complex values are formed in one pass, and the six matrices are
     views of it.
     """
@@ -261,19 +258,35 @@ def _gaussian_layout(cfg: AntennaConfig, z: np.ndarray) -> list[np.ndarray]:
     (:func:`_gaussian_parts`): one set's from 1-D values, and a ``(T, m,
     n)`` stack of each from ``(T, size)`` values, row i from row i."""
     re, im = _gaussian_parts(cfg)
-    # _cgauss's arithmetic, element by element
+    # (re + 1j * im) / sqrt(2), element by element
     return pc._split((z.take(re, -1) + 1j * z.take(im, -1)) / np.sqrt(2), cfg)
 
 
-def _true_eve(g_est: np.ndarray, alpha: float, gain: float,
-              rng: np.random.Generator) -> np.ndarray:
-    """True eavesdropper channel given its estimate ``g_est`` before path
-    loss, for ``alpha > 0``: the estimate mixed with an independent
-    standard complex Gaussian error at weights ``(1+alpha)**-0.5`` and
-    ``sqrt(alpha/(1+alpha))``, times the link's path-loss ``gain``.
+def _true_eve(g_est: list[np.ndarray], alpha: float, gains: np.ndarray,
+              streams: tuple[np.random.Generator, ...]) -> list[np.ndarray]:
+    """True eavesdropper channels of a stack, for ``alpha > 0``, given
+    their estimates before path loss: ``g_est`` holds ``(T, m, n)``
+    stacks (g1's, then g2's), row i drawn by ``streams[i]``, and
+    ``gains[i, k]`` is row i's path-loss gain of ``g_est[k]``.
+
+    Each estimate is mixed with an independent standard complex Gaussian
+    error at weights ``(1+alpha)**-0.5`` and ``sqrt(alpha/(1+alpha))``,
+    then scaled by its gain, in one pass over the stack.  Each stream
+    makes one ``standard_normal`` call for all of its row's errors: each
+    matrix's real parts, then its imaginary parts, row-major, in ``g_est``
+    order, formed as :func:`_gaussian_layout` forms them.
     Unchecked: :class:`Scenario` has checked ``alpha``."""
-    err = _cgauss(rng, *g_est.shape)
-    return gain * (g_est / np.sqrt(1.0 + alpha) + np.sqrt(alpha / (1.0 + alpha)) * err)
+    sizes = [math.prod(g.shape[1:]) for g in g_est]
+    width = 2 * sum(sizes)
+    z = np.reshape([rng.standard_normal(width) for rng in streams], (len(streams), width))
+    true, start = [], 0
+    for g, size, gain in zip(g_est, sizes, gains.T):
+        re, im = z[:, start:start + size], z[:, start + size:start + 2 * size]
+        err = ((re + 1j * im) / np.sqrt(2)).reshape(g.shape)
+        true.append(gain[:, None, None]
+                    * (g / np.sqrt(1.0 + alpha) + np.sqrt(alpha / (1.0 + alpha)) * err))
+        start += 2 * size
+    return true
 
 
 _MAX_RESAMPLES = 10
@@ -304,17 +317,24 @@ def _placed(geo: Geometry, dist: np.ndarray):
 def _link_distances(geo: Geometry, streams: tuple[np.random.Generator, ...]):
     """The link distances of each stream's first receiver placement that
     passes, and whether one did: the streams rejected so far are placed
-    again, as one stack, up to 1000 placements each.  A placement is six
-    scalar draws: the radius and angle of destination 1, destination 2
-    and the eavesdropper."""
-    spans = ((1.0, geo.ring_radius), (0.0, 2.0 * np.pi)) * 3
+    again, as one stack, up to 1000 placements each.
+
+    A placement is one ``rng.random(6)`` call ``u`` per stream, mapped over
+    the stack as ``low + (high - low) * u``, with ``low = [1, 0] * 3`` and
+    ``high = [ring_radius, 2*pi] * 3``: the radius and angle of destination
+    1, destination 2 and the eavesdropper.  This is the stream contract.
+    It gives bitwise what ``rng.uniform(low, high)`` gives value by value
+    wherever NumPy compiles that as ``low + (high - low) * u`` with no
+    fused multiply-add, as x86-64 builds do."""
+    low = np.array([1.0, 0.0] * 3)
+    span = np.array([geo.ring_radius, 2.0 * np.pi] * 3) - low
     dist, placed = np.ones((len(streams), 6)), np.zeros(len(streams), dtype=bool)
     for _ in range(1000):
         rows = np.flatnonzero(~placed)
         if not len(rows):
             break
-        ring = [[streams[row].uniform(*span) for span in spans] for row in rows]
-        dist[rows] = _ring_distances(geo, np.reshape(ring, (-1, 3, 2)))
+        ring = low + span * np.array([streams[row].random(6) for row in rows])
+        dist[rows] = _ring_distances(geo, ring.reshape(-1, 3, 2))
         placed[rows] = _placed(geo, dist[rows])
     return dist, placed
 
@@ -327,21 +347,24 @@ def draw_trial(scenario: Scenario, trials: int | Iterable[int]) -> TrialChannels
     The same (scenario, trial index) always produces identical matrices.
     Gaussian scenarios draw the design set in one call, laid out as
     :func:`gaussian_channels` lays it out; line-of-sight ones place the
-    receivers (trial 0's placement, once per call, when the rings are not
-    resampled), then draw the phases of the four links and of the two
-    unit-magnitude eavesdropper estimates in one call, in
+    receivers, one ``rng.random(6)`` call per placement (trial 0's
+    placement, once per call, when the rings are not resampled;
+    :func:`_link_distances`), then draw the phases of the four links and
+    of the two unit-magnitude eavesdropper estimates in one call, in
     ``precoder._CHANNELS`` order and row-major within each matrix, and
     scale each matrix by its link's path-loss gain ``distance**(-c/2)``.
     Without uncertainty the true set is the design set itself; with it,
     only the true eavesdropper channels differ (:func:`_true_eve`), and
-    their error matrices are drawn last.  The channel sets are built
-    without :class:`precoder.ChannelSet`'s checks, which the
-    :class:`Scenario` and :class:`Geometry` checks make redundant.
+    their errors are drawn last, in one ``standard_normal`` call.  The
+    channel sets are built without :class:`precoder.ChannelSet`'s checks,
+    which the :class:`Scenario` and :class:`Geometry` checks make
+    redundant.
 
-    Each trial makes its own generator calls, in the same order, and
-    everything else runs once over the ``(T, m, n)`` stack, so row i
-    equals ``draw_trial(scenario, trials[i])`` bitwise.  One ``int`` index
-    is a one-row stack whose row is returned as plain matrices
+    Each trial makes its own generator calls, in the same order: one per
+    placement, one for the phases or the Gaussian set, and one for the
+    errors.  Everything else runs once over the ``(T, m, n)`` stack, so
+    row i equals ``draw_trial(scenario, trials[i])`` bitwise.  One ``int``
+    index is a one-row stack whose row is returned as plain matrices
     (:func:`_rows`).  A trial whose receivers cannot be placed raises
     :class:`DegenerateDraw` alone, and has no row in a stack.
 
@@ -360,15 +383,18 @@ def _draws(scenario: Scenario, trials: tuple[int, ...],
            streams: tuple[np.random.Generator, ...]) -> TrialChannels:
     """:func:`draw_trial` of the given trials from their streams, as one
     stack, without the trials whose receivers cannot be placed.  Each
-    link's path-loss gain, a Python float because NumPy's array power can
-    differ from it in the last bit, is taken once for its design and true
-    channels; a Gaussian set's gain is 1.0."""
+    stream makes one generator call per placement (:func:`_link_distances`),
+    one for its phases or its Gaussian set, and, with uncertainty, one for
+    its errors (:func:`_true_eve`).  Each link's path-loss gain, a Python
+    float because NumPy's array power can differ from it in the last bit,
+    is taken once for its design and true channels; a Gaussian set's gain
+    is 1.0."""
     cfg, geo, n = scenario.config, scenario.geometry, len(streams)
     size = sum(rows * cols for rows, cols in pc._shapes(cfg))
     if geo is None:
         z = np.reshape([rng.standard_normal(2 * size) for rng in streams], (n, 2 * size))
         est = mats = _gaussian_layout(cfg, z)
-        gains = np.ones((n, 6)).tolist()
+        gains = np.ones((n, 6))
     else:
         # without resampling every trial reuses trial 0's placement
         dist, placed = _link_distances(
@@ -379,14 +405,13 @@ def _draws(scenario: Scenario, trials: tuple[int, ...],
         dist, n = dist[placed], len(streams)
         phases = np.reshape([rng.uniform(0.0, 2.0 * np.pi, size) for rng in streams], (n, size))
         est = pc._split(np.exp(1j * phases), cfg)
-        gains = [[d ** (-scenario.pathloss_exponent / 2.0) for d in row] for row in dist.tolist()]
-        mats = [gain[:, None, None] * m for gain, m in zip(np.reshape(gains, (n, 6)).T, est)]
+        gains = np.reshape([[d ** (-scenario.pathloss_exponent / 2.0) for d in row]
+                            for row in dist.tolist()], (n, 6))
+        mats = [gain[:, None, None] * m for gain, m in zip(gains.T, est)]
     design = actual = pc._trusted(*mats)
-    alpha = scenario.uncertainty_alpha
-    if alpha > 0:  # each stream draws g1's errors, then g2's
-        true = [np.reshape([_true_eve(est[k][i], alpha, gains[i][k], rng)
-                            for i, rng in enumerate(streams)], mats[k].shape) for k in (4, 5)]
-        actual = pc._trusted(*mats[:4], *true)
+    if scenario.uncertainty_alpha > 0:
+        actual = pc._trusted(*mats[:4], *_true_eve(est[4:], scenario.uncertainty_alpha,
+                                                   gains[:, 4:], streams))
     return TrialChannels(design, actual, trials, streams)
 
 

@@ -131,8 +131,7 @@ def cmd_verify(args) -> int:
     p_grid = _DEFAULT_P_GRID
     if args.p_grid is not None:
         p_grid = tuple(float(p) for p in args.p_grid.split(","))
-    sdof = verifier.sdof_of(ch, pair)
-    mem = verifier.membership(ch, pair)
+    sdof, mem = verifier._verdict(ch, pair)
     slopes = verifier.slope_estimate(ch, pair, p_grid)
     _emit({"status": "ok", "sdof": list(sdof),
            "membership": {"in_i": mem.in_i, "in_ibar": mem.in_ibar, "in_ihat": mem.in_ihat},

@@ -45,9 +45,11 @@ It is also the one owner of magnitudes: the Frobenius norms
 (:func:`_frobenius`), column norms (:func:`_column_norms`) and log-dets
 of ``I + X X^H`` (:func:`_log2det_gram`) that the other layers take, and
 the image cutoffs.  Each is computed as NumPy computes it, so a result
-that NumPy gives finite keeps its bits; only one that overflows is
-taken again on a rescaled input, so a magnitude whose true value lies in
-the float range comes out finite, with no overflow warning.  An image
+that NumPy gives finite keeps its bits; only one that overflows, or a
+norm whose sum of squares underflows, is taken again on a rescaled
+input, so a magnitude whose true value lies in the float range comes out
+finite, with no overflow warning, and a tiny nonzero norm is not read
+as zero.  An image
 cutoff multiplies eps into each norm product as it forms it: eps is a
 power of two, so that changes no finite cutoff's bits.
 
@@ -81,6 +83,9 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 _PRODUCT_MARGIN = 1e4  # see image_quotient
+
+# a norm below this has a sum of squares below the normal float range (2**-1022)
+_NORM_FLOOR = 2.0 ** -511
 
 
 def _as_matrices(a, name: str = "matrix") -> np.ndarray:
@@ -124,8 +129,9 @@ def _frobenius(m: np.ndarray):
     plus one over its imaginary parts, in memory order; a C-contiguous
     stack, as every stack built by ``np.stack``, ``np.concatenate`` or
     ``matmul`` is, makes the same dots as one batched call.  A sum of
-    squares that overflows (entries above about 1e154) is taken again, on
-    the matrix scaled by its largest entry modulus.
+    squares that overflows (entries above about 1e154), or that falls
+    below the normal range on a nonzero matrix (a norm under 2**-511), is
+    taken again, on the matrix scaled by its largest entry modulus.
     """
     if m.ndim < 3:
         # np.linalg.norm's two dots without its dispatch: np.vdot makes ndarray.dot's
@@ -133,16 +139,18 @@ def _frobenius(m: np.ndarray):
         flat = m.ravel(order="K")
         re, im = flat.real, flat.imag
         norm = math.sqrt(np.vdot(re, re) + np.vdot(im, im))
-        if norm == math.inf:
+        if (norm == math.inf or norm < _NORM_FLOOR) and m.size:
             peak = float(np.abs(m).max())
-            with np.errstate(invalid="ignore"):  # an infinite entry over peak is NaN
-                norm = peak * _frobenius(m / peak)
+            if peak > 0:  # a zero matrix keeps its zero norm
+                with np.errstate(invalid="ignore"):  # an infinite entry over peak is NaN
+                    norm = peak * _frobenius(m / peak)
         return norm
     flat = m.reshape(len(m), 1, -1)
     re, im = flat.real, flat.imag
     with np.errstate(over="ignore"):
         norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
-    for i in np.flatnonzero(norms == np.inf):
+    # an empty item's zero norm is exact
+    for i in np.flatnonzero((norms == np.inf) | ((norms < _NORM_FLOOR) & bool(m.size))):
         norms[i] = _frobenius(m[i])
     return norms
 

@@ -80,7 +80,12 @@ def sdof_of(ch: ChannelSet, pair: PrecoderPair) -> SdofPoint:
     pair they build, so a built pair scores its target here.
     """
     _check_rows(ch, pair)
-    leak, signal, public = _quotients(ch, pair.v, pair.w)
+    return _sdof(_quotients(ch, pair.v, pair.w))
+
+
+def _sdof(quotients) -> SdofPoint:
+    """The S.D.o.F. pair that the scorer's quotients give one pair."""
+    leak, signal, public = quotients
     return SdofPoint(max(signal - leak, 0), public)
 
 
@@ -104,6 +109,12 @@ def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
     gain that power normalization applies (exactly aligned pairs have
     gain one), to a relative ``1e-8``.
     """
+    return _verdict(ch, pair)[1]
+
+
+def _verdict(ch: ChannelSet, pair: PrecoderPair) -> tuple[SdofPoint, Membership]:
+    """:func:`sdof_of` and :func:`membership` of a pair, from one call of
+    the scorer."""
     _check_rows(ch, pair)
     nv, nw = matcore._frobenius(pair.v), matcore._frobenius(pair.w)
     in_i = False
@@ -112,12 +123,13 @@ def membership(ch: ChannelSet, pair: PrecoderPair) -> Membership:
         ok_w = pair.kw == 0 or abs(nw * nw - pair.power) <= _POWER_RTOL * pair.power
         in_i = ok_v and ok_w
 
-    leak, signal, _ = _quotients(ch, pair.v, pair.w)
+    quotients = _quotients(ch, pair.v, pair.w)
+    leak, signal, _ = quotients
     # disjoint: no signal dimension lies inside the interference span; unchecked,
     # since the channels and precoders were checked when their set and pair were built
     in_ibar = leak == 0 and signal == matcore._image_quotient((ch.h11, pair.v))
     in_ihat = in_ibar and _columnwise_aligned(ch, pair, nv, nw)
-    return Membership(in_i=in_i, in_ibar=in_ibar, in_ihat=in_ihat)
+    return _sdof(quotients), Membership(in_i=in_i, in_ibar=in_ibar, in_ihat=in_ihat)
 
 
 def _columnwise_aligned(ch: ChannelSet, pair: PrecoderPair, nv: float, nw: float) -> bool:

@@ -31,10 +31,14 @@ def link_distances(geo, rng):
     """The six link distances of a trial's receiver placement, by name, as
     drawn one ring position and one np.linalg.norm at a time: the first
     placement with no link under a meter and no receiver farther from its
-    own source than the sources are apart."""
+    own source than the sources are apart.  Each value is drawn by the
+    stream contract, ``low + (high - low) * rng.random()``."""
+    def uniform(low, high):
+        return low + (high - low) * rng.random()
+
     def ring_position(center):
-        radius = rng.uniform(1.0, geo.ring_radius)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
+        radius = uniform(1.0, geo.ring_radius)
+        angle = uniform(0.0, 2.0 * np.pi)
         return np.array([center[0] + radius * np.cos(angle), center[1] + radius * np.sin(angle)])
 
     s1, s2 = np.asarray(geo.s1), np.asarray(geo.s2)
@@ -113,8 +117,8 @@ class TestLosChannel:
 
 
 class TestGaussianChannels:
-    # differential: one draw of every value equals the twelve draws that
-    # _cgauss makes matrix by matrix, real parts before imaginary ones
+    # differential: one draw of every value equals twelve draws, matrix by
+    # matrix, real parts before imaginary ones
     @pytest.mark.parametrize("cfg", [(1, 1, 1, 1, 1), (4, 2, 4, 2, 4), (6, 6, 5, 4, 5),
                                      (2, 7, 3, 1, 10)], ids=lambda cfg: ",".join(map(str, cfg)))
     @pytest.mark.parametrize("seed", [0, 1, 2024])
@@ -133,6 +137,11 @@ class TestGaussianChannels:
         assert rng.standard_normal() == replay.standard_normal()
 
 
+def true_eve(g_est, alpha, gain, rng):
+    """``chansim._true_eve`` of one matrix, as a one-row stack."""
+    return chansim._true_eve([g_est[None]], alpha, np.array([[gain]]), (rng,))[0][0]
+
+
 class TestUncertainEve:
     def test_zero_uncertainty_exact(self):
         # without uncertainty the true set is the design set, and a design
@@ -147,21 +156,21 @@ class TestUncertainEve:
 
     def test_mixture_weights(self, rng):
         # weights (0.9535, 0.3015) at alpha = 0.1, before path loss
-        g = chansim._true_eve(np.ones((200, 200), dtype=complex), 0.1, 1.0, rng)
+        g = true_eve(np.ones((200, 200), dtype=complex), 0.1, 1.0, rng)
         mean = np.mean(g)
         assert abs(mean - 1 / np.sqrt(1.1)) < 5e-3
         var = np.var(g)
         assert abs(var - 0.1 / 1.1) < 5e-3
 
     def test_large_alpha_limit(self, rng):
-        g = chansim._true_eve(np.ones((300, 300), dtype=complex), 1e9, 1.0, rng)
+        g = true_eve(np.ones((300, 300), dtype=complex), 1e9, 1.0, rng)
         assert abs(np.var(g) - 1.0) < 2e-2  # per-entry variance -> gain**2
 
     def test_gain_scales_the_mixture(self):
         g_est = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, (3, 4)))
         gain = 2.0 ** -1.75
-        scaled = chansim._true_eve(g_est, 0.3, gain, np.random.default_rng(2))
-        unit = chansim._true_eve(g_est, 0.3, 1.0, np.random.default_rng(2))
+        scaled = true_eve(g_est, 0.3, gain, np.random.default_rng(2))
+        unit = true_eve(g_est, 0.3, 1.0, np.random.default_rng(2))
         assert scaled.tobytes() == (gain * unit).tobytes()
 
     def test_gaussian_true_eve_has_unit_gain(self):
@@ -171,9 +180,10 @@ class TestUncertainEve:
         chans = chansim.draw_trial(sc, 2)
         rng = chansim._trial_rng(sc.seed, 2)
         design = chansim.gaussian_channels(CFG_SMALL, rng)
-        for name in ("g1", "g2"):
-            expected = chansim._true_eve(getattr(design, name), 0.4, 1.0, rng)
-            assert getattr(chans.actual, name).tobytes() == expected.tobytes()
+        expected = chansim._true_eve([design.g1[None], design.g2[None]], 0.4, np.ones((1, 2)),
+                                     (rng,))
+        for name, want in zip(("g1", "g2"), expected):
+            assert getattr(chans.actual, name).tobytes() == want[0].tobytes()
 
     # the alpha that reaches _true_eve was checked by Scenario, a swept one too
     @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
@@ -383,11 +393,9 @@ def replayed_draw(sc, trial):
                                g2=links["g2"] ** (-c / 2.0) * g2_est)
         actual = design
         if alpha > 0:
-            actual = pc.ChannelSet(
-                **h,
-                g1=chansim._true_eve(g1_est, alpha, links["g1"] ** (-c / 2.0), rng),
-                g2=chansim._true_eve(g2_est, alpha, links["g2"] ** (-c / 2.0), rng),
-            )
+            gains = np.array([[links["g1"] ** (-c / 2.0), links["g2"] ** (-c / 2.0)]])
+            g1, g2 = chansim._true_eve([g1_est[None], g2_est[None]], alpha, gains, (rng,))
+            actual = pc.ChannelSet(**h, g1=g1[0], g2=g2[0])
         if design.full_rank() and actual.full_rank():
             return design, actual
     raise DegenerateDraw(f"trial {trial} never drew full-rank channels")
@@ -490,16 +498,99 @@ class TestDrawTrial:
         # continues the trial's stream for the next draw, without replaying it
         calls = []
 
-        def rank_one(g_est, alpha, gain, rng):
+        def rank_one(g_est, alpha, gains, streams):
             calls.append(alpha)
-            return np.full(g_est.shape, gain, dtype=np.complex128)
+            return [np.ones(g.shape) * gain[:, None, None] for g, gain in zip(g_est, gains.T)]
 
         monkeypatch.setattr(chansim, "_true_eve", rank_one)
         sc = Scenario(config=CFG_SMALL, geometry=small_geometry(), trials=1, seed=4,
                       uncertainty_alpha=0.3)
         with pytest.raises(DegenerateDraw, match="every trial failed"):
             chansim.run_point(sc, (1, 1))
-        assert len(calls) == 2 * chansim._MAX_RESAMPLES
+        assert len(calls) == chansim._MAX_RESAMPLES
+
+
+class CountingStream:
+    """A trial's generator that records each call as (name, args)."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def counted(*args):
+            self.calls.append((name, args))
+            return getattr(self.rng, name)(*args)
+        return counted
+
+
+class TestStreamContract:
+    # seed 29 at 10 m rejects some first placements, so some streams place
+    # their receivers more than once
+    SCENARIO = Scenario(config=CFG_SMALL, geometry=small_geometry(10.0), seed=29,
+                        uncertainty_alpha=0.2)
+
+    def streams(self, count=12):
+        return tuple(CountingStream(chansim._trial_rng(self.SCENARIO.seed, t))
+                     for t in range(count))
+
+    def test_one_random_call_per_placement(self):
+        # each attempt is one random(6) of the stream, mapped as
+        # low + (high - low) * u; a rejected attempt is followed by the
+        # stream's next six values
+        geo = self.SCENARIO.geometry
+        low, high = np.array([1.0, 0.0] * 3), np.array([geo.ring_radius, 2.0 * np.pi] * 3)
+        streams = self.streams()
+        dist, placed = chansim._link_distances(geo, streams)
+        assert placed.all()
+        attempts = [len(s.calls) for s in streams]
+        assert max(attempts) > 1
+        for row, stream in enumerate(streams):
+            assert stream.calls == [("random", (6,))] * attempts[row]
+            replay = chansim._trial_rng(self.SCENARIO.seed, row)
+            for attempt in range(attempts[row]):
+                ring = (low + (high - low) * replay.random(6)).reshape(3, 2)
+                expected = chansim._ring_distances(geo, ring)
+                assert chansim._placed(geo, expected) == (attempt == attempts[row] - 1)
+            assert dist[row].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["los", "gaussian"])
+    def test_generator_calls_per_trial(self, alpha, gaussian):
+        # after its placements, a trial draws its phases (or its Gaussian
+        # set) in one call and, with uncertainty, its errors in one more
+        sc = dataclasses.replace(self.SCENARIO, uncertainty_alpha=alpha,
+                                 geometry=None if gaussian else self.SCENARIO.geometry)
+        cfg, streams = sc.config, self.streams()
+        chansim._draws(sc, tuple(range(len(streams))), streams)
+        size = sum(rows * cols for rows, cols in pc._shapes(cfg))
+        errors = [("standard_normal", (2 * cfg.ne * (cfg.ns1 + cfg.ns2),))] if alpha else []
+        for stream in streams:
+            attempts = 0 if gaussian else len(stream.calls) - 1 - len(errors)
+            assert gaussian or attempts >= 1
+            body = (("standard_normal", (2 * size,)) if gaussian
+                    else ("uniform", (0.0, 2.0 * np.pi, size)))
+            assert stream.calls == [("random", (6,))] * attempts + [body] + errors
+
+    def test_errors_are_one_call_split_by_matrix(self):
+        # the true g1 and g2 of a trial replayed from one standard_normal
+        # call: g1's real parts, its imaginary parts, then g2's
+        sc, trial = self.SCENARIO, 3
+        alpha, cfg = sc.uncertainty_alpha, sc.config
+        drawn = chansim.draw_trial(sc, trial)
+        # the same trial without uncertainty leaves the stream where the errors start
+        rng = chansim._trial_rng(sc.seed, trial)
+        exact = chansim._draws(dataclasses.replace(sc, uncertainty_alpha=0.0), (trial,), (rng,))
+        z = rng.standard_normal(2 * cfg.ne * (cfg.ns1 + cfg.ns2))
+        start = 0
+        for name, cols in (("g1", cfg.ns1), ("g2", cfg.ns2)):
+            n = cfg.ne * cols
+            err = (z[start:start + n] + 1j * z[start + n:start + 2 * n]) / np.sqrt(2)
+            est = getattr(exact.design, name)[0]
+            gain = np.abs(est[0, 0])
+            expected = gain * (est / gain / np.sqrt(1.0 + alpha)
+                               + np.sqrt(alpha / (1.0 + alpha)) * err.reshape(cfg.ne, cols))
+            assert np.allclose(getattr(drawn.actual, name), expected, rtol=1e-13, atol=0)
+            start += 2 * n
 
 
 def assert_rows_equal_single_draws(sc, trials):

@@ -1,10 +1,16 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdofkit import cli, precoder, serialize
 from sdofkit.chansim import Geometry, Scenario, Sweep, gaussian_channels
@@ -775,3 +781,98 @@ class TestResultSchemas:
         assert code == 0
         serialize.validate_document(doc, f"{argv[0]}_result")
         assert variant(doc)
+
+
+# the values a fuzzed field takes: every JSON type, the numeric edges and a
+# malformed matrix
+FUZZ_VALUES = [None, True, False, 0, -1, 1e308, 10**400, float("nan"), float("inf"), 2**63,
+               "x", "", [], [[]], {"rows": 2, "data": [[[1.0, 0.0]]]}]
+# trials are bounded, so that no example runs for long
+FUZZ_TRIALS = [None, True, 0, -1, 1, 3, 2.5, "3", []]
+FUZZ_KEYS = ["trials", "seed", "geometry", "sweep", "rows", "data", "power", "extra"]
+LOS_SCENARIO = {"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4}, "target": [1, 1],
+                "geometry": {"s1": [50.0, 0.0], "s2": [0.0, 0.0], "ring_radius": 10.0},
+                "uncertainty_alpha": 0.2, "trials": 2, "seed": 3,
+                "sweep": {"variable": "s1_s2_distance", "values": [50.0, 100.0]}}
+GAUSSIAN_SCENARIO = {"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2, "ne": 4},
+                     "target": [1, 1], "uncertainty_alpha": 0.2, "trials": 2, "seed": 4,
+                     "sweep": {"variable": "power_dbm", "values": [0.0, 10.0]}}
+
+
+def construct_bundle():
+    ch = gaussian_channels(AntennaConfig(4, 2, 4, 2, 4), np.random.default_rng(7))
+    pair = precoder.construct(ch, (1, 1), power=1.0)
+    return {"channels": serialize.channels_to_json(ch),
+            "precoder": serialize.precoder_to_json(pair),
+            "antennas": [4, 2, 4, 2, 4], "target": [1, 1], "sdof": [1, 1], "seed": 7}
+
+
+@st.composite
+def fuzzed(draw):
+    """A command and its input document: a valid one with one to three
+    mutations, each a field replaced or deleted, or a field added to an
+    object or a list (on a plain value, "add" replaces it).  Each mutation
+    walks down from the top, one level, then each further level with even
+    odds, so most of them hit the named fields rather than matrix entries."""
+    command = draw(st.sampled_from(["simulate", "verify", "construct"]))
+    doc = (draw(st.sampled_from([LOS_SCENARIO, GAUSSIAN_SCENARIO])) if command == "simulate"
+           else construct_bundle())
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, value = None, None, doc
+        while (isinstance(value, (dict, list)) and value
+               and (parent is None or draw(st.booleans()))):
+            parent, key = value, draw(st.sampled_from(
+                list(value) if isinstance(value, dict) else range(len(value))))
+            value = parent[key]
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "add" and isinstance(value, dict):
+            parent, key = value, draw(st.sampled_from(FUZZ_KEYS))
+        elif op == "add" and isinstance(value, list):
+            parent, key = value, None
+        elif parent is None:
+            continue
+        elif op == "delete":
+            del parent[key]
+            continue
+        new = copy.deepcopy(draw(st.sampled_from(FUZZ_TRIALS if key == "trials" else FUZZ_VALUES)))
+        if key is None:
+            parent.append(new)
+        else:
+            parent[key] = new
+    return command, doc
+
+
+class TestFuzzedInputs:
+    """The CLI contract under malformed input: mutations of a line-of-sight
+    and a Gaussian scenario, run by ``simulate``, and of a ``construct``
+    bundle, run by ``verify`` and ``construct --channels``, each exit 0,
+    2, 3 or 4, print strict JSON, and write nothing to stderr and warn
+    nothing."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=fuzzed())
+    def test_exit_code_json_and_quiet_stderr(self, tmp_path_factory, case):
+        command, doc = case
+        work = tmp_path_factory.getbasetemp()
+        path = work / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "simulate": ["simulate", "--scenario", str(path), "--out", str(work / "curve.csv")],
+            "verify": ["verify", "--channels", str(path), "--precoder", str(path)],
+            "construct": ["construct", "--antennas", "4,2,4,2,4", "--target", "1,1",
+                          "--channels", str(path)],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        assert err.getvalue() == "" and [str(w.message) for w in caught] == []
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not strict JSON")
+
+        result = json.loads(out.getvalue(), parse_constant=refuse)
+        assert result["status"] == ("ok" if code == 0 else "error")

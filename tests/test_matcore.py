@@ -330,6 +330,20 @@ class TestUncheckedBodies:
         norms = matcore._frobenius(np.stack([big, m]))
         assert norms[0] == got and norms[1].hex() == np.linalg.norm(m).hex()
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_frobenius_of_an_underflowing_sum_of_squares(self, rng, scale):
+        # the squares fall below the normal range (np.linalg.norm reads
+        # 1e-170 as 0.0); a zero matrix keeps its zero norm, and a stack
+        # item whose squares are normal keeps the bitwise np.linalg.norm
+        m = cstd(rng, 6, 5)
+        tiny = scale * m
+        got = matcore._frobenius(tiny)
+        assert abs(got / scale - np.linalg.norm(m)) <= 1e-14 * np.linalg.norm(m)
+        zero = np.zeros_like(m)
+        assert matcore._frobenius(zero) == 0.0 and matcore._frobenius(zero[:, :0]) == 0.0
+        norms = matcore._frobenius(np.stack([tiny, m, zero]))
+        assert norms[0] == got and norms[1].hex() == np.linalg.norm(m).hex() and norms[2] == 0.0
+
     @pytest.mark.parametrize("view", ["c", "fortran", "strided", "stack"])
     def test_column_norms_are_numpy_norms_bitwise(self, rng, view):
         m = cstd(rng, 7, 5)

@@ -85,6 +85,17 @@ def rows_of(chans):
     return len(chans.design.h11)
 
 
+def rank_one_at_random(true, streams):
+    """The true eavesdropper stacks ``true`` of ``chansim._true_eve``, each
+    row of each made rank one when its stream's next uniform value, drawn
+    row by row after the errors, is below 0.55."""
+    for row, rng in enumerate(streams):
+        for g in true:
+            if rng.uniform() < 0.55:
+                g[row] = np.outer(g[row, :, 0], np.ones(g.shape[-1]))
+    return true
+
+
 def stack_outcomes(trials, target, power):
     """run_point's one pass over a stack of trials: built and scored as one
     stack, or else trial by trial."""
@@ -617,16 +628,15 @@ class TestCheckedDraws:
         # trial's draw loop alone, built and scored by the public functions
         real, calls = chansim._true_eve, []
 
-        def sometimes_rank_one(g_est, alpha, gain, rng):
+        def sometimes_rank_one(g_est, alpha, gains, streams):
             calls.append(alpha)
-            g = real(g_est, alpha, gain, rng)
-            return np.outer(g[:, 0], np.ones(g.shape[1])) if rng.uniform() < 0.55 else g
+            return rank_one_at_random(real(g_est, alpha, gains, streams), streams)
 
         monkeypatch.setattr(chansim, "_true_eve", sometimes_rank_one)
         sc = small_scenario(trials=20, seed=2, uncertainty_alpha=0.2,
                             sweep=chansim.Sweep("s1_s2_distance", (150.0, 100.0, 50.0)))
         records = chansim.monte_carlo(sc, (1, 1))
-        assert len(calls) > 2 * 3 * 20  # some trials were redrawn
+        assert len(calls) > 3  # one call per stacked draw: some trials were redrawn
         expected = []
         for point in points_of(sc):
             triples, lost = [], 0
@@ -828,9 +838,8 @@ class TestLoneTrials:
         # sweep without the planted errors
         real = chansim._true_eve
 
-        def sometimes_rank_one(g_est, alpha, gain, rng):
-            g = real(g_est, alpha, gain, rng)
-            return np.outer(g[:, 0], np.ones(g.shape[1])) if rng.uniform() < 0.55 else g
+        def sometimes_rank_one(g_est, alpha, gains, streams):
+            return rank_one_at_random(real(g_est, alpha, gains, streams), streams)
 
         monkeypatch.setattr(chansim, "_true_eve", sometimes_rank_one)
         sc = small_scenario(trials=6, seed=2, uncertainty_alpha=0.2,

@@ -138,6 +138,16 @@ class TestConstructThenVerify:
         for target in [(3, 3), (2, 4), (0, 4)]:
             assert verifier.sdof_of(ch, precoder.construct(ch, target, power=1.0)) == target
 
+    # the channels' squared entries fall below the normal range under about
+    # 1e-154; each norm is taken again at unit scale, so no cutoff reads 0.0
+    # (at 1e-170 (3, 3) and (2, 4) raised "confidential streams leak")
+    @pytest.mark.parametrize("seed", range(7, 12))
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_tiny_channels(self, scale, seed):
+        ch = scaled_channels(scale, seed)
+        for target in [(3, 3), (2, 4), (0, 4)]:
+            assert verifier.sdof_of(ch, precoder.construct(ch, target, power=1.0)) == target
+
     # the edge of the range: every channel's own norm is still finite, but
     # the products of its images' factor norms overflow
     def test_channels_at_the_edge_of_the_float_range(self):
@@ -214,6 +224,12 @@ class TestMembership:
         assert verifier.membership(ch, pair) == verifier.Membership(True, True, True)
         mem = verifier.membership(ch, precoder.randomize(pair, np.random.default_rng(1)))
         assert mem.in_ibar and not mem.in_ihat
+
+    # the squares of the norms fall below the normal range under about
+    # 1e-154: membership reads as at unit scale
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_tiny_channels(self, scale):
+        self.test_huge_channels(scale)
 
     def test_unnormalized_pair_not_in_i(self, rng):
         ch = channels_for(EX2, rng)
