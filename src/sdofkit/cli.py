@@ -19,9 +19,11 @@ Exit codes: 0 success; 1 stdout closed before the output was written
 (``sdof ... | head``), with nothing printed to stderr; 2 malformed
 arguments, files, or dimension mismatches; 3 infeasible target; 4
 construction or numerical failure on a degenerate draw.  A power setting
-whose linear value is not a positive finite number, or a ``--p-grid`` with
-a non-finite value or two equal largest powers, is malformed input (exit
-2).  No environment variable changes a rank decision.
+whose linear value is not a positive finite number, a ``--p-grid`` with
+a non-finite value or two equal largest powers, and a setting whose arrays
+cannot be allocated (a ``MemoryError``, as for an antenna count of 1e15)
+are malformed input (exit 2).  No environment variable changes a rank
+decision.
 """
 
 from __future__ import annotations
@@ -213,7 +215,9 @@ def _dispatch(args) -> int:
     except (np.linalg.LinAlgError, ConstructionDeficit, DegenerateDraw) as exc:
         _fail(str(exc), "construction_failed")
         return _EXIT_CONSTRUCTION
-    except (SchemaViolation, ValueError, OSError) as exc:
+    # a MemoryError (NumPy's _ArrayMemoryError among them) is an antenna or
+    # trial count whose arrays cannot be allocated
+    except (SchemaViolation, ValueError, OSError, MemoryError) as exc:
         _fail(str(exc), "bad_input")
         return _EXIT_BAD_INPUT
     except TargetInfeasible as exc:

@@ -13,8 +13,13 @@ inputs everywhere and represent zero-dimensional subspaces.
 Every rank cutoff depends only on the call's arguments.  A matrix's own
 rank uses ``max(m, n) * eps * sigma_max``; the rank of a channel image
 ``A @ B`` is decided only by :func:`image_quotient`, which ties its cutoff
-to the factor norms.  Aligned precoder pairs are read from a GSVD only by
-:func:`aligned_pairs`.  No process-wide setting changes either decision.
+to the factor norms (:func:`_image_cutoff`, the one place of that rule).
+Each quotient is one SVD call (:func:`_quotient_counts`), and so is each
+score of a precoder pair, whose three quotients run as one zero-padded
+stack: a zero row or a masked column adds only zero singular values, so
+the padding changes no count, and no cutoff changes its bits.  Aligned
+precoder pairs are read from a GSVD only by :func:`aligned_pairs`.  No
+process-wide setting changes either decision.
 
 The public functions also take (T, m, n) stacks of matrices of one shape
 and decide each item as the 2-D call decides it, bitwise; a 2-D input
@@ -185,19 +190,15 @@ def _log2det_gram(x: np.ndarray) -> np.ndarray:
     return np.sum(terms, axis=-1) / math.log(2.0)
 
 
-def _count(sv: np.ndarray, cutoff):
-    """Singular values above the cutoff: an int for one matrix's values,
-    one count per item for a stack's."""
+def _ranks(m: np.ndarray, sv: np.ndarray):
+    """Counts of the singular values above ``max(m, n) * eps * sigma_max``:
+    an int for one matrix's values, one count per item for a stack's."""
+    # sv.T[0] is each item's sigma_max: a scalar for one matrix, not the
+    # 0-d array that sv[..., 0] would give, which costs an array ufunc
+    cutoff = max(m.shape[-2:]) * _EPS * sv.T[0] if sv.shape[-1] else 0.0
     if sv.ndim == 1:
         return int(np.count_nonzero(sv > cutoff))
     return np.add.reduce(sv > np.reshape(cutoff, (-1, 1)), axis=-1)
-
-
-def _ranks(m: np.ndarray, sv: np.ndarray):
-    """Counts of the singular values above ``max(m, n) * eps * sigma_max``."""
-    # sv.T[0] is each item's sigma_max: a scalar for one matrix, not the
-    # 0-d array that sv[..., 0] would give, which costs an array ufunc
-    return _count(sv, max(m.shape[-2:]) * _EPS * sv.T[0] if sv.shape[-1] else 0.0)
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
@@ -315,8 +316,27 @@ def _image_quotient(x, y=None, norms=None):
     ``norms``, when given, holds the factors' :func:`_frobenius` norms in
     the order |A|, |B|, |C|, |D|, so that a caller whose quotients share a
     factor takes its norm once; the result is the same int either way.
+
+    The quotient is :func:`_quotient_counts` of the one item ``[A B | C D]``
+    with the columns of ``C D`` marked, under :func:`_image_cutoff`: one SVD
+    call, where ``y`` is None too (its marked copy is then zero).
     """
     factors = (x,) if y is None else (x, y)
+    cutoff = _image_cutoff(factors, norms)
+    xy = np.concatenate([ma @ mb for ma, mb in factors], axis=-1)
+    mask = np.arange(xy.shape[-1]) >= x[1].shape[-1]
+    counts = _quotient_counts(xy[..., None, :, :], mask,
+                              np.reshape(cutoff, np.shape(cutoff) + (1,)))[..., 0]
+    return int(counts) if xy.ndim == 2 else counts
+
+
+def _image_cutoff(factors, norms=None):
+    """The cutoff ``1e4 * dim * max(eps * |A| * |B|, eps * |C| * |D|)`` of
+    the factor pairs ``factors`` (see :func:`image_quotient`): a float, or
+    one per item of stacked factors.  A pair with an empty factor adds
+    neither a product nor a dimension; with none left the cutoff is zero.
+    ``norms`` is as :func:`_image_quotient` takes it; an empty pair's norms
+    are not read, nor taken."""
     scale = None
     dim = 1
     for i, (ma, mb) in enumerate(factors):
@@ -329,12 +349,29 @@ def _image_quotient(x, y=None, norms=None):
             scale = (product if scale is None else max(scale, product)
                      if isinstance(product, float) else np.maximum(scale, product))
             dim = max(dim, ma.shape[-2], ma.shape[-1], mb.shape[-1])
-    images = [ma @ mb for ma, mb in factors]
-    cutoff = _PRODUCT_MARGIN * dim * (0.0 if scale is None else scale)
-    if y is None:
-        return _count(_singular_values(images[0]), cutoff)
-    return (_count(_singular_values(np.concatenate(images, axis=-1)), cutoff)
-            - _count(_singular_values(images[1]), cutoff))
+    return _PRODUCT_MARGIN * dim * (0.0 if scale is None else scale)
+
+
+def _quotient_counts(xy: np.ndarray, mask: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """``count(sv([X | Y])) - count(sv(Y))`` for each item of a (..., Q, R, C)
+    stack ``xy`` of images ``[X | Y]``, all zero-padded to one (R, C) shape:
+    the dimension of span(X) outside span(Y), one int per item in a
+    (..., Q) array.
+
+    ``mask`` is true on each item's Y columns (it broadcasts against
+    ``xy``), and ``cutoffs`` (..., Q) holds each item's cutoff, as
+    :func:`_image_cutoff` gives it for the unpadded factors, so padding
+    changes no cutoff's bits.  Every singular value of every item and of
+    its masked copy ``xy * mask`` comes from one :func:`_singular_values`
+    call.  A zero row or a masked column adds only singular values that are
+    zero in exact arithmetic, which no cutoff counts, so the padding changes
+    no count: only the round-off of the other values moves.
+    """
+    sv = _singular_values(np.concatenate([xy, xy * mask], axis=-3))
+    q = xy.shape[-3]
+    above = sv.reshape(sv.shape[:-2] + (2, q, sv.shape[-1])) > cutoffs[..., None, :, None]
+    counts = np.add.reduce(above, axis=-1)
+    return counts[..., 0, :] - counts[..., 1, :]
 
 
 @dataclass(frozen=True, eq=False)

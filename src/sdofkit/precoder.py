@@ -470,19 +470,46 @@ def _quotients(ch: ChannelSet, v: np.ndarray, w: np.ndarray):
     ints for one pair, one array entry per item for a stack.
 
     The scored pair is ``(max(signal - leak, 0), public)``
-    (:func:`verifier.sdof_of`).  Each of the eight factors is normed once,
-    and each quotient equals :func:`matcore.image_quotient` of its
-    factors; they run unchecked, since the channels and the precoders
-    were checked or built by the package.
+    (:func:`verifier.sdof_of`).  Each quotient equals
+    :func:`matcore.image_quotient` of its factors, with the same cutoff,
+    bitwise, from the eight factor norms, each taken once.  All three come
+    from one SVD call (:func:`matcore._quotient_counts`): each source's
+    three receiver channels are stacked, zero-padded to the most rows, so
+    that two products give all six images and one concatenation the three
+    ``[X | Y]`` items.  Zero rows, like the masked columns, add only zero
+    singular values.  The factors run unchecked, since the channels and
+    the precoders were checked or built by the package.
     """
     norm = matcore._frobenius
     nv, nw = norm(v), norm(w)
-    quotient = matcore._image_quotient
-    leak = quotient((ch.g1, v), (ch.g2, w), (norm(ch.g1), nv, norm(ch.g2), nw))
-    # rank(H11 V) less its overlap with span(H12 W) is the quotient dimension
-    signal = quotient((ch.h11, v), (ch.h12, w), (norm(ch.h11), nv, norm(ch.h12), nw))
-    public = quotient((ch.h22, w), (ch.h21, v), (norm(ch.h22), nw, norm(ch.h21), nv))
-    return leak, signal, public
+    rows = max(ch.g1.shape[-2], ch.h11.shape[-2], ch.h21.shape[-2])
+    images = []
+    for mats, p in (((ch.g1, ch.h11, ch.h21), v), ((ch.g2, ch.h12, ch.h22), w)):
+        stacked = np.zeros(mats[0].shape[:-2] + (3, rows, mats[0].shape[-1]), dtype=np.complex128)
+        for i, m in enumerate(mats):
+            stacked[..., i, :m.shape[-2], :] = m
+        images.append(stacked @ p[..., None, :, :])
+    # [G1 V | G2 W], [H11 V | H12 W] and [H21 V | H22 W], whose Y is H21 V
+    xy = np.concatenate(images, axis=-1)
+    cutoff = matcore._image_cutoff
+    # (3,) for one pair, (T, 3) for a stack; np.array costs far less than np.stack
+    cutoffs = np.array([
+        cutoff(((ch.g1, v), (ch.g2, w)), (norm(ch.g1), nv, norm(ch.g2), nw)),
+        cutoff(((ch.h11, v), (ch.h12, w)), (norm(ch.h11), nv, norm(ch.h12), nw)),
+        cutoff(((ch.h22, w), (ch.h21, v)), (norm(ch.h22), nw, norm(ch.h21), nv)),
+    ]).T
+    counts = matcore._quotient_counts(xy, _score_masks(v.shape[-1], w.shape[-1]), cutoffs)
+    return tuple(counts.tolist()) if counts.ndim == 1 else tuple(counts.T)
+
+
+@functools.cache
+def _score_masks(kv: int, kw: int) -> np.ndarray:
+    """The Y columns of :func:`_quotients`' three ``[X | Y]`` items, as a
+    (3, 1, kv + kw) mask: W's images in the first two, V's in the third."""
+    of_w = np.arange(kv + kw) >= kv
+    mask = np.stack([of_w, of_w, ~of_w])[:, None, :]
+    mask.flags.writeable = False  # shared by every call
+    return mask
 
 
 def right_multiply(pair: PrecoderPair, a: np.ndarray, b: np.ndarray) -> PrecoderPair:

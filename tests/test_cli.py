@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sdofkit import cli, precoder, serialize
+from sdofkit import chansim, cli, precoder, serialize
 from sdofkit.chansim import Geometry, Scenario, Sweep, gaussian_channels
 from sdofkit.errors import SchemaViolation
 from sdofkit.precoder import PrecoderPair
@@ -478,6 +478,49 @@ class TestSimulateCommand:
         doc = json.loads(out, parse_constant=refuse)
         assert doc["error"] == "bad_input"
         assert "squared link distance overflows" in doc["message"]
+
+    def test_unallocatable_arrays_exit_2_quietly(self, capsys, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 142. PiB for an array")
+
+        monkeypatch.setattr(chansim, "_draws", no_memory)
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps({"antennas": {"ns1": 4, "ns2": 2, "nd1": 4, "nd2": 2,
+                                                  "ne": 4},
+                                     "target": [1, 1], "trials": 2}))
+        code = cli.main(["simulate", "--scenario", str(spath), "--out", str(tmp_path / "x.csv")])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"status": "error", "error": "bad_input",
+                                   "message": "Unable to allocate 142. PiB for an array"}
+
+    def test_antenna_count_beyond_memory_exits_2_in_a_child(self, tmp_path):
+        # ns1 = 1e15 asks NumPy for petabytes, which it refuses with its
+        # _ArrayMemoryError.  The child runs under a 2 GB address-space
+        # limit, set before anything is imported, so that no count can take
+        # more memory than that; if the limit cannot be set the child fails
+        # before it runs the command.
+        pytest.importorskip("resource")
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps({"antennas": {"ns1": 1e15, "ns2": 2, "nd1": 4, "nd2": 2,
+                                                  "ne": 4},
+                                     "target": [1, 1], "trials": 2}))
+        argv = ["simulate", "--scenario", str(spath), "--out", str(tmp_path / "x.csv")]
+        proc = run_python(
+            "import os, resource\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+            "limit = 2 << 30\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    limit = min(limit, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            f"import sys; from sdofkit.cli import main; sys.exit(main({argv!r}))",
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        doc = json.loads(proc.stdout)
+        assert doc["error"] == "bad_input"
+        assert doc["message"].startswith("Unable to allocate")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_target_exits_2(self, capsys, tmp_path):
         spath = tmp_path / "scenario.json"

@@ -11,7 +11,7 @@ from scipy.linalg import cossin, lapack
 from sdofkit import matcore
 from sdofkit.errors import DegenerateInput
 
-from conftest import cstd, run_python, split_unitary
+from conftest import cstd, low_rank, run_python, split_unitary
 
 
 def relative_residual(a, b, g):
@@ -251,6 +251,53 @@ class TestDimArithmetic:
         a, b = cstd(r, rows, ca), cstd(r, rows, cb)
         quotient = matcore.image_quotient(span(a), span(b))
         assert quotient + matcore.gsvd(a, b).s == matcore.rank_tol(a)
+
+
+class TestQuotientCounts:
+    """Every image quotient is one SVD call, whatever the padding."""
+
+    def test_one_svd_call_per_quotient(self, monkeypatch, rng):
+        a, b, c, d = cstd(rng, 5, 4), cstd(rng, 4, 2), cstd(rng, 5, 3), cstd(rng, 3, 2)
+        svd, shapes = np.linalg.svd, []
+
+        def counting(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert matcore.image_quotient((a, b), (c, d)) == 2
+        pair_stacks = [np.stack([m, m, m]) for m in (a, b, c, d)]
+        assert matcore.image_quotient(pair_stacks[:2], pair_stacks[2:]).tolist() == [2, 2, 2]
+        assert matcore.image_quotient((a, b)) == 2
+        assert len(shapes) == 3
+
+    def test_cutoff_rule(self, rng):
+        # 1e4 * dim * max(eps |A||B|, eps |C||D|), bitwise, dim the largest
+        # factor dimension (here A's columns); a pair with an empty factor
+        # adds neither
+        a, b, c, d = cstd(rng, 3, 7), cstd(rng, 7, 2), cstd(rng, 3, 4), cstd(rng, 4, 2)
+        eps, norm, empty = np.finfo(float).eps, np.linalg.norm, np.zeros((7, 0))
+        expected = 1e4 * 7 * max(eps * norm(a) * norm(b), eps * norm(c) * norm(d))
+        assert matcore._image_cutoff(((a, b), (c, d))).hex() == expected.hex()
+        expected = 1e4 * 4 * (eps * norm(c) * norm(d))
+        assert matcore._image_cutoff(((c, d), (a, empty))).hex() == expected.hex()
+        assert matcore._image_cutoff(((a, empty),)) == 0.0
+
+    def test_padding_changes_no_count(self, rng):
+        # three quotients of different shapes, zero-padded to 6 rows and 5
+        # columns: each item counts as image_quotient counts it alone
+        quotients = [((cstd(rng, 4, 3), cstd(rng, 3, 2)), (cstd(rng, 4, 2), cstd(rng, 2, 2))),
+                     ((low_rank(rng, 6, 3, 1), cstd(rng, 3, 2)), (cstd(rng, 6, 1), cstd(rng, 1, 1))),
+                     ((cstd(rng, 2, 3), cstd(rng, 3, 1)), (cstd(rng, 2, 4), cstd(rng, 4, 4)))]
+        xy = np.zeros((3, 6, 5), dtype=complex)
+        mask = np.zeros((3, 1, 5), dtype=bool)
+        for item, (x, y) in enumerate(quotients):
+            image = np.concatenate([x[0] @ x[1], y[0] @ y[1]], axis=-1)
+            xy[item, :image.shape[0], :image.shape[1]] = image
+            mask[item, 0, x[1].shape[1]:image.shape[1]] = True
+        cutoffs = np.array([matcore._image_cutoff(q) for q in quotients])
+        counts = matcore._quotient_counts(xy, mask, cutoffs)
+        assert counts.tolist() == [matcore.image_quotient(*q) for q in quotients] == [2, 1, 0]
 
 
 class TestProductCutoff:

@@ -307,6 +307,115 @@ class TestConstruct:
                 assert used <= cfg.nd1, (tup, tuple(target))
 
 
+def public_quotients(ch, v, w):
+    """The scorer's three quotients from three public image_quotient calls."""
+    q = matcore.image_quotient
+    return q((ch.g1, v), (ch.g2, w)), q((ch.h11, v), (ch.h12, w)), q((ch.h22, w), (ch.h21, v))
+
+
+def scaled_channels(cfg, rng):
+    """A Gaussian channel set whose six links are scaled by 10^U(-12, 0) each."""
+    ch = chansim.gaussian_channels(cfg, rng)
+    scales = 10.0 ** rng.uniform(-12, 0, size=6)
+    return precoder.ChannelSet(*(s * getattr(ch, name)
+                                 for s, name in zip(scales, precoder._CHANNELS)))
+
+
+def scored_pairs(cfg, rng, count):
+    """(channels, V, W) on scaled channels: the pairs that construct builds
+    at each strict target, and random pairs of every width from zero up,
+    with W zero, tiny or generic."""
+    out = []
+    while len(out) < count:
+        ch = scaled_channels(cfg, rng)
+        for target in region.boundary(cfg).strict:
+            try:
+                pair = precoder.construct(ch, target, power=1.0)
+            except ConstructionDeficit:
+                continue
+            out.append((ch, pair.v, pair.w))
+        kv, kw = rng.integers(0, cfg.ns1 + 1), rng.integers(0, cfg.ns2 + 1)
+        w = cstd(rng, cfg.ns2, kw) * rng.choice([0.0, 1e-9, 1.0])
+        out.append((ch, cstd(rng, cfg.ns1, kv), w))
+    return out
+
+
+def count_svd_calls(monkeypatch):
+    """The shape of every np.linalg.svd input, in a list that fills as the
+    caller runs."""
+    svd, shapes = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+class TestQuotients:
+    """The scorer takes one SVD call over its three [X | Y] items, zero-padded
+    to the most receiver rows, and counts as three image_quotient calls do."""
+
+    # ne, nd1 and nd2 all differ, each of them the largest once; and all equal
+    @pytest.mark.parametrize("tup", [(4, 3, 2, 3, 4), (3, 4, 4, 2, 3), (4, 4, 3, 4, 2),
+                                     (2, 3, 1, 2, 3), (3, 3, 3, 3, 3)])
+    def test_equals_three_public_quotients(self, tup):
+        rng = np.random.default_rng(list(tup))
+        for ch, v, w in scored_pairs(AntennaConfig(*tup), rng, 60):
+            got = precoder._quotients(ch, v, w)
+            assert got == public_quotients(ch, v, w)
+            assert all(type(n) is int for n in got)
+
+    @pytest.mark.parametrize("tup, target", [((4, 3, 2, 3, 4), (1, 2)), ((3, 4, 4, 2, 3), (2, 1)),
+                                             ((6, 6, 5, 4, 5), (2, 4))])
+    def test_stack_equals_its_items(self, tup, target):
+        # each item's links have their own scales, so each has its own cutoffs
+        cfg, rng = AntennaConfig(*tup), np.random.default_rng(list(tup))
+        items = []
+        for _ in range(8):
+            ch = scaled_channels(cfg, rng)
+            try:
+                pair = precoder.construct(ch, target, power=1.0)
+            except ConstructionDeficit:
+                continue
+            items.append((ch, pair.v, pair.w))
+        assert len(items) >= 6
+        # a random pair on the same channels as well, with W zero in some items
+        items += [(ch, cstd(rng, cfg.ns1, v.shape[1]), cstd(rng, cfg.ns2, w.shape[1]) * (i % 2))
+                  for i, (ch, v, w) in enumerate(items)]
+        st = stacked([ch for ch, _, _ in items])
+        vs, ws = np.stack([v for _, v, _ in items]), np.stack([w for _, _, w in items])
+        cutoffs = matcore._image_cutoff(((st.g1, vs), (st.g2, ws)))
+        assert len(set(cutoffs.tolist())) == len(items)
+        got = precoder._quotients(st, vs, ws)
+        assert [list(q) for q in got] == [list(q) for q in public_quotients(st, vs, ws)]
+        assert np.transpose(got).tolist() == [list(public_quotients(*item)) for item in items]
+
+    @pytest.mark.parametrize("kv, kw", [(0, 3), (2, 0), (0, 0)])
+    def test_zero_width_precoders(self, rng, kv, kw):
+        chs = [scaled_channels(AntennaConfig(*EX2), rng) for _ in range(2)]
+        v, w = cstd(rng, 6, kv), cstd(rng, 6, kw)
+        expected = [list(public_quotients(ch, v, w)) for ch in chs]
+        assert list(precoder._quotients(chs[0], v, w)) == expected[0]
+        got = precoder._quotients(stacked(chs), np.stack([v, v]), np.stack([w, w]))
+        assert np.transpose(got).tolist() == expected
+
+    def test_one_svd_call_per_score(self, monkeypatch, rng):
+        cfg = AntennaConfig(*EX2)
+        chs = [channels_for(EX2, rng) for _ in range(3)]
+        pairs = [precoder.construct(ch, (2, 4), power=1.0) for ch in chs]
+        st = stacked(chs)
+        vs, ws = np.stack([p.v for p in pairs]), np.stack([p.w for p in pairs])
+        shapes = count_svd_calls(monkeypatch)
+        precoder._quotients(chs[0], pairs[0].v, pairs[0].w)
+        precoder._quotients(st, vs, ws)
+        verifier.sdof_of(chs[0], pairs[0])
+        # three [X | Y] items and their masked copies, max(ne, nd1, nd2) rows each
+        rows = max(cfg.ne, cfg.nd1, cfg.nd2)
+        assert [shape[:-1] for shape in shapes] == [(6, rows), (3, 6, rows), (6, rows)]
+
+
 class TestPlanCache:
     CFG = AntennaConfig(*EX2)
 

@@ -480,9 +480,10 @@ class TestRunPointStacks:
         assert failed
 
     def test_planted_scoring_failure_costs_its_trial(self, monkeypatch):
-        # the rate SVD of trial 3's [H11 V, H12 W] fails wherever it runs:
-        # once in the scoring stack, which is then re-run trial by trial,
-        # and once more alone, so only trial 3 is lost
+        # trial 3's [H11 V, H12 W], the image whose rate SVD the scoring
+        # takes, fails wherever it runs: first as an item of the scorer's
+        # one SVD call on the stack, which is then re-run trial by trial,
+        # and once more in trial 3 alone, so only trial 3 is lost
         sc = small_scenario(trials=8, seed=0)
         chans = chansim.draw_trial(sc, 3)
         pair = precoder.construct(chans.design, (1, 1), power=sc.effective_power)
@@ -493,14 +494,15 @@ class TestRunPointStacks:
         def planted_svd(a, *args, **kwargs):
             items = a.reshape((-1,) + a.shape[-2:])
             if a.shape[-2:] == marked.shape and any(np.array_equal(x, marked) for x in items):
-                hits.append(a.ndim)
+                hits.append(a.shape[:-2])
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", planted_svd)
         out = chansim.run_point(sc, (1, 1))
         monkeypatch.setattr(np.linalg, "svd", svd)
-        assert hits == [3, 3]  # the stack, then trial 3 as a stack of one
+        # the stack of 8 trials, then trial 3 as a stack of one
+        assert [lead[0] for lead in hits] == [8, 1]
         assert out == stats_without(sc, (1, 1), {3})
 
     def test_one_shot_scoring_failure_costs_no_trial(self, monkeypatch):
